@@ -17,7 +17,13 @@ Grammar accepted by `parse`:
 
 Simplification is conservative: constant folding, 0/1 identities, flattening
 of sum/product chains with like-term and like-factor collection. Rewrites only
-ever produce trees pointwise equal to the input on the input's domain.
+ever produce trees pointwise equal to the input on the input's domain. The
+canonical order of terms and factors comes from a structural key, the nested
+tuple (kind, payload key, *child keys), built once per interned node: it never
+prints a tree and is the same in every process, whatever PYTHONHASHSEED is.
+
+Memo tables live on the node they describe (printed string, simplified form,
+derivatives by variable, variable set), so they share the node's lifetime.
 """
 
 from __future__ import annotations
@@ -100,12 +106,20 @@ class UnknownIdentifierError(ParseError):
         self.name = name
 
 
+_MESSAGE_NODES = 200  # larger subexpressions are named by kind, not printed
+
+
 class DomainError(ExpressionError):
     """Evaluation left the domain (division by zero, ln of non-positive, ...)."""
 
     def __init__(self, message: str, subexpression: "Expr | None" = None):
         if subexpression is not None:
-            message = f"{message} in subexpression '{to_string(subexpression)}'"
+            if node_count(subexpression, _MESSAGE_NODES) > _MESSAGE_NODES:
+                # a whole tensor component can print to megabytes
+                message = (f"{message} in a '{subexpression.kind}' subexpression"
+                           f" of > {_MESSAGE_NODES} nodes")
+            else:
+                message = f"{message} in subexpression '{to_string(subexpression)}'"
         super().__init__(message)
         self.subexpression = subexpression
 
@@ -113,11 +127,12 @@ class DomainError(ExpressionError):
 class Expr:
     """One interned node of an expression tree. Build via the factories."""
 
-    __slots__ = ("kind", "payload", "args")
+    __slots__ = ("kind", "payload", "args", "_key", "_str", "_simplified", "_diff", "_vars")
 
     kind: str
     payload: object  # Fraction for constants, str for variables, else None
     args: tuple
+    _key: tuple  # structural sort key: (kind, payload key, *child keys)
 
     def __add__(self, other):
         return add(self, other)
@@ -169,6 +184,13 @@ def _node(kind: str, payload, args: tuple) -> Expr:
         hit.kind = kind
         hit.payload = payload
         hit.args = args
+        if kind == _CONST:
+            pkey = (payload.numerator, payload.denominator)
+        else:
+            pkey = payload if kind == _VAR else ""
+        # child keys are the children's own tuples, so a node adds O(1) memory
+        hit._key = (kind, pkey, *(a._key for a in args))
+        hit._str = hit._simplified = hit._diff = hit._vars = None
         _INTERN[key] = hit
     return hit
 
@@ -341,20 +363,12 @@ def esum(terms) -> Expr:
 
 def variables(e: Expr) -> frozenset[str]:
     """Set of variable names appearing in the tree."""
-    hit = _VARS_CACHE.get(e)
-    if hit is not None:
-        return hit
-    if e.kind == _VAR:
-        out = frozenset((e.payload,))
-    elif e.kind == _CONST:
-        out = frozenset()
-    else:
-        out = frozenset().union(*(variables(a) for a in e.args))
-    _VARS_CACHE[e] = out
-    return out
-
-
-_VARS_CACHE: dict[Expr, frozenset] = {}
+    if e._vars is None:
+        if e.kind == _VAR:
+            e._vars = frozenset((e.payload,))
+        else:
+            e._vars = frozenset().union(*(variables(a) for a in e.args))
+    return e._vars
 
 
 def node_count(e: Expr, limit: int | None = None) -> int:
@@ -521,17 +535,11 @@ def _wrap(e: Expr, cats) -> str:
     return f"({s})" if _category(e) in cats else s
 
 
-_STR_CACHE: dict[int, str] = {}
-
-
 def to_string(e: Expr) -> str:
     """Render with exactly the parentheses the grammar needs to round-trip."""
-    hit = _STR_CACHE.get(id(e))
-    if hit is not None:
-        return hit
-    out = _to_string(e)
-    _STR_CACHE[id(e)] = out
-    return out
+    if e._str is None:
+        e._str = _to_string(e)
+    return e._str
 
 
 def _to_string(e: Expr) -> str:
@@ -571,13 +579,11 @@ def _to_string(e: Expr) -> str:
 # differentiation
 # ---------------------------------------------------------------------------
 
-_DIFF_CACHE: dict[tuple[int, str], Expr] = {}
-
-
 def differentiate(e: Expr, name: str) -> Expr:
     """Partial derivative with respect to the named variable."""
-    key = (id(e), name)
-    hit = _DIFF_CACHE.get(key)
+    if e._diff is None:
+        e._diff = {}
+    hit = e._diff.get(name)
     if hit is not None:
         return hit
     k = e.kind
@@ -629,7 +635,7 @@ def differentiate(e: Expr, name: str) -> Expr:
         out = mul(div(e.args[0], e), differentiate(e.args[0], name))
     else:
         raise ExpressionError(f"cannot differentiate node kind {k!r}")
-    _DIFF_CACHE[key] = out
+    e._diff[name] = out
     return out
 
 
@@ -637,12 +643,9 @@ def differentiate(e: Expr, name: str) -> Expr:
 # conservative simplification
 # ---------------------------------------------------------------------------
 
-_SIMPLIFY_CACHE: dict[int, Expr] = {}
-
-
-def _sort_key(e: Expr) -> str:
+def _sort_key(e: Expr) -> tuple:
     """Deterministic total order on interned nodes (canonical output order)."""
-    return to_string(e)
+    return e._key
 
 
 def simplify(e: Expr) -> Expr:
@@ -653,9 +656,8 @@ def simplify(e: Expr) -> Expr:
     denominator combine over it. Every rewrite is pointwise equal to the
     input on the input's domain; nothing depends on sign assumptions.
     """
-    hit = _SIMPLIFY_CACHE.get(id(e))
-    if hit is not None:
-        return hit
+    if e._simplified is not None:
+        return e._simplified
     k = e.kind
     if k in (_CONST, _VAR):
         out = e
@@ -680,8 +682,8 @@ def simplify(e: Expr) -> Expr:
             out = pow_(base, expo)
     else:
         raise ExpressionError(f"cannot simplify node kind {k!r}")
-    _SIMPLIFY_CACHE[id(e)] = out
-    _SIMPLIFY_CACHE[id(out)] = out
+    e._simplified = out
+    out._simplified = out
     return out
 
 

@@ -422,14 +422,13 @@ class CurvatureBundle:
         self._blocks[key] = out
         return out
 
-    def field_values(self, tf: TensorField, points, tag: str = "") -> np.ndarray:
+    def field_values(self, tf: TensorField, points) -> np.ndarray:
         """Numeric values of one derived field, cached per (field, point set).
 
-        The cache key is built from the interned component ids, so two
-        structurally different fields never collide even if the caller
-        reuses a tag.
+        The cache key holds the interned component nodes themselves, so it
+        keeps them alive and two structurally different fields never collide.
         """
-        key = (tuple(id(c) for c in tf.components.ravel()), self._point_key(points))
+        key = (tuple(tf.components.ravel()), self._point_key(points))
         if key not in self._blocks:
             self._blocks[key] = tf.evaluate_block(points)
         return self._blocks[key]

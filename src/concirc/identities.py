@@ -159,7 +159,7 @@ def check_bianchi_at(
             + np.einsum("pywxz->pwxyz", rva)
         )
     else:
-        nr = bundle.field_values(bundle.nabla_riemann(), points, "nabla_riemann")
+        nr = bundle.field_values(bundle.nabla_riemann(), points)
         total = (
             nr
             + np.einsum("pwxayz->pawxyz", nr)
@@ -198,7 +198,7 @@ def check_semisymmetry_at(
         from .geometry import curvature_action_from_second_derivative
 
         field = curvature_action_from_second_derivative(bundle, bundle.riemann)
-        total = bundle.field_values(field, points, "action2:riemann")
+        total = bundle.field_values(field, points)
     else:
         raise GeometryError(
             f"route must be 'derivation' or 'second-derivative', got {route!r}"

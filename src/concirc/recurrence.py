@@ -38,6 +38,7 @@ from .identities import (
     HypothesisError,
     IdentityReport,
     _action_arrays,
+    _per_point_max,
     check_semisymmetry_at,
 )
 
@@ -76,10 +77,6 @@ def _maybe_simplify(e: Expr) -> Expr:
     if ex.node_count(e, SIMPLIFY_NODE_BUDGET) <= SIMPLIFY_NODE_BUDGET:
         return ex.simplify(e)
     return e
-
-
-def _per_point_max(arr: np.ndarray) -> np.ndarray:
-    return np.abs(arr).reshape(arr.shape[0], -1).max(axis=1)
 
 
 @dataclass(frozen=True)

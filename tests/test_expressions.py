@@ -1,12 +1,18 @@
 """Expression engine: parsing, printing, differentiation, evaluation."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import concirc.expressions as ex
+from concirc.catalog import get_builtin
+from concirc.geometry import curvature_bundle_at
 
 COORDS = ("x", "y", "z")
 
@@ -171,6 +177,19 @@ def test_domain_error_names_subexpression():
     assert "ln" in str(err.value)
 
 
+def test_block_domain_error_message_is_bounded():
+    b = curvature_bundle_at(get_builtin("perturbed_flat").chart)
+    comp = max(b.riemann.components.ravel(), key=lambda c: ex.node_count(c, 1000))
+    assert ex.node_count(comp, 200) > 200
+    # a NaN coordinate makes the whole component non-finite
+    columns = {c: np.array([np.nan]) for c in b.chart.coordinates}
+    with pytest.raises(ex.DomainError) as err:
+        ex.evaluate_block([comp], columns)
+    assert err.value.subexpression is comp
+    assert len(str(err.value)) < 1024
+    assert "> 200 nodes" in str(err.value)
+
+
 def test_differentiate_basic_rules():
     x = ex.var("x")
     assert ex.differentiate(ex.sin(x), "x") is ex.cos(x)
@@ -252,6 +271,52 @@ def test_simplify_is_idempotent():
     for _ in range(100):
         s = ex.simplify(_random_expr(rng))
         assert ex.simplify(s) is s
+
+
+def test_simplify_never_prints(monkeypatch):
+    def refuse(e):
+        raise AssertionError("simplify printed an expression")
+
+    monkeypatch.setattr(ex, "to_string", refuse)
+    monkeypatch.setattr(ex, "_to_string", refuse)
+    rng = np.random.default_rng(29)
+    for _ in range(100):
+        ex.simplify(_random_expr(rng))
+    b = curvature_bundle_at(get_builtin("perturbed_flat").chart)
+    b.nabla_riemann()
+
+
+_CANONICAL_SCRIPT = """
+import sys
+import concirc.expressions as ex
+if sys.argv[1] == "warm":
+    from concirc.catalog import builtin_names, get_builtin
+    from concirc.geometry import curvature_bundle_at
+    for name in builtin_names():
+        curvature_bundle_at(get_builtin(name).chart)
+for text in sys.argv[2:]:
+    print(ex.to_string(ex.simplify(ex.parse(text, ("x", "y", "z")))))
+"""
+
+
+def test_canonical_form_ignores_process_history_and_hash_seed():
+    rng = np.random.default_rng(31)
+    texts = [ex.to_string(_random_expr(rng)) for _ in range(30)] + [
+        "z*y + y*x + x*z - 2*x*y",
+        "sin(y)*cos(x) + x^2*y/(1 + x) + y/(1 + x) - cos(x)*sin(y)",
+        "(x + y)^2*(z - x)/(3 + y^2) + exp(z)*x - x*exp(z)/2",
+        "1/x + 1/y + x/y + 2*y/x + z/(x*y)",
+        "sqrt(x*y)*ln(z + 2) - ln(2 + z)*sqrt(y*x)/3",
+    ]
+    src = str(Path(ex.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed, history in (("0", "cold"), ("1", "warm")):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _CANONICAL_SCRIPT, history, *texts],
+                              capture_output=True, text=True, env=env, check=True)
+        outputs.append(proc.stdout.splitlines())
+    assert len(outputs[0]) == len(texts)
+    assert outputs[0] == outputs[1]
 
 
 def test_evaluate_block_matches_scalar_evaluate():
