@@ -187,7 +187,14 @@ class TensorField:
     """All-lower-index tensor field: an object array of expressions.
 
     symmetry is a declared tag ("none", "symmetric-2", "antisymmetric-2",
-    "riemann-like"); it is what the identity tests verify numerically.
+    "riemann-like"). "riemann-like" means curvature-like in the last four
+    slots: antisymmetric within each of the pairs (i1, i2) and (i3, i4) and
+    symmetric under swapping the pairs. covariant_derivative_at and
+    curvature_action_at read that tag: they build one component per orbit
+    of those four slots and fill the rest by sign, and their result keeps
+    the tag, so nabla R, nabla C and nabla^2 R are reduced too. The other
+    tags are descriptive only. No tag is used to reduce by the first
+    Bianchi identity, which the identity checks verify numerically.
     """
 
     dim: int
@@ -253,6 +260,50 @@ def _guard(what: str, index: tuple, e: Expr):
         raise ResourceLimitError(what, index, count)
 
 
+def _curvature_slot(idx: tuple):
+    """Orbit of a slot under the symmetries of its last four indices.
+
+    The last four indices are taken as a curvature-like tensor's: antisymmetric
+    within each pair, symmetric under swapping the pairs. Returns
+    (representative, sign), where the component at idx is sign times the one
+    at the representative, or None where antisymmetry makes it vanish. The
+    representative is the smallest index of its orbit in row-major order.
+    """
+    i, j, k, l = idx[-4:]
+    if i == j or k == l:
+        return None
+    sign = 1
+    if i > j:
+        i, j, sign = j, i, -sign
+    if k > l:
+        k, l, sign = l, k, -sign
+    if (i, j) > (k, l):
+        i, j, k, l = k, l, i, j
+    return idx[:-4] + (i, j, k, l), sign
+
+
+def _fill(shape: tuple, build, slot=None) -> np.ndarray:
+    """Object array of the given shape with build(idx) called once per orbit.
+
+    slot maps an index to (representative, sign) or to None, as
+    _curvature_slot does; without it every index is its own representative.
+    A slot of sign +1 shares its representative's node, a slot of sign -1
+    gets its negation and a None slot is ZERO. Representatives come first in
+    row-major order, so each is built before its orbit reuses it.
+    """
+    out = _object_array(shape)
+    for idx in np.ndindex(*shape):
+        hit = (idx, 1) if slot is None else slot(idx)
+        if hit is None:
+            out[idx] = ex.ZERO
+        elif hit[0] == idx:
+            out[idx] = build(idx)
+        else:
+            rep, sign = hit
+            out[idx] = out[rep] if sign > 0 else ex.neg(out[rep])
+    return out
+
+
 def christoffel_at(chart: MetricChart, inverse: np.ndarray | None = None) -> np.ndarray:
     """Christoffel symbols Gamma^k_ij as an (n, n, n) object array [k, i, j]."""
     n = chart.n
@@ -266,18 +317,20 @@ def christoffel_at(chart: MetricChart, inverse: np.ndarray | None = None) -> np.
             for j in range(n):
                 dg[a, i, j] = differentiate(g[i, j], coords[a])
 
-    gamma = _object_array((n, n, n))
     half = ex.const(1) / 2
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                acc = ex.ZERO
-                for l in range(n):
-                    inner = ex.add(dg[i, j, l], ex.sub(dg[j, i, l], dg[l, i, j]))
-                    acc = ex.add(acc, ex.mul(ginv[k, l], inner))
-                gamma[k, i, j] = simplify(ex.mul(half, acc))
-                _guard("christoffel", (k, i, j), gamma[k, i, j])
-    return gamma
+
+    def build(idx):
+        k, i, j = idx
+        acc = ex.ZERO
+        for l in range(n):
+            inner = ex.add(dg[i, j, l], ex.sub(dg[j, i, l], dg[l, i, j]))
+            acc = ex.add(acc, ex.mul(ginv[k, l], inner))
+        out = simplify(ex.mul(half, acc))
+        _guard("christoffel", idx, out)
+        return out
+
+    # symmetric in the lower pair: build i <= j only
+    return _fill((n, n, n), build, lambda idx: ((idx[0],) + tuple(sorted(idx[1:])), 1))
 
 
 class CurvatureBundle:
@@ -286,8 +339,13 @@ class CurvatureBundle:
     Fields: inverse_metric, christoffel (Gamma^k_ij at [k,i,j]), riemann_13
     (R(d_i,d_j)d_k coefficient of d_l at [i,j,k,l]), riemann (0,4), ricci,
     scalar_curvature, gtensor (the curvature-like tensor of the metric),
-    concircular. Covariant derivatives of the curvature tensors are built on
-    first use and cached.
+    concircular. Each component is simplified once per symmetry orbit and
+    the rest of its orbit shares that node or its negation: Gamma is built
+    for i <= j, riemann_13 for i < j, and riemann, gtensor and concircular
+    (tagged "riemann-like") for one slot per orbit of the pair symmetries.
+    Ricci and the first Bianchi identity are not used to reduce a build.
+    nabla R and nabla C are built on first use, reduced the same way, and
+    cached.
     """
 
     def __init__(self, chart: MetricChart):
@@ -300,31 +358,33 @@ class CurvatureBundle:
         self.christoffel = christoffel_at(chart, self.inverse_metric)
         gamma = self.christoffel
 
-        riem13 = _object_array((n, n, n, n))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        acc = ex.sub(
-                            differentiate(gamma[l, j, k], coords[i]),
-                            differentiate(gamma[l, i, k], coords[j]),
-                        )
-                        for m in range(n):
-                            acc = ex.add(acc, ex.mul(gamma[m, j, k], gamma[l, i, m]))
-                            acc = ex.sub(acc, ex.mul(gamma[m, i, k], gamma[l, j, m]))
-                        riem13[i, j, k, l] = simplify(acc)
-                        _guard("riemann_13", (i, j, k, l), riem13[i, j, k, l])
+        def build_riemann_13(idx):
+            i, j, k, l = idx
+            acc = ex.sub(
+                differentiate(gamma[l, j, k], coords[i]),
+                differentiate(gamma[l, i, k], coords[j]),
+            )
+            for m in range(n):
+                acc = ex.add(acc, ex.mul(gamma[m, j, k], gamma[l, i, m]))
+                acc = ex.sub(acc, ex.mul(gamma[m, i, k], gamma[l, j, m]))
+            out = simplify(acc)
+            _guard("riemann_13", idx, out)
+            return out
+
+        def antisymmetric_first_pair(idx):
+            i, j, k, l = idx
+            if i == j:
+                return None
+            return ((i, j, k, l), 1) if i < j else ((j, i, k, l), -1)
+
+        riem13 = _fill((n,) * 4, build_riemann_13, antisymmetric_first_pair)
         self.riemann_13 = riem13
 
-        riem = _object_array((n, n, n, n))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for m in range(n):
-                        acc = ex.ZERO
-                        for l in range(n):
-                            acc = ex.add(acc, ex.mul(riem13[i, j, k, l], g[l, m]))
-                        riem[i, j, k, m] = simplify(acc)
+        def build_riemann(idx):
+            i, j, k, m = idx
+            return simplify(ex.esum(ex.mul(riem13[i, j, k, l], g[l, m]) for l in range(n)))
+
+        riem = _fill((n,) * 4, build_riemann, _curvature_slot)
         self.riemann = TensorField(n, 4, riem, symmetry="riemann-like")
 
         ric = _object_array((n, n))
@@ -341,20 +401,19 @@ class CurvatureBundle:
             )
         )
 
-        gt = _object_array((n, n, n, n))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        gt[i, j, k, l] = simplify(
-                            ex.sub(ex.mul(g[j, k], g[i, l]), ex.mul(g[i, k], g[j, l]))
-                        )
+        def build_gtensor(idx):
+            i, j, k, l = idx
+            return simplify(ex.sub(ex.mul(g[j, k], g[i, l]), ex.mul(g[i, k], g[j, l])))
+
+        gt = _fill((n,) * 4, build_gtensor, _curvature_slot)
         self.gtensor = TensorField(n, 4, gt, symmetry="riemann-like")
 
         scale = ex.div(self.scalar_curvature, ex.const(n * (n - 1)))
-        conc = _object_array((n, n, n, n))
-        for idx in np.ndindex(*(n,) * 4):
-            conc[idx] = simplify(ex.sub(riem[idx], ex.mul(scale, gt[idx])))
+        conc = _fill(
+            (n,) * 4,
+            lambda idx: simplify(ex.sub(riem[idx], ex.mul(scale, gt[idx]))),
+            _curvature_slot,
+        )
         self.concircular = TensorField(n, 4, conc, symmetry="riemann-like")
 
         self._derived: dict = {}
@@ -375,11 +434,6 @@ class CurvatureBundle:
         if "nabla_concircular" not in self._derived:
             self._derived["nabla_concircular"] = covariant_derivative_at(self, self.concircular)
         return self._derived["nabla_concircular"]
-
-    def nabla2_riemann(self) -> TensorField:
-        if "nabla2_riemann" not in self._derived:
-            self._derived["nabla2_riemann"] = covariant_derivative_at(self, self.riemann, order=2)
-        return self._derived["nabla2_riemann"]
 
     # -- numeric evaluation with per-point-set caching -----------------------
 
@@ -443,7 +497,9 @@ def covariant_derivative_at(bundle: CurvatureBundle, tensor: TensorField, order:
     """Covariant derivative of an all-lower tensor field; new index first.
 
     order=2 applies the derivative twice, so the result's first two slots are
-    (a, b) with nabla^2_{a,b} = nabla_a nabla_b - nabla_{nabla_a b}.
+    (a, b) with nabla^2_{a,b} = nabla_a nabla_b - nabla_{nabla_a b}. A
+    "riemann-like" input gives a "riemann-like" result built once per orbit
+    of its last four slots.
     """
     if order not in (1, 2):
         raise GeometryError(f"order must be 1 or 2, got {order}")
@@ -455,16 +511,18 @@ def covariant_derivative_at(bundle: CurvatureBundle, tensor: TensorField, order:
     rank = tensor.rank
     comp = tensor.components
 
-    out = _object_array((n,) * (rank + 1))
-    for a in range(n):
-        for idx in np.ndindex(*(n,) * rank):
-            acc = differentiate(comp[idx], coords[a])
-            for s in range(rank):
-                for m in range(n):
-                    swapped = idx[:s] + (m,) + idx[s + 1 :]
-                    acc = ex.sub(acc, ex.mul(gamma[m, a, idx[s]], comp[swapped]))
-            out[(a,) + idx] = simplify(acc)
-    result = TensorField(n, rank + 1, out, symmetry="none")
+    def build(full):
+        a, idx = full[0], full[1:]
+        acc = differentiate(comp[idx], coords[a])
+        for s in range(rank):
+            for m in range(n):
+                swapped = idx[:s] + (m,) + idx[s + 1 :]
+                acc = ex.sub(acc, ex.mul(gamma[m, a, idx[s]], comp[swapped]))
+        return simplify(acc)
+
+    reduce = tensor.symmetry == "riemann-like"
+    out = _fill((n,) * (rank + 1), build, _curvature_slot if reduce else None)
+    result = TensorField(n, rank + 1, out, symmetry=tensor.symmetry if reduce else "none")
     if order == 2:
         return covariant_derivative_at(bundle, result, order=1)
     return result
@@ -473,24 +531,28 @@ def covariant_derivative_at(bundle: CurvatureBundle, tensor: TensorField, order:
 def curvature_action_at(bundle: CurvatureBundle, tensor: TensorField) -> TensorField:
     """(R(d_u, d_v) T)(d_w, d_x, d_y, d_z) for a rank-4 field, via the
     derivation property: minus the sum of T with R(d_u,d_v) hooked into each
-    slot. Independent of covariant differentiation."""
+    slot. Independent of covariant differentiation. A "riemann-like" input
+    is built once per orbit of the last four slots, as in
+    covariant_derivative_at."""
     n = bundle.n
     if tensor.rank != 4 or tensor.dim != n:
         raise GeometryError("curvature action expects a rank-4 field on the same chart")
     riem13 = bundle.riemann_13
     comp = tensor.components
-    out = _object_array((n,) * 6)
-    for u in range(n):
-        for v in range(n):
-            for w, x, y, z in np.ndindex(*(n,) * 4):
-                acc = ex.ZERO
-                for m in range(n):
-                    acc = ex.add(acc, ex.mul(riem13[u, v, w, m], comp[m, x, y, z]))
-                    acc = ex.add(acc, ex.mul(riem13[u, v, x, m], comp[w, m, y, z]))
-                    acc = ex.add(acc, ex.mul(riem13[u, v, y, m], comp[w, x, m, z]))
-                    acc = ex.add(acc, ex.mul(riem13[u, v, z, m], comp[w, x, y, m]))
-                out[u, v, w, x, y, z] = simplify(ex.neg(acc))
-    return TensorField(n, 6, out, symmetry="none")
+
+    def build(idx):
+        u, v, w, x, y, z = idx
+        acc = ex.ZERO
+        for m in range(n):
+            acc = ex.add(acc, ex.mul(riem13[u, v, w, m], comp[m, x, y, z]))
+            acc = ex.add(acc, ex.mul(riem13[u, v, x, m], comp[w, m, y, z]))
+            acc = ex.add(acc, ex.mul(riem13[u, v, y, m], comp[w, x, m, z]))
+            acc = ex.add(acc, ex.mul(riem13[u, v, z, m], comp[w, x, y, m]))
+        return simplify(ex.neg(acc))
+
+    reduce = tensor.symmetry == "riemann-like"
+    out = _fill((n,) * 6, build, _curvature_slot if reduce else None)
+    return TensorField(n, 6, out, symmetry=tensor.symmetry if reduce else "none")
 
 
 def curvature_action_from_second_derivative(

@@ -1,8 +1,10 @@
 """Command-line interface: exit codes, JSON schema, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -311,3 +313,16 @@ def test_main_wires_exit_code():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "sphere_3" in proc.stdout
+
+
+def test_module_entry_point_runs_main():
+    # `python -m concirc.cli` must behave like the console script
+    import concirc
+
+    src = str(Path(concirc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "concirc.cli", "list-builtins"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert tuple(proc.stdout.split()) == builtin_names()
+    assert len(builtin_names()) == 8

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 import concirc.expressions as ex
+from concirc.catalog import get_builtin
 from concirc.geometry import (
     CurvatureBundle,
     GeometryError,
     MetricChart,
     SingularMetricError,
     TensorField,
+    _curvature_slot,
     christoffel_at,
     covariant_derivative_at,
     curvature_action_at,
@@ -256,6 +258,69 @@ def test_gtensor_of_flat_metric_is_constant_curvature_model():
         "ik,jl->ijkl", np.eye(2), np.eye(2)
     )
     np.testing.assert_allclose(g, expected, rtol=0, atol=0)
+
+
+def test_bundle_tensors_match_their_formulas_in_every_slot():
+    # G, C and R are built once per symmetry orbit; every slot must still
+    # equal the defining formula evaluated independently
+    b = curvature_bundle_at(dense3())
+    pts = b.chart.sample_points(5, 6)
+    v = b.values_at(pts)
+    g = v["metric"]
+    gt = np.einsum("pjk,pil->pijkl", g, g) - np.einsum("pik,pjl->pijkl", g, g)
+    np.testing.assert_allclose(v["gtensor"], gt, rtol=0, atol=1e-12)
+    conc = v["riemann"] - (v["scalar"] / 6.0)[:, None, None, None, None] * v["gtensor"]
+    np.testing.assert_allclose(v["concircular"], conc, rtol=0, atol=1e-12)
+
+
+# -- symmetry-orbit reduction ---------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_curvature_slot_orbits_cover_every_slot(n):
+    m = n * (n - 1) // 2
+    reps = set()
+    orbit_sizes = {}
+    for idx in np.ndindex(*(n,) * 4):
+        hit = _curvature_slot(idx)
+        i, j, k, l = idx
+        if hit is None:
+            assert i == j or k == l
+            continue
+        rep, sign = hit
+        assert sign in (1, -1)
+        assert rep <= idx  # built before the slots that reuse it
+        assert _curvature_slot(rep) == (rep, 1)
+        reps.add(rep)
+        orbit_sizes[rep] = orbit_sizes.get(rep, 0) + 1
+    assert len(reps) == m * (m + 1) // 2
+    zeros = sum(1 for idx in np.ndindex(*(n,) * 4) if idx[0] == idx[1] or idx[2] == idx[3])
+    assert sum(orbit_sizes.values()) + zeros == n**4
+    # leading slots (the derivative index) pass through unchanged
+    assert _curvature_slot((2, 1, 0, 1, 0)) == ((2, 0, 1, 0, 1), 1)
+    assert _curvature_slot((0, 1, 1, 0, 2)) is None
+
+
+@pytest.mark.parametrize("chart", ["dense3", "perturbed_flat"])
+def test_reduced_nabla_matches_unreduced_build(chart):
+    # the same covariant derivative built slot by slot from an untagged copy
+    b = curvature_bundle_at(dense3() if chart == "dense3" else get_builtin(chart).chart)
+    pts = b.chart.sample_points(11, 6)
+    for field, reduced in ((b.riemann, b.nabla_riemann()), (b.concircular, b.nabla_concircular())):
+        assert reduced.symmetry == "riemann-like"
+        plain = covariant_derivative_at(b, TensorField(b.n, 4, field.components, symmetry="none"))
+        assert plain.symmetry == "none"
+        ref = b.field_values(plain, pts)
+        scale = 1.0 + np.max(np.abs(ref))
+        np.testing.assert_allclose(b.field_values(reduced, pts), ref, rtol=0, atol=1e-12 * scale)
+
+
+def test_nabla_riemann_builds_one_node_per_orbit():
+    b = curvature_bundle_at(get_builtin("perturbed_flat").chart)
+    comps = b.nabla_riemann().components.ravel()
+    assert len(comps) == 243
+    distinct = {frozenset((c, ex.neg(c))) for c in comps if c is not ex.ZERO}
+    assert 0 < len(distinct) <= 18
 
 
 # -- covariant differentiation ------------------------------------------------
