@@ -29,6 +29,7 @@ evaluating component arrays at sample points and contracting with numpy.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,9 @@ __all__ = [
 EXCLUSION_MARGIN = 1e-3
 DEGENERACY_FLOOR = 1e-12
 COMPONENT_NODE_LIMIT = 2_000_000
+# classify and verify_theorem alternate between the sample points and their
+# admitted subset; values for older point sets are recomputed on demand
+_POINT_SETS_KEPT = 2
 
 
 class GeometryError(Exception):
@@ -345,7 +349,13 @@ class CurvatureBundle:
     (tagged "riemann-like") for one slot per orbit of the pair symmetries.
     Ricci and the first Bianchi identity are not used to reduce a build.
     nabla R and nabla C are built on first use, reduced the same way, and
-    cached.
+    cached; so are the recurrence forms that ``recurrence`` fits.
+
+    Numeric values are kept per point set: the core block of ``values_at``,
+    each ``field_values`` result and the curvature action of the identity
+    checks. Only the two most recently used point sets are kept; evaluation
+    is deterministic, so a point set evicted and asked for again gets the
+    same values.
     """
 
     def __init__(self, chart: MetricChart):
@@ -417,28 +427,53 @@ class CurvatureBundle:
         self.concircular = TensorField(n, 4, conc, symmetry="riemann-like")
 
         self._derived: dict = {}
-        self._blocks: dict = {}
+        # point key -> {entry: values}, least recently used first
+        self._blocks: OrderedDict = OrderedDict()
 
     @property
     def n(self) -> int:
         return self.chart.n
 
-    # -- lazily built covariant derivatives ---------------------------------
+    # -- lazily built derived fields ----------------------------------------
+
+    def _derive(self, key, build):
+        """The symbolic field stored under key, built by build() on first use."""
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
 
     def nabla_riemann(self) -> TensorField:
-        if "nabla_riemann" not in self._derived:
-            self._derived["nabla_riemann"] = covariant_derivative_at(self, self.riemann)
-        return self._derived["nabla_riemann"]
+        return self._derive(
+            "nabla_riemann", lambda: covariant_derivative_at(self, self.riemann)
+        )
 
     def nabla_concircular(self) -> TensorField:
-        if "nabla_concircular" not in self._derived:
-            self._derived["nabla_concircular"] = covariant_derivative_at(self, self.concircular)
-        return self._derived["nabla_concircular"]
+        return self._derive(
+            "nabla_concircular", lambda: covariant_derivative_at(self, self.concircular)
+        )
 
-    # -- numeric evaluation with per-point-set caching -----------------------
+    # -- numeric evaluation, cached for the most recent point sets -----------
 
     def _point_key(self, points) -> tuple:
         return tuple(tuple(p[c] for c in self.chart.coordinates) for p in points)
+
+    def _cached(self, points, entry, compute):
+        """Values stored under entry for this point set, from compute() on a miss.
+
+        Using a point set makes it the most recent; a new point set evicts
+        the least recently used one beyond the last _POINT_SETS_KEPT.
+        """
+        key = self._point_key(points)
+        store = self._blocks.get(key)
+        if store is None:
+            store = self._blocks[key] = {}
+            while len(self._blocks) > _POINT_SETS_KEPT:
+                self._blocks.popitem(last=False)
+        else:
+            self._blocks.move_to_end(key)
+        if entry not in store:
+            store[entry] = compute()
+        return store[entry]
 
     def values_at(self, points) -> dict:
         """Numeric component arrays of the core fields at the given points.
@@ -447,10 +482,9 @@ class CurvatureBundle:
         riemann_13, riemann, ricci, scalar, gtensor, concircular; each value
         has a leading point axis.
         """
-        key = self._point_key(points)
-        if key in self._blocks:
-            return self._blocks[key]
-        n = self.n
+        return self._cached(points, "core", lambda: self._evaluate_core(points))
+
+    def _evaluate_core(self, points) -> dict:
         named = {
             "metric": self.chart.metric,
             "inverse_metric": self.inverse_metric,
@@ -473,19 +507,16 @@ class CurvatureBundle:
         out = {"scalar": block[:, 0]}
         for name, start, size, shape in spans:
             out[name] = block[:, start : start + size].reshape((len(points),) + shape)
-        self._blocks[key] = out
         return out
 
     def field_values(self, tf: TensorField, points) -> np.ndarray:
         """Numeric values of one derived field, cached per (field, point set).
 
-        The cache key holds the interned component nodes themselves, so it
-        keeps them alive and two structurally different fields never collide.
+        The cache entry is keyed on the interned component nodes themselves,
+        so two structurally different fields never collide.
         """
-        key = (tuple(tf.components.ravel()), self._point_key(points))
-        if key not in self._blocks:
-            self._blocks[key] = tf.evaluate_block(points)
-        return self._blocks[key]
+        entry = tuple(tf.components.ravel())
+        return self._cached(points, entry, lambda: tf.evaluate_block(points))
 
 
 def curvature_bundle_at(chart: MetricChart) -> CurvatureBundle:

@@ -10,9 +10,13 @@ uniformly.
 
 The curvature action (R(d_u, d_v) T for rank-4 T) is evaluated here
 numerically through the derivation-property hooks, which need nothing
-beyond the already-evaluated curvature arrays.  The symbolic routes in
-``geometry`` stay the reference implementation; ``route="second-derivative"``
-on the semisymmetry check exercises the Ricci-identity route end to end.
+beyond the already-evaluated curvature arrays; each hook is one batched
+matrix product over the sample points.  The action on R and its scale are
+computed once per bundle and point set and shared by the Walker and
+semisymmetry checks and by ``recurrence.check_mu_structure``.  The symbolic
+routes in ``geometry`` stay the reference implementation;
+``route="second-derivative"`` on the semisymmetry check exercises the
+Ricci-identity route end to end.
 """
 
 from __future__ import annotations
@@ -94,15 +98,42 @@ def _action_arrays(r13: np.ndarray, tv: np.ndarray):
     Returns (A, A_abs) with A[p,u,v,w,x,y,z] = (R(d_u,d_v) T)(d_w,d_x,d_y,d_z)
     and A_abs the same contraction of absolute values (cancellation scale).
     """
-    hooks = (
-        ("puvwm,pmxyz->puvwxyz", tv),
-        ("puvxm,pwmyz->puvwxyz", tv),
-        ("puvym,pwxmz->puvwxyz", tv),
-        ("puvzm,pwxym->puvwxyz", tv),
-    )
-    acted = sum(np.einsum(spec, r13, t) for spec, t in hooks)
-    scale = sum(np.einsum(spec, np.abs(r13), np.abs(t)) for spec, t in hooks)
-    return -acted, scale
+
+    def hooks(r, t):
+        # hook k contracts r[p,u,v,s,m] with slot k of t and puts s in slot k;
+        # as a batched product: (p, uvs, m) @ (p, m, other three slots)
+        npts, n = r.shape[:2]
+        rows = r.reshape(npts, n**3, n)
+        total = None
+        for k in range(4):
+            cols = np.moveaxis(t, 1 + k, 1).reshape(npts, n, n**3)
+            hook = np.matmul(rows, cols).reshape((npts,) + (n,) * 6)
+            hook = np.moveaxis(hook, 3, 3 + k)
+            if total is None:
+                total = hook
+            else:
+                total += hook
+        return total
+
+    acted = hooks(r13, tv)
+    np.negative(acted, out=acted)
+    return acted, hooks(np.abs(r13), np.abs(tv))
+
+
+def _curvature_action(bundle: CurvatureBundle, points):
+    """(R(d_u,d_v) R, its scale) at the points, computed once per point set.
+
+    The arrays are shared between callers and therefore read-only.
+    """
+
+    def compute():
+        vals = bundle.values_at(points)
+        acted, acted_abs = _action_arrays(vals["riemann_13"], vals["riemann"])
+        acted.flags.writeable = False
+        acted_abs.flags.writeable = False
+        return acted, acted_abs
+
+    return bundle._cached(points, "action", compute)
 
 
 def check_walker_at(bundle: CurvatureBundle, points, tol: float = 1e-8) -> IdentityReport:
@@ -111,8 +142,7 @@ def check_walker_at(bundle: CurvatureBundle, points, tol: float = 1e-8) -> Ident
     (R(U,V)R)(W,X,Y,Z) + (R(W,X)R)(Y,Z,U,V) + (R(Y,Z)R)(U,V,W,X) vanishes
     on every pseudo-Riemannian manifold; this must pass on any valid chart.
     """
-    vals = bundle.values_at(points)
-    acted, acted_abs = _action_arrays(vals["riemann_13"], vals["riemann"])
+    acted, acted_abs = _curvature_action(bundle, points)
     total = (
         acted
         + np.einsum("pwxyzuv->puvwxyz", acted)
@@ -190,8 +220,7 @@ def check_semisymmetry_at(
     route="second-derivative" evaluates the symbolic antisymmetrized
     second covariant derivative.  The two agree to rounding.
     """
-    vals = bundle.values_at(points)
-    acted, acted_abs = _action_arrays(vals["riemann_13"], vals["riemann"])
+    acted, acted_abs = _curvature_action(bundle, points)
     if route == "derivation":
         total = acted
     elif route == "second-derivative":

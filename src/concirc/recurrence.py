@@ -37,7 +37,7 @@ from .geometry import (
 from .identities import (
     HypothesisError,
     IdentityReport,
-    _action_arrays,
+    _curvature_action,
     _per_point_max,
     check_semisymmetry_at,
 )
@@ -197,37 +197,46 @@ def _target_fields(bundle: CurvatureBundle, target: str):
     raise GeometryError(f"target must be 'R' or 'C', got {target!r}")
 
 
+def _recurrence_form(bundle: CurvatureBundle, target: str) -> TensorField:
+    """lambda_a = <nabla_a T, T> / <T, T>, built once per bundle and target."""
+
+    def build():
+        tensor, grad = _target_fields(bundle, target)
+        comp = tensor.components
+        gcomp = grad.components
+        den = ex.esum(ex.mul(comp[idx], comp[idx]) for idx in np.ndindex(*comp.shape))
+        if den is ex.ZERO:
+            raise HypothesisError(
+                f"target {target} vanishes identically on {bundle.chart.name}; "
+                "no recurrence form exists"
+            )
+        den = _maybe_simplify(den)
+        lam_comps = np.empty((bundle.n,), dtype=object)
+        for a in range(bundle.n):
+            num = ex.esum(
+                ex.mul(gcomp[(a,) + idx], comp[idx]) for idx in np.ndindex(*comp.shape)
+            )
+            lam_comps[a] = _maybe_simplify(ex.div(num, den))
+        return TensorField(bundle.n, 1, lam_comps, symmetry="none")
+
+    return bundle._derive(f"lambda_{target}", build)
+
+
 def fit_recurrence_form(
     bundle: CurvatureBundle, target: str, points, tol: float = 1e-8
 ) -> RecurrenceFit:
     """Fit nabla T = lambda (x) T for T = R or T = C.
 
-    lambda is assembled symbolically as <nabla_a T, T> / <T, T>.  The fit
-    residual at an admitted point is max |nabla_a T - lambda_a T| divided
-    by 1 + max |T|.  Points whose target magnitude is below ZERO_THRESHOLD
-    times the larger of the chart-wide target maximum and the curvature
-    scale 1 + max |G| are excluded; if every point is excluded the
-    recurrence hypothesis is empty and HypothesisError is raised.
+    lambda is assembled symbolically as <nabla_a T, T> / <T, T> and kept on
+    the bundle.  The fit residual at an admitted point is
+    max |nabla_a T - lambda_a T| divided by 1 + max |T|.  Points whose
+    target magnitude is below ZERO_THRESHOLD times the larger of the
+    chart-wide target maximum and the curvature scale 1 + max |G| are
+    excluded; if every point is excluded the recurrence hypothesis is empty
+    and HypothesisError is raised.
     """
     tensor, grad = _target_fields(bundle, target)
-    n = bundle.n
-    comp = tensor.components
-    gcomp = grad.components
-
-    den = ex.esum(ex.mul(comp[idx], comp[idx]) for idx in np.ndindex(*comp.shape))
-    if den is ex.ZERO:
-        raise HypothesisError(
-            f"target {target} vanishes identically on {bundle.chart.name}; "
-            "no recurrence form exists"
-        )
-    den = _maybe_simplify(den)
-    lam_comps = np.empty((n,), dtype=object)
-    for a in range(n):
-        num = ex.esum(
-            ex.mul(gcomp[(a,) + idx], comp[idx]) for idx in np.ndindex(*comp.shape)
-        )
-        lam_comps[a] = _maybe_simplify(ex.div(num, den))
-    lam = TensorField(n, 1, lam_comps, symmetry="none")
+    lam = _recurrence_form(bundle, target)
 
     tv = bundle.field_values(tensor, points)
     magnitudes = _per_point_max(tv)
@@ -393,9 +402,8 @@ def check_mu_structure(
     )
     res1 = _per_point_max(fv) / (1.0 + _per_point_max(scale1))
 
-    vals = bundle.values_at(points)
-    acted, acted_abs = _action_arrays(vals["riemann_13"], vals["riemann"])
-    gv = vals["gtensor"]
+    acted, acted_abs = _curvature_action(bundle, points)
+    gv = bundle.values_at(points)["gtensor"]
     rhs = 2.0 * np.einsum("puv,pwxyz->puvwxyz", fv, gv)
     rhs_abs = 2.0 * np.einsum("puv,pwxyz->puvwxyz", np.abs(fv), np.abs(gv))
     res2 = _per_point_max(acted - rhs) / (1.0 + _per_point_max(acted_abs + rhs_abs))

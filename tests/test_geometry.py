@@ -23,6 +23,8 @@ from concirc.geometry import (
     metric_determinant,
     wedge_two_one_forms_at,
 )
+from concirc.identities import check_semisymmetry_at, check_walker_at
+from concirc.recurrence import classify, verify_theorem
 
 
 def _obj(rows):
@@ -484,6 +486,35 @@ def test_values_at_caches_per_point_set():
     b = curvature_bundle_at(sphere2())
     pts = b.chart.sample_points(42, 4)
     assert b.values_at(pts) is b.values_at(pts)
+
+
+def _point_set_results(b, pts):
+    """Verdict and evidence, plus every residual and scale array, in the
+    order a dense block asks for them."""
+    walker = check_walker_at(b, pts)
+    semi = check_semisymmetry_at(b, pts)
+    verdict = classify(b, pts)
+    theorem = verify_theorem(b, pts)
+    reports = [walker, semi, *theorem.checks.values()]
+    arrays = [a for rep in reports for a in (rep.residuals, rep.scales)]
+    arrays += [theorem.c_fit.residuals, b.field_values(theorem.c_fit.lam, pts)]
+    return (verdict.verdict, verdict.evidence), arrays
+
+
+def test_point_set_store_is_bounded_and_history_free():
+    chart = get_builtin("ppwave_recurrent").chart
+    b = curvature_bundle_at(chart)
+    point_sets = [chart.sample_points(seed, 6) for seed in range(10)]
+    served = [_point_set_results(b, pts) for pts in point_sets]
+    assert len(b._blocks) <= 2
+    # an evicted point set and the most recent one read the same as on a
+    # bundle that never saw any other point set
+    for k in (0, 9):
+        fresh = _point_set_results(curvature_bundle_at(chart), point_sets[k])
+        for got in (served[k], _point_set_results(b, point_sets[k])):
+            assert got[0] == fresh[0]
+            assert all(np.array_equal(x, y) for x, y in zip(got[1], fresh[1]))
+    assert len(b._blocks) <= 2
 
 
 def test_field_values_cache_distinguishes_fields():

@@ -15,6 +15,7 @@ from concirc.identities import (
     random_curvature_like,
     walker_lemma_kernel,
 )
+from concirc.recurrence import verify_theorem
 
 _BUNDLES = {}
 
@@ -91,13 +92,60 @@ def test_semisymmetry_routes_agree():
 
 
 def test_action_arrays_match_symbolic_route():
-    b = bundle_for("sphere_3")
-    pts = b.chart.sample_points(13, 5)
-    v = b.values_at(pts)
-    acted, scale = _action_arrays(v["riemann_13"], v["riemann"])
-    symbolic = b.field_values(curvature_action_at(b, b.riemann), pts)
-    np.testing.assert_allclose(acted, symbolic, rtol=0, atol=1e-12 * (1 + np.max(scale)))
-    assert np.all(scale >= 0)
+    for name in ("sphere_3", "ppwave_recurrent"):
+        b = bundle_for(name)
+        pts = b.chart.sample_points(13, 5)
+        v = b.values_at(pts)
+        acted, scale = _action_arrays(v["riemann_13"], v["riemann"])
+        symbolic = b.field_values(curvature_action_at(b, b.riemann), pts)
+        np.testing.assert_allclose(
+            acted, symbolic, rtol=0, atol=1e-12 * (1 + np.max(scale)), err_msg=name
+        )
+        assert np.all(scale >= 0)
+
+
+def _action_arrays_by_einsum(r13, tv):
+    """Reference: one plain einsum per derivation hook."""
+    hooks = (
+        ("puvwm,pmxyz->puvwxyz", tv),
+        ("puvxm,pwmyz->puvwxyz", tv),
+        ("puvym,pwxmz->puvwxyz", tv),
+        ("puvzm,pwxym->puvwxyz", tv),
+    )
+    acted = sum(np.einsum(spec, r13, t) for spec, t in hooks)
+    scale = sum(np.einsum(spec, np.abs(r13), np.abs(t)) for spec, t in hooks)
+    return -acted, scale
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_action_arrays_match_einsum_reference(n):
+    # unsymmetric inputs, so a hook that contracts the wrong slot shows
+    rng = np.random.default_rng(100 + n)
+    r13 = rng.standard_normal((7,) + (n,) * 4)
+    tv = rng.standard_normal((7,) + (n,) * 4)
+    acted, scale = _action_arrays(r13, tv)
+    ref_acted, ref_scale = _action_arrays_by_einsum(r13, tv)
+    atol = 1e-12 * (1 + np.max(ref_scale))
+    assert acted.shape == ref_acted.shape == (7,) + (n,) * 6
+    np.testing.assert_allclose(acted, ref_acted, rtol=0, atol=atol)
+    np.testing.assert_allclose(scale, ref_scale, rtol=0, atol=atol)
+
+
+def test_curvature_action_computed_once_per_point_set(monkeypatch):
+    calls = []
+
+    def counting(r13, tv):
+        calls.append(r13.shape[0])
+        return _action_arrays(r13, tv)
+
+    monkeypatch.setattr("concirc.identities._action_arrays", counting)
+    b = curvature_bundle_at(get_builtin("ppwave_recurrent").chart)
+    pts = b.chart.sample_points(5, 8)
+    assert check_walker_at(b, pts).passed
+    assert check_semisymmetry_at(b, pts).passed
+    theorem = verify_theorem(b, pts)
+    assert theorem.passed and len(theorem.semisymmetry_check.points) == len(pts)
+    assert calls == [len(pts)]
 
 
 def test_identity_report_pass_rule():

@@ -119,6 +119,14 @@ def test_fit_rejects_unknown_target():
         fit_recurrence_form(b, "Q", b.chart.sample_points(1, 2))
 
 
+def test_recurrence_form_is_built_once_per_bundle():
+    b = curvature_bundle_at(get_builtin("ppwave_recurrent").chart)
+    for target in ("R", "C"):
+        first = fit_recurrence_form(b, target, b.chart.sample_points(1, 4))
+        second = fit_recurrence_form(b, target, b.chart.sample_points(2, 6))
+        assert second.lam is first.lam
+
+
 def test_fit_report_shape():
     b = bundle_for("surface_power")
     pts = b.chart.sample_points(3, 5)
