@@ -25,6 +25,14 @@ Index conventions (fixed; all tests are written against them):
 
 All tensor components are symbolic expressions; numeric work happens by
 evaluating component arrays at sample points and contracting with numpy.
+
+``simplify`` runs where a check or a test needs an exact symbolic zero: the
+metric, its inverse, Gamma, riemann_13, R, Ricci, r, G and C (C vanishes
+identically in dimension 2), and the derivatives of fields not tagged
+"riemann-like" (nabla g, d of a 1-form) and the wedge. The derivatives and
+curvature action of a "riemann-like" field (nabla R, nabla C, nabla^2 R,
+R(d_u, d_v).R) are only ever evaluated, so they are kept as built: shared
+DAGs that cost less to build and to evaluate than their simplified forms.
 """
 
 from __future__ import annotations
@@ -195,10 +203,12 @@ class TensorField:
     slots: antisymmetric within each of the pairs (i1, i2) and (i3, i4) and
     symmetric under swapping the pairs. covariant_derivative_at and
     curvature_action_at read that tag: they build one component per orbit
-    of those four slots and fill the rest by sign, and their result keeps
-    the tag, so nabla R, nabla C and nabla^2 R are reduced too. The other
-    tags are descriptive only. No tag is used to reduce by the first
-    Bianchi identity, which the identity checks verify numerically.
+    of those four slots and fill the rest by sign, leave each build
+    unsimplified, and keep the tag on their result, so nabla R, nabla C and
+    nabla^2 R are reduced and left unsimplified too. For any other tag they
+    simplify every component. The other tags are descriptive only. No tag
+    is used to reduce by the first Bianchi identity, which the identity
+    checks verify numerically.
     """
 
     dim: int
@@ -348,8 +358,10 @@ class CurvatureBundle:
     for i <= j, riemann_13 for i < j, and riemann, gtensor and concircular
     (tagged "riemann-like") for one slot per orbit of the pair symmetries.
     Ricci and the first Bianchi identity are not used to reduce a build.
-    nabla R and nabla C are built on first use, reduced the same way, and
-    cached; so are the recurrence forms that ``recurrence`` fits.
+    nabla R and nabla C are built on first use, reduced the same way but
+    left unsimplified, and cached; so are the recurrence forms that
+    ``recurrence`` fits and the mu, nabla lambda and d lambda that
+    ``verify_theorem`` checks.
 
     Numeric values are kept per point set: the core block of ``values_at``,
     each ``field_values`` result and the curvature action of the identity
@@ -530,7 +542,10 @@ def covariant_derivative_at(bundle: CurvatureBundle, tensor: TensorField, order:
     order=2 applies the derivative twice, so the result's first two slots are
     (a, b) with nabla^2_{a,b} = nabla_a nabla_b - nabla_{nabla_a b}. A
     "riemann-like" input gives a "riemann-like" result built once per orbit
-    of its last four slots.
+    of its last four slots, each build left as the derivative minus the
+    Gamma contractions. Any other input gives a "none" result whose every
+    component is simplified, so nabla g is an exact zero wherever the
+    simplifier can show it.
     """
     if order not in (1, 2):
         raise GeometryError(f"order must be 1 or 2, got {order}")
@@ -542,6 +557,8 @@ def covariant_derivative_at(bundle: CurvatureBundle, tensor: TensorField, order:
     rank = tensor.rank
     comp = tensor.components
 
+    reduce = tensor.symmetry == "riemann-like"
+
     def build(full):
         a, idx = full[0], full[1:]
         acc = differentiate(comp[idx], coords[a])
@@ -549,9 +566,8 @@ def covariant_derivative_at(bundle: CurvatureBundle, tensor: TensorField, order:
             for m in range(n):
                 swapped = idx[:s] + (m,) + idx[s + 1 :]
                 acc = ex.sub(acc, ex.mul(gamma[m, a, idx[s]], comp[swapped]))
-        return simplify(acc)
+        return acc if reduce else simplify(acc)
 
-    reduce = tensor.symmetry == "riemann-like"
     out = _fill((n,) * (rank + 1), build, _curvature_slot if reduce else None)
     result = TensorField(n, rank + 1, out, symmetry=tensor.symmetry if reduce else "none")
     if order == 2:
@@ -562,14 +578,17 @@ def covariant_derivative_at(bundle: CurvatureBundle, tensor: TensorField, order:
 def curvature_action_at(bundle: CurvatureBundle, tensor: TensorField) -> TensorField:
     """(R(d_u, d_v) T)(d_w, d_x, d_y, d_z) for a rank-4 field, via the
     derivation property: minus the sum of T with R(d_u,d_v) hooked into each
-    slot. Independent of covariant differentiation. A "riemann-like" input
-    is built once per orbit of the last four slots, as in
-    covariant_derivative_at."""
+    slot. Independent of covariant differentiation. As in
+    covariant_derivative_at, a "riemann-like" input is built once per orbit
+    of the last four slots and left unsimplified; any other input is
+    simplified."""
     n = bundle.n
     if tensor.rank != 4 or tensor.dim != n:
         raise GeometryError("curvature action expects a rank-4 field on the same chart")
     riem13 = bundle.riemann_13
     comp = tensor.components
+
+    reduce = tensor.symmetry == "riemann-like"
 
     def build(idx):
         u, v, w, x, y, z = idx
@@ -579,9 +598,8 @@ def curvature_action_at(bundle: CurvatureBundle, tensor: TensorField) -> TensorF
             acc = ex.add(acc, ex.mul(riem13[u, v, x, m], comp[w, m, y, z]))
             acc = ex.add(acc, ex.mul(riem13[u, v, y, m], comp[w, x, m, z]))
             acc = ex.add(acc, ex.mul(riem13[u, v, z, m], comp[w, x, y, m]))
-        return simplify(ex.neg(acc))
+        return ex.neg(acc) if reduce else simplify(ex.neg(acc))
 
-    reduce = tensor.symmetry == "riemann-like"
     out = _fill((n,) * 6, build, _curvature_slot if reduce else None)
     return TensorField(n, 6, out, symmetry=tensor.symmetry if reduce else "none")
 
@@ -591,14 +609,14 @@ def curvature_action_from_second_derivative(
 ) -> TensorField:
     """Same action computed as the antisymmetrized second covariant
     derivative, nabla^2_{u,v} T - nabla^2_{v,u} T (the Ricci identity route).
+
+    The difference is only evaluated, so like a "riemann-like" nabla^2 T it
+    is left unsimplified: both branches share one interned DAG.
     """
     n = bundle.n
     second = covariant_derivative_at(bundle, tensor, order=2)
     comp = second.components
     out = _object_array((n,) * (tensor.rank + 2))
-    # The difference is left unsimplified on purpose: both branches share one
-    # interned DAG, so block evaluation stays cheap, while normalizing 729
-    # large differences costs far more than it ever saves.
     for u in range(n):
         for v in range(n):
             for idx in np.ndindex(*(n,) * tensor.rank):

@@ -9,7 +9,12 @@ with <.,.> the componentwise inner product over all n^rank entries.  The
 quotient is built symbolically so that the closedness of lambda can later
 be tested by symbolic differentiation; points where the target magnitude
 falls below a relative zero threshold are excluded from the fit (a tensor
-that is recurrent in the strict sense has no zeros).
+that is recurrent in the strict sense has no zeros).  lambda and mu are
+only ever evaluated, so they are left unsimplified, as nabla R and nabla C
+are; where lambda is zero (R on a constant-curvature chart) it evaluates
+to rounding noise rather than to an exact zero.  The bundle keeps lambda_R,
+lambda_C and, for verify_theorem, the mu, nabla lambda and d lambda of
+lambda_C, each built once.
 
 The second recurrence form is mu = (dr - r lambda) / (n(n-1)); together
 the pair (lambda, mu) turns concircular recurrence into the extended
@@ -63,20 +68,12 @@ __all__ = [
 ]
 
 ZERO_THRESHOLD = 1e-8
-# quotients of large inner-product sums are evaluated, never normalized
-SIMPLIFY_NODE_BUDGET = 20_000
 
 
 def zero_one_form(n: int) -> TensorField:
     comps = np.empty((n,), dtype=object)
     comps[:] = ex.ZERO
     return TensorField(n, 1, comps, symmetry="none")
-
-
-def _maybe_simplify(e: Expr) -> Expr:
-    if ex.node_count(e, SIMPLIFY_NODE_BUDGET) <= SIMPLIFY_NODE_BUDGET:
-        return ex.simplify(e)
-    return e
 
 
 @dataclass(frozen=True)
@@ -210,13 +207,12 @@ def _recurrence_form(bundle: CurvatureBundle, target: str) -> TensorField:
                 f"target {target} vanishes identically on {bundle.chart.name}; "
                 "no recurrence form exists"
             )
-        den = _maybe_simplify(den)
         lam_comps = np.empty((bundle.n,), dtype=object)
         for a in range(bundle.n):
             num = ex.esum(
                 ex.mul(gcomp[(a,) + idx], comp[idx]) for idx in np.ndindex(*comp.shape)
             )
-            lam_comps[a] = _maybe_simplify(ex.div(num, den))
+            lam_comps[a] = ex.div(num, den)
         return TensorField(bundle.n, 1, lam_comps, symmetry="none")
 
     return bundle._derive(f"lambda_{target}", build)
@@ -284,9 +280,7 @@ def compute_mu(bundle: CurvatureBundle, lam: TensorField) -> MuForm:
     mu = np.empty((n,), dtype=object)
     for a, name in enumerate(bundle.chart.coordinates):
         dr[a] = ex.simplify(ex.differentiate(r, name))
-        mu[a] = _maybe_simplify(
-            ex.div(ex.sub(dr[a], ex.mul(r, lam.components[a])), denom)
-        )
+        mu[a] = ex.div(ex.sub(dr[a], ex.mul(r, lam.components[a])), denom)
     return MuForm(
         mu=TensorField(n, 1, mu, symmetry="none"),
         scalar=r,
@@ -353,8 +347,18 @@ def check_lambda_closed(
     The scale is the antisymmetrized covariant derivative with absolute
     values, i.e. how much cancellation d lambda = 0 actually demands.
     """
-    grad = covariant_derivative_at(bundle, lam)
-    dlam = exterior_derivative_one_form_at(bundle, lam)
+    return _lambda_closed_report(bundle, _closedness_fields(bundle, lam), points, tol)
+
+
+def _closedness_fields(bundle: CurvatureBundle, lam: TensorField) -> tuple:
+    """(nabla lambda, d lambda), the symbolic inputs of the closedness check."""
+    return covariant_derivative_at(bundle, lam), exterior_derivative_one_form_at(bundle, lam)
+
+
+def _lambda_closed_report(
+    bundle: CurvatureBundle, fields: tuple, points, tol: float
+) -> IdentityReport:
+    grad, dlam = fields
     dv = bundle.field_values(dlam, points)
     gv = np.abs(bundle.field_values(grad, points))
     scale = 0.5 * (gv + np.einsum("pij->pji", gv))
@@ -599,7 +603,9 @@ def verify_theorem(
 
     adm = cfit.admitted_points
     lam = cfit.lam
-    mu_form = compute_mu(bundle, lam)
+    # mu, nabla lambda and d lambda of the bundle's lambda_C, built once
+    mu_form = bundle._derive("mu_C", lambda: compute_mu(bundle, lam))
+    closedness = bundle._derive("closedness_C", lambda: _closedness_fields(bundle, lam))
     mu = mu_form.mu
 
     n = bundle.n
@@ -622,7 +628,7 @@ def verify_theorem(
     recurrence_check = check_extended_recurrence(
         bundle, lam, zero_one_form(n), adm, tol
     )
-    closed_check = check_lambda_closed(bundle, lam, adm, form_tol)
+    closed_check = _lambda_closed_report(bundle, closedness, adm, form_tol)
     semi_check = check_semisymmetry_at(bundle, adm, tol)
     return TheoremReport(
         chart=name,

@@ -325,6 +325,22 @@ def test_nabla_riemann_builds_one_node_per_orbit():
     assert 0 < len(distinct) <= 18
 
 
+def test_nabla_of_curvature_tensors_is_not_simplified(monkeypatch):
+    # nabla R and nabla C are only ever evaluated, so they stay shared DAGs
+    b = curvature_bundle_at(get_builtin("perturbed_flat").chart)
+    calls = []
+
+    def counting(e):
+        calls.append(e)
+        return ex.simplify(e)
+
+    monkeypatch.setattr("concirc.geometry.simplify", counting)
+    for build in (b.nabla_riemann, b.nabla_concircular):
+        calls.clear()
+        build()
+        assert calls == []
+
+
 # -- covariant differentiation ------------------------------------------------
 
 

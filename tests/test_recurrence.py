@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 import concirc.expressions as ex
+from concirc import geometry, recurrence
 from concirc.catalog import get_builtin
 from concirc.geometry import GeometryError, MetricChart, TensorField, curvature_bundle_at
 from concirc.identities import HypothesisError, random_curvature_like
 from concirc.recurrence import (
     VERDICTS,
+    _recurrence_form,
     check_extended_recurrence,
     check_lambda_closed,
     check_mu_structure,
@@ -98,6 +100,39 @@ def test_sphere_riemann_fit_gives_zero_lambda():
     lamv = b.field_values(fit.lam, pts)
     np.testing.assert_allclose(lamv, 0.0, rtol=0, atol=1e-12)
     assert fit.max_residual <= 1e-12
+
+
+# C on sphere_3 is cancellation noise: its fit excludes every point, so
+# lambda_C is never evaluated there
+@pytest.mark.parametrize(
+    "name, target",
+    [
+        ("perturbed_flat", "R"),
+        ("perturbed_flat", "C"),
+        ("ppwave_recurrent", "R"),
+        ("ppwave_recurrent", "C"),
+        ("sphere_3", "R"),
+    ],
+)
+def test_unsimplified_lambda_matches_its_simplified_form(name, target):
+    b = bundle_for(name)
+    pts = b.chart.sample_points(61, 20)
+    lam = _recurrence_form(b, target)
+    simplified = TensorField(b.n, 1, np.array([ex.simplify(c) for c in lam.components]))
+    got = b.field_values(lam, pts)
+    ref = b.field_values(simplified, pts)
+    atol = 1e-12 * (1.0 + np.max(np.abs(ref)))
+    np.testing.assert_allclose(got, ref, rtol=0, atol=atol)
+
+
+def test_hyperbolic_riemann_fit_gives_zero_lambda():
+    # as on sphere_3 above: lambda is an unsimplified quotient, so it
+    # vanishes to rounding rather than exactly
+    b = bundle_for("hyperbolic_2")
+    pts = b.chart.sample_points(42, 8)
+    fit = fit_recurrence_form(b, "R", pts)
+    assert fit.passed
+    assert np.max(np.abs(b.field_values(fit.lam, pts))) <= 1e-12
 
 
 def test_fit_rejects_identically_zero_target():
@@ -427,6 +462,29 @@ def test_verify_theorem_on_ppwave():
         "semisymmetry",
     }
     assert "pass" in str(rep)
+
+
+def test_verify_theorem_builds_its_forms_once_per_bundle(monkeypatch):
+    # mu, nabla lambda and d lambda live on the bundle with lambda itself
+    b = curvature_bundle_at(get_builtin("ppwave_recurrent").chart)
+    assert verify_theorem(b, b.chart.sample_points(1, 6)).passed
+    builds = []
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            builds.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module, name in (
+        (geometry, "covariant_derivative_at"),
+        (recurrence, "covariant_derivative_at"),
+        (recurrence, "exterior_derivative_one_form_at"),
+        (recurrence, "compute_mu"),
+    ):
+        monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    assert verify_theorem(b, b.chart.sample_points(2, 6)).passed
+    assert builds == []
 
 
 def test_verify_theorem_skips_on_constant_curvature():
