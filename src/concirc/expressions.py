@@ -106,7 +106,8 @@ class UnknownIdentifierError(ParseError):
         self.name = name
 
 
-_MESSAGE_NODES = 200  # larger subexpressions are named by kind, not printed
+_MESSAGE_CHARS = 500  # printed subexpressions are cut here: a component can print to megabytes
+_TRUNCATED = "... (truncated)"
 
 
 class DomainError(ExpressionError):
@@ -114,12 +115,10 @@ class DomainError(ExpressionError):
 
     def __init__(self, message: str, subexpression: "Expr | None" = None):
         if subexpression is not None:
-            if node_count(subexpression, _MESSAGE_NODES) > _MESSAGE_NODES:
-                # a whole tensor component can print to megabytes
-                message = (f"{message} in a '{subexpression.kind}' subexpression"
-                           f" of > {_MESSAGE_NODES} nodes")
-            else:
-                message = f"{message} in subexpression '{to_string(subexpression)}'"
+            text = _to_string(subexpression, _MESSAGE_CHARS)
+            if len(text) > _MESSAGE_CHARS:
+                text = text[:_MESSAGE_CHARS] + _TRUNCATED
+            message = f"{message} in subexpression '{text}'"
         super().__init__(message)
         self.subexpression = subexpression
 
@@ -530,9 +529,8 @@ def _category(e: Expr) -> str:
     return _CAT_SUM
 
 
-def _wrap(e: Expr, cats) -> str:
-    s = to_string(e)
-    return f"({s})" if _category(e) in cats else s
+def _wrap(e: Expr, cats) -> list:
+    return ["(", e, ")"] if _category(e) in cats else [e]
 
 
 def to_string(e: Expr) -> str:
@@ -542,27 +540,53 @@ def to_string(e: Expr) -> str:
     return e._str
 
 
-def _to_string(e: Expr) -> str:
+def _to_string(e: Expr, limit: int | None = None) -> str:
+    """Printed form of e, stopped once it is longer than limit characters.
+
+    Walks the tree expansion of the DAG with an explicit stack, so a bounded
+    print costs O(limit) however large e prints in full. Only the root's
+    string is ever cached (by to_string); a node that already has one is
+    copied from it.
+    """
+    out: list[str] = []
+    size = 0
+    stack: list = [e]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, Expr):
+            if item._str is None:
+                stack.extend(reversed(_layout(item)))
+                continue
+            item = item._str
+        if limit is not None and size + len(item) > limit:
+            out.append(item[: limit + 1 - size])
+            break
+        out.append(item)
+        size += len(item)
+    return "".join(out)
+
+
+def _layout(e: Expr) -> list:
+    """One node's printed form as strings and child nodes, in print order."""
     k = e.kind
     if k == _CONST:
         q: Fraction = e.payload
-        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+        return [str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"]
     if k == _VAR:
-        return e.payload
+        return [e.payload]
     if k in FUNCTIONS:
-        return f"{k}({to_string(e.args[0])})"
+        return [f"{k}(", e.args[0], ")"]
     if k == _NEG:
-        return "-" + _wrap(e.args[0], (_CAT_SUM, _CAT_PROD, _CAT_FRAC, _CAT_POW))
+        return ["-", *_wrap(e.args[0], (_CAT_SUM, _CAT_PROD, _CAT_FRAC, _CAT_POW))]
     if k in (_ADD, _SUB):
-        left = to_string(e.args[0])
-        right = _wrap(e.args[1], (_CAT_SUM,))
-        return f"{left} {k} {right}"
+        return [e.args[0], f" {k} ", *_wrap(e.args[1], (_CAT_SUM,))]
     if k in (_MUL, _DIV):
-        left = _wrap(e.args[0], (_CAT_SUM,))
-        right = _wrap(e.args[1], (_CAT_SUM, _CAT_PROD, _CAT_FRAC))
-        return f"{left}{k}{right}"
+        return [
+            *_wrap(e.args[0], (_CAT_SUM,)),
+            k,
+            *_wrap(e.args[1], (_CAT_SUM, _CAT_PROD, _CAT_FRAC)),
+        ]
     if k == _POW:
-        left = _wrap(e.args[0], (_CAT_SUM, _CAT_PROD, _CAT_FRAC, _CAT_POW, _CAT_NEG))
         ex = e.args[1]
         bare = (
             _category(ex) == _ATOM
@@ -570,8 +594,8 @@ def _to_string(e: Expr) -> str:
             or ex.kind == _POW
             or (ex.kind == _CONST and ex.payload.denominator == 1)
         )
-        right = to_string(ex) if bare else f"({to_string(ex)})"
-        return f"{left}^{right}"
+        left = _wrap(e.args[0], (_CAT_SUM, _CAT_PROD, _CAT_FRAC, _CAT_POW, _CAT_NEG))
+        return [*left, "^", *([ex] if bare else ["(", ex, ")"])]
     raise ExpressionError(f"unprintable node kind {k!r}")
 
 
@@ -798,8 +822,14 @@ def _simplify_product(e: Expr) -> Expr:
 
 
 def _simplify_sum(e: Expr) -> Expr:
-    """Flatten a +- chain; collect like terms; combine equal denominators."""
-    raw: list[tuple[int, Expr]] = []
+    """Flatten a +- chain; collect like terms; combine equal denominators.
+
+    A term that simplifies to c*S, with c a rational constant and S a sum,
+    contributes S's terms scaled by c, so linear combinations of sums cancel
+    (2*(a + b) - 2*a - 2*b is 0). Products with any other factor are not
+    expanded: distributing over c*S*x is full expansion and can swell.
+    """
+    raw: list[tuple[int | Fraction, Expr]] = []
     stack = [(e, 1)]
     while stack:
         node, sign = stack.pop()
@@ -818,6 +848,9 @@ def _simplify_sum(e: Expr) -> Expr:
         t = simplify(node)
         if t.kind in (_ADD, _SUB, _NEG):
             stack.append((t, sign))
+            continue
+        if t.kind == _MUL and t.args[0].kind == _CONST and t.args[1].kind in (_ADD, _SUB):
+            stack.append((t.args[1], sign * t.args[0].payload))
             continue
         raw.append((sign, t))
     # preserve left-to-right discovery order (stack pops reversed the pushes,

@@ -27,12 +27,17 @@ All tensor components are symbolic expressions; numeric work happens by
 evaluating component arrays at sample points and contracting with numpy.
 
 ``simplify`` runs where a check or a test needs an exact symbolic zero: the
-metric, its inverse, Gamma, riemann_13, R, Ricci, r, G and C (C vanishes
-identically in dimension 2), and the derivatives of fields not tagged
-"riemann-like" (nabla g, d of a 1-form) and the wedge. The derivatives and
-curvature action of a "riemann-like" field (nabla R, nabla C, nabla^2 R,
-R(d_u, d_v).R) are only ever evaluated, so they are kept as built: shared
-DAGs that cost less to build and to evaluate than their simplified forms.
+metric, its inverse, Gamma, R, Ricci, r, G and C (C vanishes identically in
+dimension 2), and the derivatives of fields not tagged "riemann-like"
+(nabla g, d of a 1-form) and the wedge. R is built from the metric's second
+derivatives and Gamma,
+R[i,j,k,m] = (1/2)(d_k d_i g_mj + d_m d_j g_ki - d_k d_j g_mi - d_m d_i g_kj)
+             + g_ef (Gamma^e_ki Gamma^f_mj - Gamma^e_kj Gamma^f_mi),
+and riemann_13 is R with its last index raised. riemann_13, and the
+derivatives and curvature action of a "riemann-like" field (nabla R,
+nabla C, nabla^2 R, R(d_u, d_v).R), are only ever evaluated or summed into
+a simplified field, so they are kept as built: shared DAGs that cost less
+to build and to evaluate than their simplified forms.
 """
 
 from __future__ import annotations
@@ -353,11 +358,14 @@ class CurvatureBundle:
     Fields: inverse_metric, christoffel (Gamma^k_ij at [k,i,j]), riemann_13
     (R(d_i,d_j)d_k coefficient of d_l at [i,j,k,l]), riemann (0,4), ricci,
     scalar_curvature, gtensor (the curvature-like tensor of the metric),
-    concircular. Each component is simplified once per symmetry orbit and
-    the rest of its orbit shares that node or its negation: Gamma is built
-    for i <= j, riemann_13 for i < j, and riemann, gtensor and concircular
+    concircular. Each component is built once per symmetry orbit and the
+    rest of its orbit shares that node or its negation: Gamma is built for
+    i <= j, riemann_13 for i < j, and riemann, gtensor and concircular
     (tagged "riemann-like") for one slot per orbit of the pair symmetries.
-    Ricci and the first Bianchi identity are not used to reduce a build.
+    Gamma, riemann, ricci, the scalar, gtensor and concircular are
+    simplified; riemann_13 is raised from riemann by g^-1 and left
+    unsimplified. Ricci and the first Bianchi identity are not used to
+    reduce a build.
     nabla R and nabla C are built on first use, reduced the same way but
     left unsimplified, and cached; so are the recurrence forms that
     ``recurrence`` fits and the mu, nabla lambda and d lambda that
@@ -379,19 +387,39 @@ class CurvatureBundle:
         self.inverse_metric = _inverse_metric(g)
         self.christoffel = christoffel_at(chart, self.inverse_metric)
         gamma = self.christoffel
+        ginv = self.inverse_metric
+        half = ex.const(1) / 2
+
+        def ddg(a, b, p, q):  # d_a d_b g_pq
+            return differentiate(differentiate(g[p, q], coords[b]), coords[a])
+
+        def build_riemann(idx):
+            i, j, k, m = idx
+            second = ex.sub(
+                ex.add(ddg(k, i, m, j), ddg(m, j, k, i)),
+                ex.add(ddg(k, j, m, i), ddg(m, i, k, j)),
+            )
+            quad = ex.esum(
+                ex.mul(
+                    g[e, f],
+                    ex.sub(
+                        ex.mul(gamma[e, k, i], gamma[f, m, j]),
+                        ex.mul(gamma[e, k, j], gamma[f, m, i]),
+                    ),
+                )
+                for e in range(n)
+                for f in range(n)
+            )
+            out = simplify(ex.add(ex.mul(half, second), quad))
+            _guard("riemann", idx, out)
+            return out
+
+        riem = _fill((n,) * 4, build_riemann, _curvature_slot)
+        self.riemann = TensorField(n, 4, riem, symmetry="riemann-like")
 
         def build_riemann_13(idx):
             i, j, k, l = idx
-            acc = ex.sub(
-                differentiate(gamma[l, j, k], coords[i]),
-                differentiate(gamma[l, i, k], coords[j]),
-            )
-            for m in range(n):
-                acc = ex.add(acc, ex.mul(gamma[m, j, k], gamma[l, i, m]))
-                acc = ex.sub(acc, ex.mul(gamma[m, i, k], gamma[l, j, m]))
-            out = simplify(acc)
-            _guard("riemann_13", idx, out)
-            return out
+            return ex.esum(ex.mul(riem[i, j, k, m], ginv[m, l]) for m in range(n))
 
         def antisymmetric_first_pair(idx):
             i, j, k, l = idx
@@ -401,13 +429,6 @@ class CurvatureBundle:
 
         riem13 = _fill((n,) * 4, build_riemann_13, antisymmetric_first_pair)
         self.riemann_13 = riem13
-
-        def build_riemann(idx):
-            i, j, k, m = idx
-            return simplify(ex.esum(ex.mul(riem13[i, j, k, l], g[l, m]) for l in range(n)))
-
-        riem = _fill((n,) * 4, build_riemann, _curvature_slot)
-        self.riemann = TensorField(n, 4, riem, symmetry="riemann-like")
 
         ric = _object_array((n, n))
         for j in range(n):

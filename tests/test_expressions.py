@@ -13,6 +13,7 @@ import pytest
 import concirc.expressions as ex
 from concirc.catalog import get_builtin
 from concirc.geometry import curvature_bundle_at
+from concirc.recurrence import _recurrence_form
 
 COORDS = ("x", "y", "z")
 
@@ -179,7 +180,7 @@ def test_domain_error_names_subexpression():
 
 def test_block_domain_error_message_is_bounded():
     b = curvature_bundle_at(get_builtin("perturbed_flat").chart)
-    comp = max(b.riemann.components.ravel(), key=lambda c: ex.node_count(c, 1000))
+    comp = max(b.nabla_riemann().components.ravel(), key=lambda c: ex.node_count(c, 1000))
     assert ex.node_count(comp, 200) > 200
     # a NaN coordinate makes the whole component non-finite
     columns = {c: np.array([np.nan]) for c in b.chart.coordinates}
@@ -187,7 +188,51 @@ def test_block_domain_error_message_is_bounded():
         ex.evaluate_block([comp], columns)
     assert err.value.subexpression is comp
     assert len(str(err.value)) < 1024
-    assert "> 200 nodes" in str(err.value)
+    assert str(err.value).endswith("... (truncated)'")
+
+
+def test_domain_error_message_bounds_a_small_dag_that_prints_large():
+    # lambda_C of sphere_3 is a quotient of cancellation noise with under 200
+    # distinct nodes that prints to tens of kB as a tree; one point is 0/0
+    b = curvature_bundle_at(get_builtin("sphere_3").chart)
+    lam = _recurrence_form(b, "C")
+    with pytest.raises(ex.DomainError) as err:
+        b.field_values(lam, b.chart.sample_points(61, 20))
+    sub = err.value.subexpression
+    message = str(err.value)
+    assert len(message) < 1024
+    assert message.endswith("... (truncated)'")
+    # the leading text is the subexpression's own, and its full string is
+    # neither built nor cached
+    assert sub._str is None
+    head = message.split("subexpression '", 1)[1][:100]
+    assert ex.to_string(sub).startswith(head)
+    assert len(ex.to_string(sub)) > 10_000
+
+
+def test_print_stops_at_its_budget():
+    e = ex.parse("sin(x)*y + cos(x)^2 - (y - x)/3", COORDS)
+    full = ex.to_string(e)
+    assert full == "sin(x)*y + cos(x)^2 - (y - x)/3"
+    for limit in range(len(full) + 2):
+        assert ex._to_string(e, limit) == full[: limit + 1]
+
+
+def test_simplify_reduces_linear_combinations_of_sums_to_zero():
+    # a rational multiple of a sum is distributed over its terms, so these
+    # cancel exactly
+    for text in (
+        "2*(x + y) - 2*x - 2*y",
+        "1/2*(2*cos(z)^2 - 2*sin(z)^2) - cos(z)^2 + sin(z)^2",
+        "-(3/4)*(x - sin(y)) + 3/4*x - 3/4*sin(y)",
+    ):
+        assert ex.simplify(ex.parse(text, COORDS)) is ex.ZERO, text
+
+
+def test_simplify_does_not_expand_products_of_sums():
+    # only c*S distributes inside a sum; c*S*x stays one product term
+    e = ex.simplify(ex.parse("x + 2*(x + y)*z", COORDS))
+    assert ex.to_string(e) == "2*(x + y)*z + x"
 
 
 def test_differentiate_basic_rules():

@@ -317,6 +317,22 @@ def test_reduced_nabla_matches_unreduced_build(chart):
         np.testing.assert_allclose(b.field_values(reduced, pts), ref, rtol=0, atol=1e-12 * scale)
 
 
+@pytest.mark.parametrize("name, expected", [("perturbed_flat", 68), ("minkowski_4", 217)])
+def test_bundle_simplifies_riemann_once_per_orbit(monkeypatch, name, expected):
+    # R is simplified once per orbit (6 at n=3, 21 at n=4); riemann_13,
+    # raised from it, is not simplified
+    chart = get_builtin(name).chart
+    calls = []
+
+    def counting(e):
+        calls.append(e)
+        return ex.simplify(e)
+
+    monkeypatch.setattr("concirc.geometry.simplify", counting)
+    CurvatureBundle(chart)
+    assert len(calls) == expected
+
+
 def test_nabla_riemann_builds_one_node_per_orbit():
     b = curvature_bundle_at(get_builtin("perturbed_flat").chart)
     comps = b.nabla_riemann().components.ravel()

@@ -1,0 +1,96 @@
+"""Property tests for `simplify`: soundness and zero recognition.
+
+Expressions are random DAGs over x, y, sin(x) and cos(y): each step combines
+earlier nodes, so subtrees are shared the way tensor components share them.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+import concirc.expressions as ex  # noqa: E402
+
+X, Y = ex.var("x"), ex.var("y")
+ATOMS = (X, Y, ex.sin(X), ex.cos(Y))
+TERMS = ATOMS + (ex.ONE, ex.mul(X, Y), ex.pow_(X, 2), ex.mul(ex.sin(X), ex.cos(Y)))
+POINTS = ({"x": 0.3, "y": -1.1}, {"x": -1.7, "y": 0.4}, {"x": 1.2, "y": 2.3})
+
+RATIONALS = st.builds(
+    Fraction, st.integers(min_value=-12, max_value=12), st.integers(min_value=1, max_value=6)
+)
+STEP = st.tuples(
+    st.sampled_from(["add", "sub", "mul", "pow", "neg", "scale"]),
+    st.integers(min_value=0, max_value=63),
+    st.integers(min_value=0, max_value=63),
+    st.integers(min_value=-2, max_value=3),
+    RATIONALS,
+)
+SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def _build_dag(steps):
+    """All nodes of the DAG, atoms first; the last one is the root."""
+    nodes = list(ATOMS)
+    for op, i, j, power, q in steps:
+        a, b = nodes[i % len(nodes)], nodes[j % len(nodes)]
+        if op == "add":
+            nodes.append(ex.add(a, b))
+        elif op == "sub":
+            nodes.append(ex.sub(a, b))
+        elif op == "mul":
+            nodes.append(ex.mul(a, b))
+        elif op == "pow":
+            nodes.append(ex.pow_(a, power))
+        elif op == "neg":
+            nodes.append(ex.neg(a))
+        else:
+            nodes.append(ex.mul(ex.const(q), a))
+    return nodes
+
+
+def _value(e, point):
+    try:
+        v = ex.evaluate(e, point)
+    except ex.DomainError:
+        return None
+    return v if math.isfinite(v) else None
+
+
+@SETTINGS
+@given(st.lists(STEP, min_size=1, max_size=12))
+def test_simplify_is_pointwise_equal_to_its_input(steps):
+    nodes = _build_dag(steps)
+    root = nodes[-1]
+    simplified = ex.simplify(root)
+    for point in POINTS:
+        want, got = _value(root, point), _value(simplified, point)
+        if want is None or got is None:
+            continue
+        # rounding grows with the largest intermediate the input evaluates
+        values = [v for v in (_value(n, point) for n in nodes) if v is not None]
+        scale = max(abs(v) for v in values)
+        if scale > 1e8:
+            continue
+        assert abs(want - got) <= 1e-9 * (1.0 + scale), (ex.to_string(root), point)
+
+
+SUM = st.lists(st.tuples(RATIONALS, st.sampled_from(TERMS)), min_size=1, max_size=5)
+
+
+@SETTINGS
+@given(st.lists(st.tuples(RATIONALS, SUM), min_size=1, max_size=4))
+def test_linear_combinations_of_sums_reduce_to_zero(combination):
+    # sum_i c_i * S_i - sum_ij (c_i * k_ij) * t_ij, with S_i = sum_j k_ij * t_ij
+    scaled = ex.esum(
+        ex.mul(ex.const(c), ex.esum(ex.mul(ex.const(k), t) for k, t in terms))
+        for c, terms in combination
+    )
+    expanded = ex.esum(
+        ex.mul(ex.const(Fraction(c) * k), t) for c, terms in combination for k, t in terms
+    )
+    assert ex.simplify(ex.sub(scaled, expanded)) is ex.ZERO
