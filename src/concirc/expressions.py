@@ -24,11 +24,21 @@ prints a tree and is the same in every process, whatever PYTHONHASHSEED is.
 
 Memo tables live on the node they describe (printed string, simplified form,
 derivatives by variable, variable set), so they share the node's lifetime.
+
+Three evaluators read the trees. `evaluate` works at one point on Python
+floats and raises DomainError at the first subexpression that leaves its
+domain. `evaluate_block` works at many points: it compiles the roots into
+an evaluation tape, one numpy operation per distinct node with slots reused
+once a value is dead (Griewank & Walther, Evaluating Derivatives, 2008;
+Poletto & Sarkar, linear-scan allocation, 1999), and checks finiteness once
+on the result. `evaluate_dual` carries a directional derivative and is the
+independent check of `differentiate`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -937,6 +947,14 @@ def _simplify_sum(e: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 
 
+def _constant(n: Expr) -> float:
+    """A constant node's value as a float; DomainError when out of range."""
+    try:
+        return float(n.payload)
+    except OverflowError:
+        raise DomainError("constant out of float range", n) from None
+
+
 def evaluate(e: Expr, point: dict) -> float:
     """Evaluate at a point, raising DomainError with the offending subexpression."""
     cache: dict[int, float] = {}
@@ -947,7 +965,7 @@ def evaluate(e: Expr, point: dict) -> float:
             return got
         k = n.kind
         if k == _CONST:
-            v = float(n.payload)
+            v = _constant(n)
         elif k == _VAR:
             try:
                 v = float(point[n.payload])
@@ -1016,82 +1034,169 @@ def evaluate(e: Expr, point: dict) -> float:
     return ev(e)
 
 
-def evaluate_block(exprs, columns: dict) -> list[np.ndarray]:
+def _cot(a):
+    return np.cos(a) / np.sin(a)
+
+
+_BINARY_NP = {
+    _ADD: operator.add,
+    _SUB: operator.sub,
+    _MUL: operator.mul,
+    _DIV: operator.truediv,
+    _POW: operator.pow,
+}
+_UNARY_NP = {
+    _NEG: operator.neg,
+    "sin": np.sin,
+    "cos": np.cos,
+    "tan": np.tan,
+    "cot": _cot,
+    "exp": np.exp,
+    "ln": np.log,
+    "sinh": np.sinh,
+    "cosh": np.cosh,
+    "sqrt": np.sqrt,
+    "abs": np.abs,
+}
+
+
+class _Tape:
+    """Straight-line evaluation program for a fixed tuple of root expressions.
+
+    The union DAG of the roots is ordered children first, once, and each
+    node becomes one entry (slot, fn, a, b): regs[slot] = fn(regs[a],
+    regs[b]), or fn(regs[a]) when b is None. Constants and variables are
+    load entries, with fn None and a the constant's np.float64 value or the
+    coordinate's name. A node's slot is handed to a later node once its
+    last reader has run (linear-scan reuse), so the tape needs as many slots
+    as values are live at once, not one per node; root slots stay live to
+    the end. The tape holds floats, names, numpy functions and the roots,
+    but no interior node.
+    """
+
+    __slots__ = ("roots", "size", "ops", "outputs")
+
+    def __init__(self, exprs):
+        self.roots = roots = tuple(exprs)
+        # children-first order; argpos[p] holds the positions of node p's args
+        position: dict[int, int] = {}
+        nodes: list[Expr] = []
+        argpos: list[tuple] = []
+        for root in roots:
+            if id(root) in position:
+                continue
+            # everything above a node on the stack is its descendant, so no
+            # node is pushed twice; the first argument is walked first
+            stack = [root]
+            while stack:
+                n = stack[-1]
+                args = n.args
+                if args:
+                    p0 = position.get(id(args[0]))
+                    if p0 is None:
+                        stack.append(args[0])
+                        continue
+                    if len(args) == 2:
+                        p1 = position.get(id(args[1]))
+                        if p1 is None:
+                            stack.append(args[1])
+                            continue
+                        ia = (p0, p1)
+                    else:
+                        ia = (p0,)
+                else:
+                    ia = ()
+                stack.pop()
+                position[id(n)] = len(nodes)
+                nodes.append(n)
+                argpos.append(ia)
+
+        # linear scan run backwards: a value is live from its definition to
+        # its last reader, so it takes a slot at the last reader (the first
+        # met going backwards) and gives it back at its definition
+        slot_of = [-1] * len(nodes)
+        free: list[int] = []
+        size = 0
+        for root in roots:
+            p = position[id(root)]
+            if slot_of[p] < 0:
+                slot_of[p] = size
+                size += 1
+        ops: list = [None] * len(nodes)
+        for p in range(len(nodes) - 1, -1, -1):
+            slot = slot_of[p]
+            free.append(slot)
+            n = nodes[p]
+            ia = argpos[p]
+            for q in ia:
+                if slot_of[q] < 0:
+                    if free:
+                        slot_of[q] = free.pop()
+                    else:
+                        slot_of[q] = size
+                        size += 1
+            if not ia:
+                value = np.float64(_constant(n)) if n.kind == _CONST else n.payload
+                ops[p] = (slot, None, value, None)
+            elif len(ia) == 2:
+                ops[p] = (slot, _BINARY_NP[n.kind], slot_of[ia[0]], slot_of[ia[1]])
+            else:
+                fn = _UNARY_NP.get(n.kind)
+                if fn is None:
+                    raise ExpressionError(f"cannot evaluate node kind {n.kind!r}")
+                ops[p] = (slot, fn, slot_of[ia[0]], None)
+        self.size = size
+        self.ops = tuple(ops)
+        self.outputs = tuple(slot_of[position[id(r)]] for r in roots)
+
+    def values(self, columns: dict) -> np.ndarray:
+        """Run the tape under the caller's errstate; no finiteness check."""
+        npts = len(next(iter(columns.values()))) if columns else 1
+        regs = [None] * self.size
+        for slot, fn, a, b in self.ops:
+            if b is not None:
+                regs[slot] = fn(regs[a], regs[b])
+            elif fn is not None:
+                regs[slot] = fn(regs[a])
+            else:
+                regs[slot] = columns[a] if isinstance(a, str) else a
+        out = np.empty((len(self.roots), npts))
+        for j, slot in enumerate(self.outputs):
+            out[j] = regs[slot]
+        return out
+
+    def run(self, columns: dict) -> np.ndarray:
+        """Values of the roots at the points, checked for finiteness."""
+        with np.errstate(all="ignore"):
+            out = self.values(columns)
+        finite = np.isfinite(out)
+        if not finite.all():
+            bad = ~finite
+            j = int(bad.any(axis=1).argmax())
+            i = int(bad[j].argmax())
+            where = ", ".join(f"{c}={float(col[i]):.6g}" for c, col in columns.items())
+            if len(where) > _MESSAGE_CHARS:
+                where = where[:_MESSAGE_CHARS] + _TRUNCATED
+            raise DomainError(
+                f"non-finite value in block evaluation at point {i} ({where})",
+                self.roots[j],
+            )
+        return out
+
+
+def evaluate_block(exprs, columns: dict) -> np.ndarray:
     """Evaluate many expressions at many points in one shared-DAG pass.
 
     columns maps coordinate name -> 1-d float array (all the same length).
-    Returns one array per expression. Non-finite results raise DomainError
-    without pinpointing the subexpression; use `evaluate` for diagnosis.
+    Returns a (len(exprs), npoints) float array whose row i holds exprs[i]
+    at every point. The roots are compiled into a tape (`_Tape`): one
+    numpy operation per distinct node, in a children-first order, with a
+    node's slot reused once its last reader has run. Finiteness is checked
+    once on the whole array: a non-finite value raises DomainError naming
+    the first root that has one and the first point where it does; use
+    `evaluate` to pinpoint the subexpression.
     """
-    exprs = list(exprs)
-    npts = len(next(iter(columns.values()))) if columns else 1
-    cache: dict[int, object] = {}
-
-    _UNARY_NP = {
-        "sin": np.sin,
-        "cos": np.cos,
-        "tan": np.tan,
-        "exp": np.exp,
-        "sinh": np.sinh,
-        "cosh": np.cosh,
-        "abs": np.abs,
-    }
-
-    def ev(root: Expr):
-        stack = [(root, False)]
-        while stack:
-            n, expanded = stack.pop()
-            if id(n) in cache:
-                continue
-            if not expanded:
-                stack.append((n, True))
-                for a in n.args:
-                    if id(a) not in cache:
-                        stack.append((a, False))
-                continue
-            k = n.kind
-            if k == _CONST:
-                v = float(n.payload)
-            elif k == _VAR:
-                v = columns[n.payload]
-            elif k == _ADD:
-                v = cache[id(n.args[0])] + cache[id(n.args[1])]
-            elif k == _SUB:
-                v = cache[id(n.args[0])] - cache[id(n.args[1])]
-            elif k == _NEG:
-                v = -cache[id(n.args[0])]
-            elif k == _MUL:
-                v = cache[id(n.args[0])] * cache[id(n.args[1])]
-            elif k == _DIV:
-                v = cache[id(n.args[0])] / cache[id(n.args[1])]
-            elif k == _POW:
-                v = cache[id(n.args[0])] ** cache[id(n.args[1])]
-            elif k == "ln":
-                v = np.log(cache[id(n.args[0])])
-            elif k == "sqrt":
-                v = np.sqrt(cache[id(n.args[0])])
-            elif k == "cot":
-                a = cache[id(n.args[0])]
-                v = np.cos(a) / np.sin(a)
-            else:
-                fn = _UNARY_NP.get(k)
-                if fn is None:
-                    raise ExpressionError(f"cannot evaluate node kind {k!r}")
-                v = fn(cache[id(n.args[0])])
-            cache[id(n)] = v
-
-    out = []
-    with np.errstate(all="ignore"):
-        for e in exprs:
-            ev(e)
-        for e in exprs:
-            v = cache[id(e)]
-            arr = np.broadcast_to(np.asarray(v, dtype=float), (npts,)).copy() \
-                if np.ndim(v) == 0 else np.asarray(v, dtype=float)
-            if not np.all(np.isfinite(arr)):
-                raise DomainError("non-finite value in block evaluation", e)
-            out.append(arr)
-    return out
+    return _Tape(exprs).run(columns)
 
 
 @dataclass(frozen=True)
@@ -1116,7 +1221,7 @@ def evaluate_dual(e: Expr, point: dict, direction: dict) -> DualValue:
             return got
         k = n.kind
         if k == _CONST:
-            out = DualValue(float(n.payload), 0.0)
+            out = DualValue(_constant(n), 0.0)
         elif k == _VAR:
             try:
                 v = float(point[n.payload])

@@ -42,8 +42,10 @@ to build and to evaluate than their simplified forms.
 
 from __future__ import annotations
 
+import operator
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -174,29 +176,60 @@ class MetricChart:
         Points within EXCLUSION_MARGIN of an exclusion locus are rejected and
         redrawn; an admitted point with |det g| <= DEGENERACY_FLOOR raises
         SingularMetricError. All randomness flows from the given seed.
+
+        Candidates are drawn in rounds of as many as are still missing, and
+        each round's exclusions and determinant are evaluated as one block.
+        A round whose block raises a floating-point error is decided point
+        by point with `expressions.evaluate` instead, so the points drawn,
+        the points admitted and every error are those of testing each
+        candidate in turn. Only after an error can a passed-in Generator
+        have advanced further, by the rest of the failing round.
         """
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        det = metric_determinant(self.metric)
+        tape = self._sampling_tape
+        *exclusions, det = tape.roots
         points = []
         attempts = 0
         while len(points) < count:
-            attempts += 1
-            if attempts > 1000 * count:
+            draws = min(count - len(points), 1000 * count - attempts)
+            if draws == 0:
                 raise GeometryError(
                     f"chart '{self.name}': sampling rejected too many points; "
                     "exclusion loci may fill the box"
                 )
-            p = {
-                c: float(rng.uniform(self.domain[c][0], self.domain[c][1]))
-                for c in self.coordinates
-            }
-            if any(abs(ex.evaluate(excl, p)) < EXCLUSION_MARGIN for excl in self.exclusions):
-                continue
-            d = ex.evaluate(det, p)
-            if abs(d) <= DEGENERACY_FLOOR:
-                raise SingularMetricError(self.name, p, d)
-            points.append(p)
+            attempts += draws
+            batch = [
+                {
+                    c: float(rng.uniform(self.domain[c][0], self.domain[c][1]))
+                    for c in self.coordinates
+                }
+                for _ in range(draws)
+            ]
+            try:
+                with np.errstate(over="raise", divide="raise", invalid="raise"):
+                    values = tape.values(points_to_columns(batch, self.coordinates))
+            except (FloatingPointError, KeyError):  # KeyError: a non-coordinate variable
+                values = None
+            else:
+                excluded = np.any(np.abs(values[:-1]) < EXCLUSION_MARGIN, axis=0)
+            for k, p in enumerate(batch):
+                if values is None:
+                    if any(abs(ex.evaluate(e, p)) < EXCLUSION_MARGIN for e in exclusions):
+                        continue
+                    d = ex.evaluate(det, p)
+                elif excluded[k]:
+                    continue
+                else:
+                    d = float(values[-1, k])
+                if abs(d) <= DEGENERACY_FLOOR:
+                    raise SingularMetricError(self.name, p, d)
+                points.append(p)
         return points
+
+    @cached_property
+    def _sampling_tape(self):
+        """Tape of (*exclusions, det g), the values sample_points tests."""
+        return ex._Tape((*self.exclusions, metric_determinant(self.metric)))
 
 
 @dataclass(frozen=True)
@@ -240,9 +273,8 @@ class TensorField:
         # all point coordinates, not just the ones appearing in components,
         # so constant fields still broadcast to the right number of rows
         columns = points_to_columns(points, sorted(points[0]))
-        cols = ex.evaluate_block(list(self.components.ravel()), columns)
-        block = np.stack(cols, axis=-1)  # (npoints, ncomponents)
-        return block.reshape((len(points),) + self.components.shape)
+        rows = ex.evaluate_block(list(self.components.ravel()), columns)
+        return rows.T.reshape((len(points),) + self.components.shape)
 
 
 def metric_determinant(g: np.ndarray) -> Expr:
@@ -376,6 +408,12 @@ class CurvatureBundle:
     checks. Only the two most recently used point sets are kept; evaluation
     is deterministic, so a point set evicted and asked for again gets the
     same values.
+
+    Each evaluated root set is compiled once into an evaluation tape
+    (``expressions._Tape``), kept in ``_tapes`` under the same entry as its
+    values: "core" for ``values_at`` and the component tuple for
+    ``field_values``. A new point set reruns the tape; the tapes live as
+    long as the bundle.
     """
 
     def __init__(self, chart: MetricChart):
@@ -462,6 +500,8 @@ class CurvatureBundle:
         self._derived: dict = {}
         # point key -> {entry: values}, least recently used first
         self._blocks: OrderedDict = OrderedDict()
+        # entry -> evaluation tape of its expressions, built on first use
+        self._tapes: dict = {}
 
     @property
     def n(self) -> int:
@@ -488,7 +528,8 @@ class CurvatureBundle:
     # -- numeric evaluation, cached for the most recent point sets -----------
 
     def _point_key(self, points) -> tuple:
-        return tuple(tuple(p[c] for c in self.chart.coordinates) for p in points)
+        # charts have n >= 2 coordinates, so itemgetter always gives tuples
+        return tuple(map(operator.itemgetter(*self.chart.coordinates), points))
 
     def _cached(self, points, entry, compute):
         """Values stored under entry for this point set, from compute() on a miss.
@@ -507,6 +548,13 @@ class CurvatureBundle:
         if entry not in store:
             store[entry] = compute()
         return store[entry]
+
+    def _evaluate(self, entry, exprs, points) -> np.ndarray:
+        """(len(exprs), npoints) values, through the tape kept under entry."""
+        tape = self._tapes.get(entry)
+        if tape is None:
+            tape = self._tapes[entry] = ex._Tape(exprs)
+        return tape.run(points_to_columns(points, self.chart.coordinates))
 
     def values_at(self, points) -> dict:
         """Numeric component arrays of the core fields at the given points.
@@ -534,9 +582,7 @@ class CurvatureBundle:
             flat = list(arr.ravel())
             spans.append((name, len(exprs), len(flat), arr.shape))
             exprs.extend(flat)
-        columns = points_to_columns(points, self.chart.coordinates)
-        cols = ex.evaluate_block(exprs, columns)
-        block = np.stack(cols, axis=-1)  # (npts, nexprs)
+        block = self._evaluate("core", exprs, points).T  # (npts, nexprs)
         out = {"scalar": block[:, 0]}
         for name, start, size, shape in spans:
             out[name] = block[:, start : start + size].reshape((len(points),) + shape)
@@ -549,7 +595,12 @@ class CurvatureBundle:
         so two structurally different fields never collide.
         """
         entry = tuple(tf.components.ravel())
-        return self._cached(points, entry, lambda: tf.evaluate_block(points))
+
+        def compute():
+            rows = self._evaluate(entry, entry, points)
+            return rows.T.reshape((len(points),) + tf.components.shape)
+
+        return self._cached(points, entry, compute)
 
 
 def curvature_bundle_at(chart: MetricChart) -> CurvatureBundle:

@@ -385,6 +385,204 @@ def test_evaluate_block_rejects_domain_violation():
         ex.evaluate_block([ex.parse("1/x", COORDS)], {"x": np.array([1.0, 0.0])})
 
 
+def _reference_evaluate_block(exprs, columns: dict) -> list:
+    """The per-node block evaluator the tape replaced, kept as a reference:
+    one walk with results in a dict keyed by id, one broadcast, copy and
+    finiteness check per output."""
+    npts = len(next(iter(columns.values()))) if columns else 1
+    cache: dict = {}
+    unary = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
+             "sinh": np.sinh, "cosh": np.cosh, "abs": np.abs}
+
+    def ev(root):
+        stack = [(root, False)]
+        while stack:
+            n, expanded = stack.pop()
+            if id(n) in cache:
+                continue
+            if not expanded:
+                stack.append((n, True))
+                stack.extend((a, False) for a in n.args if id(a) not in cache)
+                continue
+            k = n.kind
+            args = [cache[id(a)] for a in n.args]
+            if k == "const":
+                v = float(n.payload)
+            elif k == "var":
+                v = columns[n.payload]
+            elif k == "+":
+                v = args[0] + args[1]
+            elif k == "-":
+                v = args[0] - args[1]
+            elif k == "neg":
+                v = -args[0]
+            elif k == "*":
+                v = args[0] * args[1]
+            elif k == "/":
+                v = args[0] / args[1]
+            elif k == "^":
+                v = args[0] ** args[1]
+            elif k == "ln":
+                v = np.log(args[0])
+            elif k == "sqrt":
+                v = np.sqrt(args[0])
+            elif k == "cot":
+                v = np.cos(args[0]) / np.sin(args[0])
+            else:
+                v = unary[k](args[0])
+            cache[id(n)] = v
+
+    out = []
+    with np.errstate(all="ignore"):
+        for e in exprs:
+            ev(e)
+        for e in exprs:
+            v = cache[id(e)]
+            arr = np.broadcast_to(np.asarray(v, dtype=float), (npts,)).copy() \
+                if np.ndim(v) == 0 else np.asarray(v, dtype=float)
+            if not np.all(np.isfinite(arr)):
+                raise ex.DomainError("non-finite value in block evaluation", e)
+            out.append(arr)
+    return out
+
+
+def _random_dag_roots(rng, size=60, nroots=12):
+    """Roots drawn from a pool where every new node reuses earlier ones."""
+    pool = [ex.var(c) for c in COORDS]
+    pool += [ex.const(Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 4)))) for _ in range(3)]
+    names = ["sin", "cos", "tan", "cot", "exp", "ln", "sinh", "cosh", "sqrt", "abs"]
+    while len(pool) < size:
+        a = pool[int(rng.integers(len(pool)))]
+        b = pool[int(rng.integers(len(pool)))]
+        op = int(rng.integers(8))
+        if op == 0:
+            node = ex.add(a, b)
+        elif op == 1:
+            node = ex.sub(a, b)
+        elif op == 2:
+            node = ex.mul(a, b)
+        elif op == 3:
+            node = ex.div(a, ex.add(ex.const(2), ex.mul(b, b)))
+        elif op == 4:
+            node = ex.pow_(a, ex.const(int(rng.integers(-2, 4))))
+        elif op == 5:
+            node = ex.neg(a)
+        else:
+            node = ex.func(names[int(rng.integers(len(names)))], a)
+        pool.append(node)
+    return [pool[int(rng.integers(len(pool)))] for _ in range(nroots)]
+
+
+def _assert_block_parity(exprs, columns):
+    try:
+        want = _reference_evaluate_block(exprs, columns)
+    except ex.DomainError as err:
+        with pytest.raises(ex.DomainError) as got:
+            ex.evaluate_block(exprs, columns)
+        assert got.value.subexpression is err.subexpression
+        return False
+    except ZeroDivisionError:
+        # the reference raised computing 0^-k on Python floats; the tape's
+        # constants are np.float64, so that node is inf and its roots read
+        # whatever inf makes of them; see the constants-never-escape test
+        return False
+    got = ex.evaluate_block(exprs, columns)
+    assert got.shape == (len(exprs), len(next(iter(columns.values()))))
+    assert all(np.array_equal(row, col) for row, col in zip(got, want))
+    return True
+
+
+def test_block_tape_matches_the_per_node_evaluator_on_random_dags():
+    rng = np.random.default_rng(11)
+    finite = 0
+    for _ in range(150):
+        exprs = _random_dag_roots(rng)
+        columns = {c: rng.uniform(-1.5, 1.5, size=7) for c in COORDS}
+        finite += _assert_block_parity(exprs, columns)
+    # both outcomes are exercised
+    assert 30 < finite < 150
+
+
+def test_block_tape_matches_the_per_node_evaluator_on_every_builtin():
+    from concirc.catalog import builtin_names
+    from concirc.geometry import points_to_columns
+
+    for name in builtin_names():
+        b = curvature_bundle_at(get_builtin(name).chart)
+        pts = b.chart.sample_points(5, 12)
+        columns = points_to_columns(pts, b.chart.coordinates)
+        fields = [
+            [b.scalar_curvature, *b.chart.metric.ravel(), *b.inverse_metric.ravel(),
+             *b.christoffel.ravel(),
+             *b.riemann_13.ravel(), *b.riemann.components.ravel(),
+             *b.ricci.components.ravel(), *b.gtensor.components.ravel(),
+             *b.concircular.components.ravel()],
+            list(b.nabla_riemann().components.ravel()),
+            list(b.nabla_concircular().components.ravel()),
+        ]
+        if any(c is not ex.ZERO for c in b.riemann.components.ravel()):
+            fields.append(list(_recurrence_form(b, "R").components.ravel()))
+        for exprs in fields:
+            assert _assert_block_parity(exprs, columns), name
+
+
+def test_block_values_come_back_as_one_row_per_expression():
+    x, y = ex.var("x"), ex.var("y")
+    columns = {"x": np.array([1.0, 2.0, 3.0]), "y": np.array([0.5, 0.5, 0.5])}
+    out = ex.evaluate_block([x * y, ex.const(2), x, x * y], columns)
+    assert out.shape == (4, 3) and out.dtype == float
+    np.testing.assert_array_equal(out[0], [0.5, 1.0, 1.5])
+    np.testing.assert_array_equal(out[1], [2.0, 2.0, 2.0])
+    rows = list(out)
+    np.testing.assert_array_equal(rows[2], columns["x"])
+    np.testing.assert_array_equal(rows[3], rows[0])
+    assert ex.evaluate_block([], columns).shape == (0, 3)
+    empty = {"x": np.array([]), "y": np.array([])}
+    assert ex.evaluate_block([x / y, ex.ONE], empty).shape == (2, 0)
+    assert ex.evaluate_block([], empty).shape == (0, 0)
+
+
+def test_block_reuses_slots_once_a_node_is_read_for_the_last_time():
+    # a chain of 200 sums needs a handful of slots, not one per node
+    x = ex.var("x")
+    e = x
+    for k in range(200):
+        e = ex.add(ex.mul(e, ex.sin(x)), ex.const(k + 1))
+    tape = ex._Tape([e])
+    assert len(tape.ops) == ex.node_count(e)
+    assert tape.size <= 4
+    np.testing.assert_array_equal(
+        tape.run({"x": np.array([0.3])})[0], [ex.evaluate(e, {"x": 0.3})]
+    )
+
+
+@pytest.mark.parametrize("text", ["1/0", "0^(0-1)*x", "x*10^400"])
+def test_constants_never_escape_block_evaluation_as_python_errors(text):
+    e = ex.parse(text, COORDS)
+    with pytest.raises(ex.DomainError):
+        ex.evaluate_block([e], {"x": np.array([1.0, 2.0])})
+    with pytest.raises(ex.DomainError):
+        ex.evaluate(e, {"x": 1.0})
+
+
+def test_out_of_range_constant_is_a_domain_error_in_every_evaluator():
+    e = ex.parse("x*10^400", COORDS)
+    with pytest.raises(ex.DomainError) as err:
+        ex.evaluate(e, {"x": 1.0})
+    assert err.value.subexpression is ex.const(10**400)
+    with pytest.raises(ex.DomainError):
+        ex.evaluate_dual(e, {"x": 1.0}, {"x": 1.0})
+
+
+def test_block_domain_error_names_the_first_bad_point():
+    e = ex.parse("y/x", COORDS)
+    columns = {"x": np.array([1.0, 2.0, 0.0, 0.0]), "y": np.array([1.0, 1.0, 3.0, 4.0])}
+    with pytest.raises(ex.DomainError) as err:
+        ex.evaluate_block([ex.var("x"), e], columns)
+    assert err.value.subexpression is e
+    assert "at point 2 (x=0, y=3)" in str(err.value)
+
+
 def test_esum_builds_balanced_sums():
     xs = [ex.var("x")] * 5
     e = ex.esum(xs)

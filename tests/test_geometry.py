@@ -558,3 +558,102 @@ def test_field_values_cache_distinguishes_fields():
     np.testing.assert_allclose(v1, v2, rtol=0, atol=1e-12)
     z = TensorField(2, 4, np.full((2, 2, 2, 2), ex.ZERO, dtype=object))
     np.testing.assert_allclose(b.field_values(z, pts), 0.0, rtol=0, atol=0)
+
+
+def test_bundle_builds_each_tape_once_across_point_sets(monkeypatch):
+    chart = get_builtin("ppwave_recurrent").chart
+    point_sets = [chart.sample_points(seed, 6) for seed in range(3)]
+    built = []
+
+    class CountingTape(ex._Tape):
+        __slots__ = ()
+
+        def __init__(self, exprs):
+            super().__init__(exprs)
+            built.append(self.roots)
+
+    monkeypatch.setattr(ex, "_Tape", CountingTape)
+    b = curvature_bundle_at(chart)
+    _point_set_results(b, point_sets[0])
+    first = len(built)
+    for pts in point_sets[1:]:
+        _point_set_results(b, pts)
+    assert first >= 5  # core, nabla R, nabla C, lambda, mu, ...
+    assert len(built) == first
+    assert len(set(built)) == len(built)
+    assert len(b._tapes) == first
+
+
+def test_nabla_riemann_tape_reuses_slots():
+    b = curvature_bundle_at(get_builtin("perturbed_flat").chart)
+    nr = b.nabla_riemann()
+    b.field_values(nr, b.chart.sample_points(0, 3))
+    tape = b._tapes[tuple(nr.components.ravel())]
+    nodes = len(tape.ops)
+    assert nodes > 2000
+    assert 4 * tape.size < nodes
+
+
+def _reference_sample_points(chart, seed, count):
+    """sample_points as it was before block evaluation: one candidate at a
+    time through scalar evaluate."""
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    det = metric_determinant(chart.metric)
+    points = []
+    attempts = 0
+    while len(points) < count:
+        attempts += 1
+        if attempts > 1000 * count:
+            raise GeometryError(
+                f"chart '{chart.name}': sampling rejected too many points; "
+                "exclusion loci may fill the box"
+            )
+        p = {
+            c: float(rng.uniform(chart.domain[c][0], chart.domain[c][1]))
+            for c in chart.coordinates
+        }
+        if any(abs(ex.evaluate(excl, p)) < 1e-3 for excl in chart.exclusions):
+            continue
+        d = ex.evaluate(det, p)
+        if abs(d) <= 1e-12:
+            raise SingularMetricError(chart.name, p, d)
+        points.append(p)
+    return points
+
+
+def _sampling_outcome(sample, chart, seed, count):
+    """Points or error of one sampling call; after points, the generator's
+    next draw too, which shows that no candidate was drawn in excess."""
+    rng = np.random.default_rng(seed)
+    try:
+        return sample(chart, rng, count), rng.random()
+    except (ex.DomainError, GeometryError) as err:
+        # a round is drawn whole before it is tested, so after an error the
+        # generator may be past the failing candidate
+        return type(err), str(err)
+
+
+def test_sample_points_draws_and_admits_as_the_one_at_a_time_loop():
+    from concirc.catalog import builtin_names, random_perturbed_flat
+
+    charts = [(get_builtin(name).chart, range(10)) for name in builtin_names()]
+    charts += [(random_perturbed_flat(s), range(5)) for s in range(8)]
+    # a block that raises (ln of a negative coordinate, or det g at points
+    # the scalar loop never reached) falls back to scalar evaluation; a locus that fills the box exhausts the attempts; a
+    # degenerate metric raises at its first admitted point
+    charts.append((_chart("ln", ("x", "y"), [["1", "0"], ["0", "1"]],
+                          {"x": (-0.2, 3.0), "y": (0.0, 1.0)},
+                          exclusions=(ex.parse("ln(x) + 5", ("x", "y")),)), range(5)))
+    charts.append((_chart("masked", ("x", "y"), [["1", "0"], ["0", "sqrt(x)^2 + 1"]],
+                          {"x": (-1.0, 1.0), "y": (0.0, 1.0)},
+                          exclusions=(ex.parse("x + abs(x)", ("x", "y")),)), range(5)))
+    charts.append((_chart("full", ("x", "y"), [["1", "0"], ["0", "1"]],
+                          {"x": (0.0, 1.0), "y": (0.0, 1.0)},
+                          exclusions=(ex.parse("x - x", ("x", "y")),)), range(2)))
+    charts.append((_chart("flat", ("x", "y"), [["x^2 - x^2", "0"], ["0", "1"]],
+                          {"x": (0.0, 1.0), "y": (0.0, 1.0)}), range(2)))
+    for chart, seeds in charts:
+        for seed in seeds:
+            want = _sampling_outcome(_reference_sample_points, chart, seed, 25)
+            got = _sampling_outcome(type(chart).sample_points, chart, seed, 25)
+            assert got == want, (chart.name, seed)
