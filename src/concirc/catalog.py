@@ -306,6 +306,6 @@ def load_metric_spec(path) -> MetricChart:
         chart.sample_points(LOADER_SAMPLE_SEED, LOADER_SAMPLE_COUNT)
     except MetricFileError:
         raise
-    except GeometryError as e:
+    except (GeometryError, ex.DomainError) as e:
         raise MetricFileError(f"{path}: {e}") from e
     return chart

@@ -23,16 +23,18 @@ tuple (kind, payload key, *child keys), built once per interned node: it never
 prints a tree and is the same in every process, whatever PYTHONHASHSEED is.
 
 Memo tables live on the node they describe (printed string, simplified form,
-derivatives by variable, variable set), so they share the node's lifetime.
+derivatives by variable), so they share the node's lifetime.
 
-Three evaluators read the trees. `evaluate` works at one point on Python
-floats and raises DomainError at the first subexpression that leaves its
-domain. `evaluate_block` works at many points: it compiles the roots into
-an evaluation tape, one numpy operation per distinct node with slots reused
-once a value is dead (Griewank & Walther, Evaluating Derivatives, 2008;
-Poletto & Sarkar, linear-scan allocation, 1999), and checks finiteness once
-on the result. `evaluate_dual` carries a directional derivative and is the
-independent check of `differentiate`.
+Every value comes from one evaluation tape: the roots' union DAG in
+children-first order, one numpy operation per distinct node with slots
+reused once a value is dead (Griewank & Walther, Evaluating Derivatives,
+2008; Poletto & Sarkar, linear-scan allocation, 1999). `evaluate_block`
+runs it at many points and checks finiteness once on the result.
+`evaluate` runs it at one point on one-element columns, so its values are
+a block column's bit for bit, and checks each value as it is made: the
+first non-finite one raises DomainError naming its subexpression.
+`evaluate_dual` carries a directional derivative on Python floats and is
+the independent check of `differentiate`.
 """
 
 from __future__ import annotations
@@ -136,7 +138,7 @@ class DomainError(ExpressionError):
 class Expr:
     """One interned node of an expression tree. Build via the factories."""
 
-    __slots__ = ("kind", "payload", "args", "_key", "_str", "_simplified", "_diff", "_vars")
+    __slots__ = ("kind", "payload", "args", "_key", "_str", "_simplified", "_diff")
 
     kind: str
     payload: object  # Fraction for constants, str for variables, else None
@@ -199,7 +201,7 @@ def _node(kind: str, payload, args: tuple) -> Expr:
             pkey = payload if kind == _VAR else ""
         # child keys are the children's own tuples, so a node adds O(1) memory
         hit._key = (kind, pkey, *(a._key for a in args))
-        hit._str = hit._simplified = hit._diff = hit._vars = None
+        hit._str = hit._simplified = hit._diff = None
         _INTERN[key] = hit
     return hit
 
@@ -372,12 +374,7 @@ def esum(terms) -> Expr:
 
 def variables(e: Expr) -> frozenset[str]:
     """Set of variable names appearing in the tree."""
-    if e._vars is None:
-        if e.kind == _VAR:
-            e._vars = frozenset((e.payload,))
-        else:
-            e._vars = frozenset().union(*(variables(a) for a in e.args))
-    return e._vars
+    return frozenset(n.payload for n in _order((e,))[0] if n.kind == _VAR)
 
 
 def node_count(e: Expr, limit: int | None = None) -> int:
@@ -700,7 +697,7 @@ def simplify(e: Expr) -> Expr:
     elif k in (_ADD, _SUB, _NEG):
         out = _simplify_sum(e)
     elif k in (_MUL, _DIV):
-        out = _simplify_product(e)
+        out = _rebuild_product(*_decompose_term(e, simplify))
     elif k == _POW:
         base = simplify(e.args[0])
         expo = simplify(e.args[1])
@@ -721,8 +718,17 @@ def simplify(e: Expr) -> Expr:
     return out
 
 
-def _decompose_term(t: Expr) -> tuple[Fraction, dict[Expr, Fraction]]:
-    """Write an already-simplified non-sum term as coeff * prod(base^expo)."""
+def _same(e: Expr) -> Expr:
+    return e
+
+
+def _decompose_term(t: Expr, operand=_same) -> tuple[Fraction, dict[Expr, Fraction]]:
+    """Write a non-sum term as coeff * prod(base^expo).
+
+    The */ and negation chain is flattened; every other node is passed
+    through operand first, and a result that is itself such a chain is
+    flattened in turn. Pass `simplify` to flatten an unsimplified product.
+    """
     coeff = Fraction(1)
     factors: dict[Expr, Fraction] = {}
     stack = [(t, False)]
@@ -738,6 +744,8 @@ def _decompose_term(t: Expr) -> tuple[Fraction, dict[Expr, Fraction]]:
         elif k == _NEG:
             coeff = -coeff
             stack.append((node.args[0], invert))
+        elif (f := operand(node)) is not node:
+            stack.append((f, invert))
         elif k == _CONST:
             q = node.payload
             if invert:
@@ -786,51 +794,6 @@ def _rebuild_product(coeff: Fraction, factors: dict[Expr, Fraction]) -> Expr:
     return neg(out) if sign else out
 
 
-def _split_num_den(factors: dict[Expr, Fraction]):
-    num = {b: q for b, q in factors.items() if q > 0}
-    den = {b: -q for b, q in factors.items() if q < 0}
-    return num, den
-
-
-def _simplify_product(e: Expr) -> Expr:
-    """Flatten a */ chain, collecting exponents per base and folding constants."""
-    stack = [(e, False)]
-    coeff = Fraction(1)
-    factors: dict[Expr, Fraction] = {}
-    while stack:
-        node, invert = stack.pop()
-        k = node.kind
-        if k == _MUL:
-            stack.append((node.args[1], invert))
-            stack.append((node.args[0], invert))
-            continue
-        if k == _DIV:
-            stack.append((node.args[1], not invert))
-            stack.append((node.args[0], invert))
-            continue
-        if k == _NEG:
-            coeff = -coeff
-            stack.append((node.args[0], invert))
-            continue
-        f = simplify(node)
-        if f.kind in (_MUL, _DIV, _NEG):
-            stack.append((f, invert))
-            continue
-        c, fs = _decompose_term(f)
-        if invert:
-            if c == 0:
-                factors[ZERO] = factors.get(ZERO, Fraction(0)) - 1
-            else:
-                coeff /= c
-            for b, q in fs.items():
-                factors[b] = factors.get(b, Fraction(0)) - q
-        else:
-            coeff *= c
-            for b, q in fs.items():
-                factors[b] = factors.get(b, Fraction(0)) + q
-    return _rebuild_product(coeff, factors)
-
-
 def _simplify_sum(e: Expr) -> Expr:
     """Flatten a +- chain; collect like terms; combine equal denominators.
 
@@ -867,12 +830,12 @@ def _simplify_sum(e: Expr) -> Expr:
     # so raw is already in source order)
 
     # group terms by their (canonical) denominator part
-    groups: dict[Expr, list[tuple[Fraction, dict]]] = {}
+    groups: dict[Expr, list[tuple[Fraction, dict, dict]]] = {}
     for sign, t in raw:
         c, fs = _decompose_term(t)
-        num, den = _split_num_den(fs)
-        den_key = _rebuild_product(Fraction(1), {b: q for b, q in den.items()})
-        groups.setdefault(den_key, []).append((sign * c, num))
+        num = {b: q for b, q in fs.items() if q > 0}
+        den_key = _rebuild_product(Fraction(1), {b: -q for b, q in fs.items() if q < 0})
+        groups.setdefault(den_key, []).append((sign * c, num, fs))
 
     const_acc = Fraction(0)
     collected: dict[Expr, Fraction] = {}
@@ -889,20 +852,21 @@ def _simplify_sum(e: Expr) -> Expr:
 
     for den_key, entries in groups.items():
         if den_key is ONE or len(entries) == 1:
-            for c, num in entries:
-                if den_key is not ONE:
-                    merged = dict(num)
-                    dc, dfs = _decompose_term(den_key)
-                    c /= dc
-                    for b, q in dfs.items():
-                        merged[b] = merged.get(b, Fraction(0)) - q
-                    take(c, merged)
-                else:
-                    take(c, num)
+            for c, num, fs in entries:
+                if den_key is ONE or den_key is ZERO:
+                    # 0 has no factors to divide by, so x/0 keeps its own
+                    take(c, fs)
+                    continue
+                # the key's factors flatten a denominator that is a quotient
+                dc, dfs = _decompose_term(den_key)
+                merged = dict(num)
+                for b, q in dfs.items():
+                    merged[b] = merged.get(b, Fraction(0)) - q
+                take(c / dc, merged)
             continue
         # several terms over one identical denominator: combine numerators
         num_sum = ZERO
-        for c, num in entries:
+        for c, num, _ in entries:
             num_sum = add(num_sum, _rebuild_product(c, num))
         num_sum = simplify(num_sum)
         combined = simplify(div(num_sum, den_key))
@@ -943,7 +907,7 @@ def _simplify_sum(e: Expr) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# evaluation: scalar (strict domain errors), block (vectorized), dual numbers
+# evaluation: the tape (one point, checked; a block, vectorized), dual numbers
 # ---------------------------------------------------------------------------
 
 
@@ -955,83 +919,71 @@ def _constant(n: Expr) -> float:
         raise DomainError("constant out of float range", n) from None
 
 
+def _order(roots) -> tuple[list, list, dict]:
+    """The union DAG of roots children first: the nodes, the positions of
+    each node's arguments and each node's position by id. Roots are taken
+    in turn, first arguments first, so the order depends on the roots alone."""
+    position: dict[int, int] = {}
+    nodes: list[Expr] = []
+    argpos: list[tuple] = []
+    for root in roots:
+        if id(root) in position:
+            continue
+        # everything above a node on the stack is its descendant, so no
+        # node is pushed twice
+        stack = [root]
+        while stack:
+            n = stack[-1]
+            args = n.args
+            if args:
+                p0 = position.get(id(args[0]))
+                if p0 is None:
+                    stack.append(args[0])
+                    continue
+                if len(args) == 2:
+                    p1 = position.get(id(args[1]))
+                    if p1 is None:
+                        stack.append(args[1])
+                        continue
+                    ia = (p0, p1)
+                else:
+                    ia = (p0,)
+            else:
+                ia = ()
+            stack.pop()
+            position[id(n)] = len(nodes)
+            nodes.append(n)
+            argpos.append(ia)
+    return nodes, argpos, position
+
+
+def _why(n: Expr, x: float, y: float) -> str:
+    """Why n's value is not finite, given its finite operand values x, y."""
+    k = n.kind
+    if k == _VAR:
+        return f"coordinate '{n.payload}' is not finite"
+    if k == _DIV and y == 0.0:
+        return "division by zero"
+    if k == _POW and x == 0.0 and y < 0:
+        return "zero base with negative exponent"
+    if k == _POW and x < 0 and y != int(y):
+        return "negative base with non-integer exponent"
+    if k == "ln" and x <= 0.0:
+        return "ln of non-positive value"
+    if k == "sqrt" and x < 0.0:
+        return "sqrt of negative value"
+    if k == "cot" and math.sin(x) == 0.0:
+        return "cot at a zero of sin"
+    return "overflow"
+
+
 def evaluate(e: Expr, point: dict) -> float:
-    """Evaluate at a point, raising DomainError with the offending subexpression."""
-    cache: dict[int, float] = {}
+    """Evaluate at a point, raising DomainError with the offending subexpression.
 
-    def ev(n: Expr) -> float:
-        got = cache.get(id(n))
-        if got is not None:
-            return got
-        k = n.kind
-        if k == _CONST:
-            v = _constant(n)
-        elif k == _VAR:
-            try:
-                v = float(point[n.payload])
-            except KeyError:
-                raise DomainError(f"coordinate '{n.payload}' not assigned", n) from None
-        elif k == _ADD:
-            v = ev(n.args[0]) + ev(n.args[1])
-        elif k == _SUB:
-            v = ev(n.args[0]) - ev(n.args[1])
-        elif k == _NEG:
-            v = -ev(n.args[0])
-        elif k == _MUL:
-            v = ev(n.args[0]) * ev(n.args[1])
-        elif k == _DIV:
-            b = ev(n.args[1])
-            if b == 0.0:
-                raise DomainError("division by zero", n)
-            v = ev(n.args[0]) / b
-        elif k == _POW:
-            a, b = ev(n.args[0]), ev(n.args[1])
-            if a == 0.0 and b < 0:
-                raise DomainError("zero base with negative exponent", n)
-            if a < 0 and b != int(b):
-                raise DomainError("negative base with non-integer exponent", n)
-            try:
-                v = a ** b
-            except OverflowError:
-                raise DomainError("overflow", n) from None
-        elif k == "ln":
-            a = ev(n.args[0])
-            if a <= 0.0:
-                raise DomainError("ln of non-positive value", n)
-            v = math.log(a)
-        elif k == "sqrt":
-            a = ev(n.args[0])
-            if a < 0.0:
-                raise DomainError("sqrt of negative value", n)
-            v = math.sqrt(a)
-        elif k == "cot":
-            a = ev(n.args[0])
-            s = math.sin(a)
-            if s == 0.0:
-                raise DomainError("cot at a zero of sin", n)
-            v = math.cos(a) / s
-        elif k == "abs":
-            v = abs(ev(n.args[0]))
-        else:
-            try:
-                fn = {
-                    "sin": math.sin,
-                    "cos": math.cos,
-                    "tan": math.tan,
-                    "exp": math.exp,
-                    "sinh": math.sinh,
-                    "cosh": math.cosh,
-                }[k]
-            except KeyError:
-                raise ExpressionError(f"cannot evaluate node kind {k!r}") from None
-            try:
-                v = fn(ev(n.args[0]))
-            except OverflowError:
-                raise DomainError("overflow", n) from None
-        cache[id(n)] = v
-        return v
-
-    return ev(e)
+    One checked tape run (`_Tape.at`): the value is `evaluate_block`'s at that
+    point, and the error names the first node whose value is not finite.
+    """
+    return float(_Tape((e,)).at(point)[0])
 
 
 def _cot(a):
@@ -1063,53 +1015,24 @@ _UNARY_NP = {
 class _Tape:
     """Straight-line evaluation program for a fixed tuple of root expressions.
 
-    The union DAG of the roots is ordered children first, once, and each
-    node becomes one entry (slot, fn, a, b): regs[slot] = fn(regs[a],
-    regs[b]), or fn(regs[a]) when b is None. Constants and variables are
-    load entries, with fn None and a the constant's np.float64 value or the
-    coordinate's name. A node's slot is handed to a later node once its
-    last reader has run (linear-scan reuse), so the tape needs as many slots
-    as values are live at once, not one per node; root slots stay live to
-    the end. The tape holds floats, names, numpy functions and the roots,
-    but no interior node.
+    The union DAG of the roots is put in children-first order (`_order`),
+    once, and each node becomes one entry (slot, fn, a, b): regs[slot] =
+    fn(regs[a], regs[b]), or fn(regs[a]) when b is None. Constants and
+    variables are load entries, with fn None and a the constant's np.float64
+    value or the coordinate's name. A node's slot is handed to a later node
+    once its last reader has run (linear-scan reuse), so the tape needs as
+    many slots as values are live at once, not one per node; root slots
+    stay live to the end. The tape holds floats, names, numpy functions and
+    the roots, but no interior node: entry p is node p of `_order(roots)`,
+    recomputed only to name a failing node. `run` checks a block's values
+    once at the end; `at` checks each value at one point as it is made.
     """
 
     __slots__ = ("roots", "size", "ops", "outputs")
 
     def __init__(self, exprs):
         self.roots = roots = tuple(exprs)
-        # children-first order; argpos[p] holds the positions of node p's args
-        position: dict[int, int] = {}
-        nodes: list[Expr] = []
-        argpos: list[tuple] = []
-        for root in roots:
-            if id(root) in position:
-                continue
-            # everything above a node on the stack is its descendant, so no
-            # node is pushed twice; the first argument is walked first
-            stack = [root]
-            while stack:
-                n = stack[-1]
-                args = n.args
-                if args:
-                    p0 = position.get(id(args[0]))
-                    if p0 is None:
-                        stack.append(args[0])
-                        continue
-                    if len(args) == 2:
-                        p1 = position.get(id(args[1]))
-                        if p1 is None:
-                            stack.append(args[1])
-                            continue
-                        ia = (p0, p1)
-                    else:
-                        ia = (p0,)
-                else:
-                    ia = ()
-                stack.pop()
-                position[id(n)] = len(nodes)
-                nodes.append(n)
-                argpos.append(ia)
+        nodes, argpos, position = _order(roots)
 
         # linear scan run backwards: a value is live from its definition to
         # its last reader, so it takes a slot at the last reader (the first
@@ -1148,6 +1071,37 @@ class _Tape:
         self.size = size
         self.ops = tuple(ops)
         self.outputs = tuple(slot_of[position[id(r)]] for r in roots)
+
+    def at(self, point: dict) -> np.ndarray:
+        """Values of the roots at one point, each value checked as it is made.
+
+        The entries run as in `values`, on one-element columns, so every value
+        is a block column's bit for bit. The first non-finite value, or a
+        coordinate missing from point, raises DomainError naming its node.
+        """
+        regs = [None] * self.size
+        with np.errstate(all="ignore"):
+            for p, (slot, fn, a, b) in enumerate(self.ops):
+                if b is not None:
+                    x, y = regs[a], regs[b]
+                    v = fn(x, y)
+                elif fn is not None:
+                    x = y = regs[a]
+                    v = fn(x)
+                elif isinstance(a, str):
+                    if a not in point:
+                        raise DomainError(f"coordinate '{a}' not assigned", var(a))
+                    x = y = v = np.array([point[a]], dtype=float)
+                else:
+                    x = y = v = a
+                if not math.isfinite(v.item()):
+                    n = _order(self.roots)[0][p]
+                    raise DomainError(_why(n, x.item(), y.item()), n)
+                regs[slot] = v
+        out = np.empty((len(self.roots), 1))
+        for j, slot in enumerate(self.outputs):
+            out[j] = regs[slot]
+        return out[:, 0]
 
     def values(self, columns: dict) -> np.ndarray:
         """Run the tape under the caller's errstate; no finiteness check."""

@@ -262,8 +262,10 @@ class TensorField:
             )
 
     def evaluate(self, point: dict) -> np.ndarray:
-        flat = [ex.evaluate(c, point) for c in self.components.ravel()]
-        return np.array(flat, dtype=float).reshape(self.components.shape)
+        """Values at one point: one checked tape run over all components
+        (`expressions._Tape.at`), so shared subexpressions are read once and
+        a DomainError names the first non-finite subexpression."""
+        return ex._Tape(self.components.ravel()).at(point).reshape(self.components.shape)
 
     def evaluate_block(self, points) -> np.ndarray:
         """Evaluate at many points at once; returns shape (npoints, dim^rank...)."""

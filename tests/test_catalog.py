@@ -263,6 +263,15 @@ def test_loader_degenerate_metric_names_witness(tmp_path):
     assert "theta" in msg  # witness point in chart coordinates
 
 
+def test_loader_prefixes_a_sampling_domain_error_with_the_path(tmp_path):
+    doc = _valid_doc()
+    doc["metric"][1][1] = "1/0 + sin(theta)^2"
+    path = _write(tmp_path, doc)
+    with pytest.raises(MetricFileError) as err:
+        load_metric_spec(path)
+    assert str(err.value) == f"{path}: division by zero in subexpression '1/0'"
+
+
 def test_loader_validates_domain(tmp_path):
     doc = _valid_doc()
     doc["domain"] = {"theta": [0.15, 2.99]}

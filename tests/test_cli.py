@@ -213,10 +213,18 @@ def test_exit_code_one_on_failed_check(capsys):
 def test_exit_code_two_on_bad_input(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
+    # a term over a literal 0 simplifies, then fails at the first sample point
+    over_zero = tmp_path / "over_zero.json"
+    over_zero.write_text(json.dumps({
+        "name": "over_zero", "dim": 2, "coordinates": ["x", "y"],
+        "metric": [["x/0 + y", "0"], ["0", "1"]],
+        "domain": {"x": [0.5, 1.0], "y": [0.5, 1.0]},
+    }))
     cases = [
         ["classify", "--builtin", "nope"],
         ["classify", "--metric", str(tmp_path / "missing.json")],
         ["classify", "--metric", str(bad)],
+        ["classify", "--metric", str(over_zero)],
         ["classify", "--builtin", "sphere_2", "--samples", "0"],
         ["classify", "--builtin", "sphere_2", "--tol", "-1"],
         ["compute", "--builtin", "sphere_2", "--point", "theta=0.7"],

@@ -12,7 +12,7 @@ import pytest
 
 import concirc.expressions as ex
 from concirc.catalog import get_builtin
-from concirc.geometry import curvature_bundle_at
+from concirc.geometry import TensorField, curvature_bundle_at
 from concirc.recurrence import _recurrence_form
 
 COORDS = ("x", "y", "z")
@@ -176,6 +176,7 @@ def test_domain_error_names_subexpression():
     with pytest.raises(ex.DomainError) as err:
         ex.evaluate(e, {"x": 1.0})
     assert "ln" in str(err.value)
+    assert err.value.subexpression is ex.ln(ex.parse("x - 2", COORDS))
 
 
 def test_block_domain_error_message_is_bounded():
@@ -588,3 +589,84 @@ def test_esum_builds_balanced_sums():
     e = ex.esum(xs)
     np.testing.assert_allclose(ex.evaluate(e, {"x": 2.0}), 10.0, rtol=1e-15)
     assert ex.esum([]) is ex.ZERO
+
+
+def _dag_nodes(roots) -> set:
+    """ids of every node reachable from roots."""
+    seen: set = set()
+    stack = list(roots)
+    while stack:
+        n = stack.pop()
+        if id(n) not in seen:
+            seen.add(id(n))
+            stack.extend(n.args)
+    return seen
+
+
+def test_scalar_evaluate_is_a_block_column_or_names_a_non_finite_node():
+    rng = np.random.default_rng(17)
+    returned = raised = 0
+    for _ in range(120):
+        roots = _random_dag_roots(rng)
+        columns = {c: rng.uniform(-1.5, 1.5, size=3) for c in COORDS}
+        with np.errstate(all="ignore"):
+            block = ex._Tape(roots).values(columns)
+        nodes = _dag_nodes(roots)
+        for i in range(3):
+            point = {c: float(col[i]) for c, col in columns.items()}
+            for j, e in enumerate(roots):
+                try:
+                    v = ex.evaluate(e, point)
+                except ex.DomainError as err:
+                    sub = err.subexpression
+                    assert id(sub) in nodes
+                    with np.errstate(all="ignore"):
+                        assert not np.isfinite(ex._Tape([sub]).values(columns)[0, i])
+                    raised += 1
+                else:
+                    assert v == block[j, i], (ex.to_string(e), point)
+                    returned += 1
+    # both outcomes are exercised
+    assert returned > 2000 and raised > 200
+
+
+@pytest.mark.parametrize(
+    "text, x, message",
+    [
+        ("1/x", 0.0, "division by zero"),
+        ("0^(0-2)*x", 1.0, "zero base with negative exponent"),
+        ("(x - 5)^(1/2)", 1.0, "negative base with non-integer exponent"),
+        ("x*x", 1e200, "overflow"),
+        ("exp(x)^400", 3.0, "overflow"),
+        ("ln(x - 5)", 1.0, "ln of non-positive value"),
+        ("sqrt(x - 5)", 1.0, "sqrt of negative value"),
+        ("cot(x)", 0.0, "cot at a zero of sin"),
+        ("x + y", 1.0, "coordinate 'y' not assigned"),
+        ("x + 1", math.nan, "coordinate 'x' is not finite"),
+    ],
+)
+def test_scalar_domain_error_says_why(text, x, message):
+    with pytest.raises(ex.DomainError) as err:
+        ex.evaluate(ex.parse(text, COORDS), {"x": x})
+    assert str(err.value).startswith(message + " in subexpression")
+
+
+def test_evaluation_and_variables_on_a_deep_sum():
+    x = ex.var("x")
+    e = ex.esum(ex.mul(ex.const(k), x) for k in range(1, 1201))
+    assert ex.evaluate(e, {"x": 0.5}) == 720600 * 0.5
+    assert ex.variables(e) == frozenset({"x"})
+    comps = np.empty(2, dtype=object)
+    comps[0], comps[1] = e, ex.sin(e)
+    got = TensorField(2, 1, comps).evaluate({"x": 0.5})
+    np.testing.assert_array_equal(got, ex.evaluate_block(list(comps), {"x": np.array([0.5])})[:, 0])
+
+
+@pytest.mark.parametrize("text", ["x/0 + y", "1/0 + x", "x*(1/0) + y", "0^(0-2) - tan(5/2)"])
+def test_simplify_keeps_a_term_over_zero(text):
+    e = ex.parse(text, COORDS)
+    s = ex.simplify(e)
+    assert ex.simplify(s) is s
+    with pytest.raises(ex.DomainError) as err:
+        ex.evaluate(s, {"x": 1.0, "y": 2.0})
+    assert str(err.value).startswith("division by zero")

@@ -657,3 +657,20 @@ def test_sample_points_draws_and_admits_as_the_one_at_a_time_loop():
             want = _sampling_outcome(_reference_sample_points, chart, seed, 25)
             got = _sampling_outcome(type(chart).sample_points, chart, seed, 25)
             assert got == want, (chart.name, seed)
+
+
+def test_tensor_field_evaluate_is_its_block_row_on_every_builtin():
+    from concirc.catalog import builtin_names
+    from concirc.recurrence import _recurrence_form
+
+    for name in builtin_names():
+        b = curvature_bundle_at(get_builtin(name).chart)
+        fields = [b.riemann, b.ricci, b.gtensor, b.concircular,
+                  b.nabla_riemann(), b.nabla_concircular()]
+        if any(c is not ex.ZERO for c in b.riemann.components.ravel()):
+            fields.append(_recurrence_form(b, "R"))
+        pts = b.chart.sample_points(3, 3)
+        for tf in fields:
+            block = tf.evaluate_block(pts)
+            for i, p in enumerate(pts):
+                np.testing.assert_array_equal(tf.evaluate(p), block[i], err_msg=name)
