@@ -293,18 +293,16 @@ def metric_determinant(g: np.ndarray) -> Expr:
 
 
 def _inverse_metric(g: np.ndarray) -> np.ndarray:
-    """Symbolic inverse via adjugate / determinant."""
+    """Symbolic inverse via adjugate / determinant, built for i <= j."""
     n = g.shape[0]
     det = metric_determinant(g)
-    inv = _object_array((n, n))
-    for i in range(n):
-        for j in range(n):
-            minor = np.delete(np.delete(g, j, axis=0), i, axis=1)
-            cof = metric_determinant(minor)
-            if (i + j) % 2 == 1:
-                cof = ex.neg(cof)
-            inv[i, j] = simplify(ex.div(cof, det))
-    return inv
+
+    def build(idx):
+        i, j = idx
+        cof = metric_determinant(np.delete(np.delete(g, j, axis=0), i, axis=1))
+        return simplify(ex.div(ex.neg(cof) if (i + j) % 2 else cof, det))
+
+    return _fill((n, n), build, _symmetric_pair)
 
 
 def _guard(what: str, index: tuple, e: Expr):
@@ -333,6 +331,11 @@ def _curvature_slot(idx: tuple):
     if (i, j) > (k, l):
         i, j, k, l = k, l, i, j
     return idx[:-4] + (i, j, k, l), sign
+
+
+def _symmetric_pair(idx: tuple):
+    """Orbit of a slot under swapping its last two indices, as _curvature_slot."""
+    return idx[:-2] + tuple(sorted(idx[-2:])), 1
 
 
 def _fill(shape: tuple, build, slot=None) -> np.ndarray:
@@ -383,7 +386,7 @@ def christoffel_at(chart: MetricChart, inverse: np.ndarray | None = None) -> np.
         return out
 
     # symmetric in the lower pair: build i <= j only
-    return _fill((n, n, n), build, lambda idx: ((idx[0],) + tuple(sorted(idx[1:])), 1))
+    return _fill((n, n, n), build, _symmetric_pair)
 
 
 class CurvatureBundle:
@@ -393,13 +396,15 @@ class CurvatureBundle:
     (R(d_i,d_j)d_k coefficient of d_l at [i,j,k,l]), riemann (0,4), ricci,
     scalar_curvature, gtensor (the curvature-like tensor of the metric),
     concircular. Each component is built once per symmetry orbit and the
-    rest of its orbit shares that node or its negation: Gamma is built for
-    i <= j, riemann_13 for i < j, and riemann, gtensor and concircular
-    (tagged "riemann-like") for one slot per orbit of the pair symmetries.
+    rest of its orbit shares that node or its negation: the inverse metric
+    and Ricci are built for i <= j, Gamma for i <= j in its lower pair,
+    riemann_13 for i < j, and riemann, gtensor and concircular (tagged
+    "riemann-like") for one slot per orbit of the pair symmetries.
     Gamma, riemann, ricci, the scalar, gtensor and concircular are
     simplified; riemann_13 is raised from riemann by g^-1 and left
-    unsimplified. Ricci and the first Bianchi identity are not used to
-    reduce a build.
+    unsimplified. The first Bianchi identity is not used to reduce R; it
+    stays a numeric check. Ricci's symmetry, which follows from it, does
+    reduce Ricci's build; simplify gives S_jk and S_kj as one node anyway.
     nabla R and nabla C are built on first use, reduced the same way but
     left unsimplified, and cached; so are the recurrence forms that
     ``recurrence`` fits and the mu, nabla lambda and d lambda that
@@ -470,10 +475,11 @@ class CurvatureBundle:
         riem13 = _fill((n,) * 4, build_riemann_13, antisymmetric_first_pair)
         self.riemann_13 = riem13
 
-        ric = _object_array((n, n))
-        for j in range(n):
-            for k in range(n):
-                ric[j, k] = simplify(ex.esum(riem13[i, j, k, i] for i in range(n)))
+        ric = _fill(
+            (n, n),
+            lambda idx: simplify(ex.esum(riem13[(i,) + idx + (i,)] for i in range(n))),
+            _symmetric_pair,
+        )
         self.ricci = TensorField(n, 2, ric, symmetry="symmetric-2")
 
         self.scalar_curvature = simplify(

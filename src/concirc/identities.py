@@ -6,7 +6,9 @@ is compared against ``tol * (1 + scale)``, where the scale is the same
 contraction evaluated with every addend replaced by its absolute value.
 That makes the tolerance relative to the amount of cancellation actually
 demanded, so charts with wildly different curvature magnitudes are judged
-uniformly.
+uniformly.  Every check, here and in ``recurrence``, builds its report
+through ``_report``; each cyclic sum is written once, in ``_cyclic``, and
+applied to the values and to their absolute values alike.
 
 The curvature action (R(d_u, d_v) T for rank-4 T) is evaluated here
 numerically through the derivation-property hooks, which need nothing
@@ -14,9 +16,8 @@ beyond the already-evaluated curvature arrays; each hook is one batched
 matrix product over the sample points.  The action on R and its scale are
 computed once per bundle and point set and shared by the Walker and
 semisymmetry checks and by ``recurrence.check_mu_structure``.  The symbolic
-routes in ``geometry`` stay the reference implementation;
-``route="second-derivative"`` on the semisymmetry check exercises the
-Ricci-identity route end to end.
+routes in ``geometry`` stay the reference implementation, which the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -136,6 +137,31 @@ def _curvature_action(bundle: CurvatureBundle, points):
     return bundle._cached(points, "action", compute)
 
 
+def _report(identity: str, bundle: CurvatureBundle, points, total, scale, tol) -> IdentityReport:
+    """The pass-rule report: per-point max of |total| against that of |scale|.
+
+    A check that normalises its own residual passes those per-point values
+    and a zero scale; _per_point_max returns a non-negative (npoints,)
+    array unchanged.
+    """
+    return IdentityReport(
+        identity=identity,
+        chart=bundle.chart.name,
+        points=tuple(points),
+        residuals=_per_point_max(total),
+        scales=_per_point_max(scale),
+        tol=tol,
+    )
+
+
+def _cyclic(arr: np.ndarray, specs: tuple) -> np.ndarray:
+    """arr plus its two cyclic permutations, given as einsum specs."""
+    first, second = specs
+    # one expression, so numpy sums the second permutation into the first
+    # sum's temporary instead of allocating another full array
+    return arr + np.einsum(first, arr) + np.einsum(second, arr)
+
+
 def check_walker_at(bundle: CurvatureBundle, points, tol: float = 1e-8) -> IdentityReport:
     """Cyclic pair sum of the curvature action on R itself.
 
@@ -143,24 +169,8 @@ def check_walker_at(bundle: CurvatureBundle, points, tol: float = 1e-8) -> Ident
     on every pseudo-Riemannian manifold; this must pass on any valid chart.
     """
     acted, acted_abs = _curvature_action(bundle, points)
-    total = (
-        acted
-        + np.einsum("pwxyzuv->puvwxyz", acted)
-        + np.einsum("pyzuvwx->puvwxyz", acted)
-    )
-    scale = (
-        acted_abs
-        + np.einsum("pwxyzuv->puvwxyz", acted_abs)
-        + np.einsum("pyzuvwx->puvwxyz", acted_abs)
-    )
-    return IdentityReport(
-        identity="walker",
-        chart=bundle.chart.name,
-        points=tuple(points),
-        residuals=_per_point_max(total),
-        scales=_per_point_max(scale),
-        tol=tol,
-    )
+    cycle = ("pwxyzuv->puvwxyz", "pyzuvwx->puvwxyz")
+    return _report("walker", bundle, points, _cyclic(acted, cycle), _cyclic(acted_abs, cycle), tol)
 
 
 def check_bianchi_at(
@@ -172,74 +182,26 @@ def check_bianchi_at(
     second: (nabla_A R)(W,X,Y,Z) + (nabla_W R)(X,A,Y,Z)
             + (nabla_X R)(A,W,Y,Z) = 0.
     """
-    if kind not in ("first", "second"):
-        raise GeometryError(f"kind must be 'first' or 'second', got {kind!r}")
-    vals = bundle.values_at(points)
     if kind == "first":
-        rv = vals["riemann"]
-        total = (
-            rv
-            + np.einsum("pxywz->pwxyz", rv)
-            + np.einsum("pywxz->pwxyz", rv)
-        )
-        rva = np.abs(rv)
-        scale = (
-            rva
-            + np.einsum("pxywz->pwxyz", rva)
-            + np.einsum("pywxz->pwxyz", rva)
-        )
+        arr = bundle.values_at(points)["riemann"]
+        cycle = ("pxywz->pwxyz", "pywxz->pwxyz")
+    elif kind == "second":
+        arr = bundle.field_values(bundle.nabla_riemann(), points)
+        cycle = ("pwxayz->pawxyz", "pxawyz->pawxyz")
     else:
-        nr = bundle.field_values(bundle.nabla_riemann(), points)
-        total = (
-            nr
-            + np.einsum("pwxayz->pawxyz", nr)
-            + np.einsum("pxawyz->pawxyz", nr)
-        )
-        nra = np.abs(nr)
-        scale = (
-            nra
-            + np.einsum("pwxayz->pawxyz", nra)
-            + np.einsum("pxawyz->pawxyz", nra)
-        )
-    return IdentityReport(
-        identity=f"bianchi-{kind}",
-        chart=bundle.chart.name,
-        points=tuple(points),
-        residuals=_per_point_max(total),
-        scales=_per_point_max(scale),
-        tol=tol,
-    )
+        raise GeometryError(f"kind must be 'first' or 'second', got {kind!r}")
+    total, scale = _cyclic(arr, cycle), _cyclic(np.abs(arr), cycle)
+    return _report(f"bianchi-{kind}", bundle, points, total, scale, tol)
 
 
-def check_semisymmetry_at(
-    bundle: CurvatureBundle, points, tol: float = 1e-8, route: str = "derivation"
-) -> IdentityReport:
+def check_semisymmetry_at(bundle: CurvatureBundle, points, tol: float = 1e-8) -> IdentityReport:
     """Max component of R(U,V).R over the points; a verdict, not a theorem.
 
-    route="derivation" contracts the curvature hooks numerically;
-    route="second-derivative" evaluates the symbolic antisymmetrized
-    second covariant derivative.  The two agree to rounding.
+    The action comes from the derivation hooks; the symbolic
+    ``geometry.curvature_action_from_second_derivative`` is its reference.
     """
     acted, acted_abs = _curvature_action(bundle, points)
-    if route == "derivation":
-        total = acted
-    elif route == "second-derivative":
-        from .geometry import curvature_action_from_second_derivative
-
-        field = curvature_action_from_second_derivative(bundle, bundle.riemann)
-        total = bundle.field_values(field, points)
-    else:
-        raise GeometryError(
-            f"route must be 'derivation' or 'second-derivative', got {route!r}"
-        )
-    return IdentityReport(
-        identity="semisymmetry",
-        chart=bundle.chart.name,
-        points=tuple(points),
-        residuals=_per_point_max(total),
-        scales=_per_point_max(acted_abs),
-        tol=tol,
-    )
+    return _report("semisymmetry", bundle, points, acted, acted_abs, tol)
 
 
 def _antisymmetric_basis(n: int) -> np.ndarray:

@@ -44,6 +44,7 @@ from .identities import (
     IdentityReport,
     _curvature_action,
     _per_point_max,
+    _report,
     check_semisymmetry_at,
 )
 
@@ -329,14 +330,7 @@ def check_extended_recurrence(
         - np.einsum("pa,pwxyz->pawxyz", muv, gv)
     )
     residuals = _per_point_max(diff) / (1.0 + _per_point_max(rv))
-    return IdentityReport(
-        identity="extended-recurrence",
-        chart=bundle.chart.name,
-        points=tuple(points),
-        residuals=residuals,
-        scales=np.zeros(len(points)),
-        tol=tol,
-    )
+    return _report("extended-recurrence", bundle, points, residuals, np.zeros(len(points)), tol)
 
 
 def check_lambda_closed(
@@ -362,14 +356,7 @@ def _lambda_closed_report(
     dv = bundle.field_values(dlam, points)
     gv = np.abs(bundle.field_values(grad, points))
     scale = 0.5 * (gv + np.einsum("pij->pji", gv))
-    return IdentityReport(
-        identity="lambda-closed",
-        chart=bundle.chart.name,
-        points=tuple(points),
-        residuals=_per_point_max(dv),
-        scales=_per_point_max(scale),
-        tol=tol,
-    )
+    return _report("lambda-closed", bundle, points, dv, scale, tol)
 
 
 def check_mu_structure(
@@ -411,15 +398,8 @@ def check_mu_structure(
     rhs = 2.0 * np.einsum("puv,pwxyz->puvwxyz", fv, gv)
     rhs_abs = 2.0 * np.einsum("puv,pwxyz->puvwxyz", np.abs(fv), np.abs(gv))
     res2 = _per_point_max(acted - rhs) / (1.0 + _per_point_max(acted_abs + rhs_abs))
-
-    return IdentityReport(
-        identity="mu-structure",
-        chart=bundle.chart.name,
-        points=tuple(points),
-        residuals=np.maximum(res1, res2),
-        scales=np.zeros(len(points)),
-        tol=tol,
-    )
+    residuals = np.maximum(res1, res2)
+    return _report("mu-structure", bundle, points, residuals, np.zeros(len(points)), tol)
 
 
 @dataclass(frozen=True)
@@ -616,14 +596,7 @@ def verify_theorem(
     mu_scale = (
         _per_point_max(drv) + np.abs(rv) * _per_point_max(lamv)
     ) / (n * (n - 1))
-    mu_check = IdentityReport(
-        identity="mu-vanishes",
-        chart=name,
-        points=adm,
-        residuals=_per_point_max(muv),
-        scales=mu_scale,
-        tol=form_tol,
-    )
+    mu_check = _report("mu-vanishes", bundle, adm, muv, mu_scale, form_tol)
 
     recurrence_check = check_extended_recurrence(
         bundle, lam, zero_one_form(n), adm, tol

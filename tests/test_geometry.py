@@ -317,10 +317,11 @@ def test_reduced_nabla_matches_unreduced_build(chart):
         np.testing.assert_allclose(b.field_values(reduced, pts), ref, rtol=0, atol=1e-12 * scale)
 
 
-@pytest.mark.parametrize("name, expected", [("perturbed_flat", 68), ("minkowski_4", 217)])
+@pytest.mark.parametrize("name, expected", [("perturbed_flat", 59), ("minkowski_4", 181)])
 def test_bundle_simplifies_riemann_once_per_orbit(monkeypatch, name, expected):
-    # R is simplified once per orbit (6 at n=3, 21 at n=4); riemann_13,
-    # raised from it, is not simplified
+    # R is simplified once per orbit (6 at n=3, 21 at n=4), the inverse
+    # metric and Ricci once per symmetric pair; riemann_13, raised from R,
+    # is not simplified
     chart = get_builtin(name).chart
     calls = []
 

@@ -1,7 +1,9 @@
-"""Property tests for `simplify`: soundness and zero recognition.
+"""Property tests for `simplify`: soundness, zero recognition, canonical form.
 
 Expressions are random DAGs over x, y, sin(x) and cos(y): each step combines
 earlier nodes, so subtrees are shared the way tensor components share them.
+The same DAGs check the printer against the parser and `differentiate`
+against the forward-mode `evaluate_dual`.
 """
 
 import math
@@ -94,3 +96,47 @@ def test_linear_combinations_of_sums_reduce_to_zero(combination):
         ex.mul(ex.const(Fraction(c) * k), t) for c, terms in combination for k, t in terms
     )
     assert ex.simplify(ex.sub(scaled, expanded)) is ex.ZERO
+
+
+@SETTINGS
+@given(st.lists(STEP, min_size=1, max_size=12))
+def test_simplify_is_idempotent(steps):
+    simplified = ex.simplify(_build_dag(steps)[-1])
+    assert ex.simplify(simplified) is simplified, ex.to_string(simplified)
+
+
+@SETTINGS
+@given(st.lists(STEP, min_size=1, max_size=12))
+def test_print_then_parse_gives_the_same_node(steps):
+    for node in _build_dag(steps):
+        for e in (node, ex.simplify(node)):
+            text = ex.to_string(e)
+            assert ex.parse(text, ("x", "y")) is e, text
+
+
+def _derivative(e, point, name):
+    try:
+        v = ex.evaluate_dual(e, point, {name: 1.0}).deriv
+    except ex.DomainError:
+        return None
+    return v if math.isfinite(v) else None
+
+
+@SETTINGS
+@given(st.lists(STEP, min_size=1, max_size=12))
+def test_differentiate_agrees_with_dual_numbers(steps):
+    root = _build_dag(steps)[-1]
+    for name in ("x", "y"):
+        symbolic = ex.differentiate(root, name)
+        for point in POINTS:
+            want, got = _derivative(root, point, name), _value(symbolic, point)
+            value = _value(root, point)
+            if want is None or got is None or value is None:
+                continue
+            if max(abs(want), abs(got), abs(value)) > 1e6:
+                continue
+            assert abs(want - got) <= 1e-7 * max(1.0, abs(want), abs(got)), (
+                ex.to_string(root),
+                name,
+                point,
+            )
