@@ -611,63 +611,80 @@ def _layout(e: Expr) -> list:
 # ---------------------------------------------------------------------------
 
 def differentiate(e: Expr, name: str) -> Expr:
-    """Partial derivative with respect to the named variable."""
-    if e._diff is None:
-        e._diff = {}
-    hit = e._diff.get(name)
-    if hit is not None:
-        return hit
+    """Partial derivative with respect to the named variable.
+
+    Each node keeps its derivatives in its ``_diff`` table. The nodes below e
+    whose derivative is not yet there are differentiated children first, by
+    an explicit stack, so the depth of e costs no recursion.
+    """
+    stack = [e]
+    while stack:
+        n = stack[-1]
+        table = n._diff
+        if table is None:
+            table = n._diff = {}
+        elif name in table:
+            stack.pop()  # cached, or pushed again from another parent
+            continue
+        size = len(stack)
+        for a in n.args:
+            if a._diff is None or name not in a._diff:
+                stack.append(a)
+        if len(stack) == size:
+            stack.pop()
+            table[name] = _differentiate_node(n, name)
+    return e._diff[name]
+
+
+def _differentiate_node(e: Expr, name: str) -> Expr:
+    """Derivative of e from the derivatives already in its children's tables."""
     k = e.kind
     if k == _CONST:
-        out = ZERO
-    elif k == _VAR:
-        out = ONE if e.payload == name else ZERO
-    elif k == _ADD:
-        out = add(differentiate(e.args[0], name), differentiate(e.args[1], name))
-    elif k == _SUB:
-        out = sub(differentiate(e.args[0], name), differentiate(e.args[1], name))
-    elif k == _NEG:
-        out = neg(differentiate(e.args[0], name))
-    elif k == _MUL:
-        a, b = e.args
-        out = add(mul(differentiate(a, name), b), mul(a, differentiate(b, name)))
-    elif k == _DIV:
-        a, b = e.args
-        num = sub(mul(differentiate(a, name), b), mul(a, differentiate(b, name)))
-        out = div(num, pow_(b, 2))
-    elif k == _POW:
-        a, b = e.args
-        if _is_const(b):
-            p = b.payload
-            out = mul(mul(const(p), pow_(a, const(p - 1))), differentiate(a, name))
-        else:
-            da, db = differentiate(a, name), differentiate(b, name)
-            out = mul(e, add(mul(db, ln(a)), div(mul(b, da), a)))
-    elif k == "sin":
-        out = mul(cos(e.args[0]), differentiate(e.args[0], name))
-    elif k == "cos":
-        out = mul(neg(sin(e.args[0])), differentiate(e.args[0], name))
-    elif k == "tan":
-        out = mul(add(ONE, pow_(tan(e.args[0]), 2)), differentiate(e.args[0], name))
-    elif k == "cot":
-        out = mul(neg(add(ONE, pow_(cot(e.args[0]), 2))), differentiate(e.args[0], name))
-    elif k == "exp":
-        out = mul(e, differentiate(e.args[0], name))
-    elif k == "ln":
-        out = div(differentiate(e.args[0], name), e.args[0])
-    elif k == "sinh":
-        out = mul(cosh(e.args[0]), differentiate(e.args[0], name))
-    elif k == "cosh":
-        out = mul(sinh(e.args[0]), differentiate(e.args[0], name))
-    elif k == "sqrt":
-        out = div(differentiate(e.args[0], name), mul(const(2), e))
-    elif k == "abs":
+        return ZERO
+    if k == _VAR:
+        return ONE if e.payload == name else ZERO
+    u = e.args[0]
+    du = u._diff[name]
+    if len(e.args) == 2:
+        v = e.args[1]
+        dv = v._diff[name]
+        if k == _ADD:
+            return add(du, dv)
+        if k == _SUB:
+            return sub(du, dv)
+        if k == _MUL:
+            return add(mul(du, v), mul(u, dv))
+        if k == _DIV:
+            return div(sub(mul(du, v), mul(u, dv)), pow_(v, 2))
+        if k == _POW:
+            if _is_const(v):
+                p = v.payload
+                return mul(mul(const(p), pow_(u, const(p - 1))), du)
+            return mul(e, add(mul(dv, ln(u)), div(mul(v, du), u)))
+    if k == _NEG:
+        return neg(du)
+    if k == "sin":
+        return mul(cos(u), du)
+    if k == "cos":
+        return mul(neg(sin(u)), du)
+    if k == "tan":
+        return mul(add(ONE, pow_(tan(u), 2)), du)
+    if k == "cot":
+        return mul(neg(add(ONE, pow_(cot(u), 2))), du)
+    if k == "exp":
+        return mul(e, du)
+    if k == "ln":
+        return div(du, u)
+    if k == "sinh":
+        return mul(cosh(u), du)
+    if k == "cosh":
+        return mul(sinh(u), du)
+    if k == "sqrt":
+        return div(du, mul(const(2), e))
+    if k == "abs":
         # sign(u) * u' away from u = 0, written abs-free of new primitives
-        out = mul(div(e.args[0], e), differentiate(e.args[0], name))
-    else:
-        raise ExpressionError(f"cannot differentiate node kind {k!r}")
-    e._diff[name] = out
-    return out
+        return mul(div(u, e), du)
+    raise ExpressionError(f"cannot differentiate node kind {k!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -1167,103 +1184,88 @@ def evaluate_dual(e: Expr, point: dict, direction: dict) -> DualValue:
     direction maps coordinate names to the components of the tangent vector
     along which the derivative is taken (missing names mean 0).
     """
-    cache: dict[int, DualValue] = {}
+    nodes, argpos, _ = _order((e,))
+    values: list[DualValue] = []
+    for n, ia in zip(nodes, argpos):
+        values.append(_dual(n, [values[q] for q in ia], point, direction))
+    return values[-1]
 
-    def ev(n: Expr) -> DualValue:
-        got = cache.get(id(n))
-        if got is not None:
-            return got
-        k = n.kind
-        if k == _CONST:
-            out = DualValue(_constant(n), 0.0)
-        elif k == _VAR:
-            try:
-                v = float(point[n.payload])
-            except KeyError:
-                raise DomainError(f"coordinate '{n.payload}' not assigned", n) from None
-            out = DualValue(v, float(direction.get(n.payload, 0.0)))
-        elif k == _ADD:
-            x, y = ev(n.args[0]), ev(n.args[1])
-            out = DualValue(x.value + y.value, x.deriv + y.deriv)
-        elif k == _SUB:
-            x, y = ev(n.args[0]), ev(n.args[1])
-            out = DualValue(x.value - y.value, x.deriv - y.deriv)
-        elif k == _NEG:
-            x = ev(n.args[0])
-            out = DualValue(-x.value, -x.deriv)
-        elif k == _MUL:
-            x, y = ev(n.args[0]), ev(n.args[1])
-            out = DualValue(x.value * y.value, x.deriv * y.value + x.value * y.deriv)
-        elif k == _DIV:
-            x, y = ev(n.args[0]), ev(n.args[1])
-            if y.value == 0.0:
-                raise DomainError("division by zero", n)
-            out = DualValue(
-                x.value / y.value,
-                (x.deriv * y.value - x.value * y.deriv) / (y.value * y.value),
-            )
-        elif k == _POW:
-            x, y = ev(n.args[0]), ev(n.args[1])
-            ise = n.args[1].kind == _CONST
-            if x.value == 0.0 and y.value < 0:
-                raise DomainError("zero base with negative exponent", n)
-            if x.value < 0 and y.value != int(y.value):
-                raise DomainError("negative base with non-integer exponent", n)
-            v = x.value ** y.value
-            if ise:
-                dv = y.value * (x.value ** (y.value - 1.0)) * x.deriv if y.value != 0 else 0.0
-            else:
-                if x.value <= 0:
-                    raise DomainError("non-constant exponent needs positive base", n)
-                dv = v * (y.deriv * math.log(x.value) + y.value * x.deriv / x.value)
-            out = DualValue(v, dv)
-        elif k == "sin":
-            x = ev(n.args[0])
-            out = DualValue(math.sin(x.value), math.cos(x.value) * x.deriv)
-        elif k == "cos":
-            x = ev(n.args[0])
-            out = DualValue(math.cos(x.value), -math.sin(x.value) * x.deriv)
-        elif k == "tan":
-            x = ev(n.args[0])
-            t = math.tan(x.value)
-            out = DualValue(t, (1.0 + t * t) * x.deriv)
-        elif k == "cot":
-            x = ev(n.args[0])
-            s = math.sin(x.value)
-            if s == 0.0:
-                raise DomainError("cot at a zero of sin", n)
-            c = math.cos(x.value) / s
-            out = DualValue(c, -(1.0 + c * c) * x.deriv)
-        elif k == "exp":
-            x = ev(n.args[0])
-            v = math.exp(x.value)
-            out = DualValue(v, v * x.deriv)
-        elif k == "ln":
-            x = ev(n.args[0])
-            if x.value <= 0.0:
-                raise DomainError("ln of non-positive value", n)
-            out = DualValue(math.log(x.value), x.deriv / x.value)
-        elif k == "sinh":
-            x = ev(n.args[0])
-            out = DualValue(math.sinh(x.value), math.cosh(x.value) * x.deriv)
-        elif k == "cosh":
-            x = ev(n.args[0])
-            out = DualValue(math.cosh(x.value), math.sinh(x.value) * x.deriv)
-        elif k == "sqrt":
-            x = ev(n.args[0])
-            if x.value < 0.0:
-                raise DomainError("sqrt of negative value", n)
-            v = math.sqrt(x.value)
-            if v == 0.0 and x.deriv != 0.0:
-                raise DomainError("sqrt derivative at zero", n)
-            out = DualValue(v, x.deriv / (2.0 * v) if x.deriv != 0.0 else 0.0)
-        elif k == "abs":
-            x = ev(n.args[0])
-            s = -1.0 if x.value < 0 else 1.0
-            out = DualValue(abs(x.value), s * x.deriv)
+
+def _dual(n: Expr, args: list, point: dict, direction: dict) -> DualValue:
+    """Dual value of one node from the dual values of its arguments."""
+    x, y = (args[0], args[-1]) if args else (None, None)
+    k = n.kind
+    if k == _CONST:
+        out = DualValue(_constant(n), 0.0)
+    elif k == _VAR:
+        try:
+            v = float(point[n.payload])
+        except KeyError:
+            raise DomainError(f"coordinate '{n.payload}' not assigned", n) from None
+        out = DualValue(v, float(direction.get(n.payload, 0.0)))
+    elif k == _ADD:
+        out = DualValue(x.value + y.value, x.deriv + y.deriv)
+    elif k == _SUB:
+        out = DualValue(x.value - y.value, x.deriv - y.deriv)
+    elif k == _NEG:
+        out = DualValue(-x.value, -x.deriv)
+    elif k == _MUL:
+        out = DualValue(x.value * y.value, x.deriv * y.value + x.value * y.deriv)
+    elif k == _DIV:
+        if y.value == 0.0:
+            raise DomainError("division by zero", n)
+        out = DualValue(
+            x.value / y.value,
+            (x.deriv * y.value - x.value * y.deriv) / (y.value * y.value),
+        )
+    elif k == _POW:
+        ise = n.args[1].kind == _CONST
+        if x.value == 0.0 and y.value < 0:
+            raise DomainError("zero base with negative exponent", n)
+        if x.value < 0 and y.value != int(y.value):
+            raise DomainError("negative base with non-integer exponent", n)
+        v = x.value ** y.value
+        if ise:
+            dv = y.value * (x.value ** (y.value - 1.0)) * x.deriv if y.value != 0 else 0.0
         else:
-            raise ExpressionError(f"cannot evaluate node kind {k!r}")
-        cache[id(n)] = out
-        return out
-
-    return ev(e)
+            if x.value <= 0:
+                raise DomainError("non-constant exponent needs positive base", n)
+            dv = v * (y.deriv * math.log(x.value) + y.value * x.deriv / x.value)
+        out = DualValue(v, dv)
+    elif k == "sin":
+        out = DualValue(math.sin(x.value), math.cos(x.value) * x.deriv)
+    elif k == "cos":
+        out = DualValue(math.cos(x.value), -math.sin(x.value) * x.deriv)
+    elif k == "tan":
+        t = math.tan(x.value)
+        out = DualValue(t, (1.0 + t * t) * x.deriv)
+    elif k == "cot":
+        s = math.sin(x.value)
+        if s == 0.0:
+            raise DomainError("cot at a zero of sin", n)
+        c = math.cos(x.value) / s
+        out = DualValue(c, -(1.0 + c * c) * x.deriv)
+    elif k == "exp":
+        v = math.exp(x.value)
+        out = DualValue(v, v * x.deriv)
+    elif k == "ln":
+        if x.value <= 0.0:
+            raise DomainError("ln of non-positive value", n)
+        out = DualValue(math.log(x.value), x.deriv / x.value)
+    elif k == "sinh":
+        out = DualValue(math.sinh(x.value), math.cosh(x.value) * x.deriv)
+    elif k == "cosh":
+        out = DualValue(math.cosh(x.value), math.sinh(x.value) * x.deriv)
+    elif k == "sqrt":
+        if x.value < 0.0:
+            raise DomainError("sqrt of negative value", n)
+        v = math.sqrt(x.value)
+        if v == 0.0 and x.deriv != 0.0:
+            raise DomainError("sqrt derivative at zero", n)
+        out = DualValue(v, x.deriv / (2.0 * v) if x.deriv != 0.0 else 0.0)
+    elif k == "abs":
+        s = -1.0 if x.value < 0 else 1.0
+        out = DualValue(abs(x.value), s * x.deriv)
+    else:
+        raise ExpressionError(f"cannot evaluate node kind {k!r}")
+    return out

@@ -180,14 +180,14 @@ class MetricChart:
         Candidates are drawn in rounds of as many as are still missing, and
         each round's exclusions and determinant are evaluated as one block.
         A round whose block raises a floating-point error is decided point
-        by point with `expressions.evaluate` instead, so the points drawn,
+        by point, through one tape per exclusion and one for the
+        determinant, as `expressions.evaluate` would, so the points drawn,
         the points admitted and every error are those of testing each
         candidate in turn. Only after an error can a passed-in Generator
         have advanced further, by the rest of the failing round.
         """
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         tape = self._sampling_tape
-        *exclusions, det = tape.roots
         points = []
         attempts = 0
         while len(points) < count:
@@ -214,9 +214,10 @@ class MetricChart:
                 excluded = np.any(np.abs(values[:-1]) < EXCLUSION_MARGIN, axis=0)
             for k, p in enumerate(batch):
                 if values is None:
-                    if any(abs(ex.evaluate(e, p)) < EXCLUSION_MARGIN for e in exclusions):
+                    *exclusions, det = self._scalar_tapes
+                    if any(abs(t.at(p)[0]) < EXCLUSION_MARGIN for t in exclusions):
                         continue
-                    d = ex.evaluate(det, p)
+                    d = float(det.at(p)[0])
                 elif excluded[k]:
                     continue
                 else:
@@ -230,6 +231,11 @@ class MetricChart:
     def _sampling_tape(self):
         """Tape of (*exclusions, det g), the values sample_points tests."""
         return ex._Tape((*self.exclusions, metric_determinant(self.metric)))
+
+    @cached_property
+    def _scalar_tapes(self):
+        """One tape per root of _sampling_tape, for the point-by-point rounds."""
+        return tuple(ex._Tape((e,)) for e in self._sampling_tape.roots)
 
 
 @dataclass(frozen=True)
@@ -338,6 +344,15 @@ def _symmetric_pair(idx: tuple):
     return idx[:-2] + tuple(sorted(idx[-2:])), 1
 
 
+def _antisymmetric_pair(idx: tuple):
+    """Orbit of a slot under swapping its first two indices with a sign
+    change, as _curvature_slot: None on the diagonal."""
+    i, j = idx[:2]
+    if i == j:
+        return None
+    return (idx, 1) if i < j else ((j, i) + idx[2:], -1)
+
+
 def _fill(shape: tuple, build, slot=None) -> np.ndarray:
     """Object array of the given shape with build(idx) called once per orbit.
 
@@ -367,11 +382,8 @@ def christoffel_at(chart: MetricChart, inverse: np.ndarray | None = None) -> np.
     ginv = _inverse_metric(g) if inverse is None else inverse
     coords = chart.coordinates
 
-    dg = _object_array((n, n, n))  # dg[a, i, j] = d_a g_ij
-    for a in range(n):
-        for i in range(n):
-            for j in range(n):
-                dg[a, i, j] = differentiate(g[i, j], coords[a])
+    # dg[a, i, j] = d_a g_ij
+    dg = _fill((n, n, n), lambda idx: differentiate(g[idx[1:]], coords[idx[0]]), _symmetric_pair)
 
     half = ex.const(1) / 2
 
@@ -406,21 +418,22 @@ class CurvatureBundle:
     stays a numeric check. Ricci's symmetry, which follows from it, does
     reduce Ricci's build; simplify gives S_jk and S_kj as one node anyway.
     nabla R and nabla C are built on first use, reduced the same way but
-    left unsimplified, and cached; so are the recurrence forms that
-    ``recurrence`` fits and the mu, nabla lambda and d lambda that
-    ``verify_theorem`` checks.
+    left unsimplified, and kept in ``_derived`` ("nabla_riemann",
+    "nabla_concircular"), where ``recurrence`` keeps the forms it builds,
+    each built once.
 
     Numeric values are kept per point set: the core block of ``values_at``,
     each ``field_values`` result and the curvature action of the identity
     checks. Only the two most recently used point sets are kept; evaluation
     is deterministic, so a point set evicted and asked for again gets the
-    same values.
+    same values. An empty point list raises GeometryError.
 
     Each evaluated root set is compiled once into an evaluation tape
     (``expressions._Tape``), kept in ``_tapes`` under the same entry as its
     values: "core" for ``values_at`` and the component tuple for
     ``field_values``. A new point set reruns the tape; the tapes live as
-    long as the bundle.
+    long as the bundle. R, G and C are read from the core block, so no
+    other tape is compiled over them.
     """
 
     def __init__(self, chart: MetricChart):
@@ -466,13 +479,7 @@ class CurvatureBundle:
             i, j, k, l = idx
             return ex.esum(ex.mul(riem[i, j, k, m], ginv[m, l]) for m in range(n))
 
-        def antisymmetric_first_pair(idx):
-            i, j, k, l = idx
-            if i == j:
-                return None
-            return ((i, j, k, l), 1) if i < j else ((j, i, k, l), -1)
-
-        riem13 = _fill((n,) * 4, build_riemann_13, antisymmetric_first_pair)
+        riem13 = _fill((n,) * 4, build_riemann_13, _antisymmetric_pair)
         self.riemann_13 = riem13
 
         ric = _fill(
@@ -543,9 +550,13 @@ class CurvatureBundle:
         """Values stored under entry for this point set, from compute() on a miss.
 
         Using a point set makes it the most recent; a new point set evicts
-        the least recently used one beyond the last _POINT_SETS_KEPT.
+        the least recently used one beyond the last _POINT_SETS_KEPT. Every
+        numeric read goes through here, so an empty point list is refused
+        here, with a GeometryError.
         """
         key = self._point_key(points)
+        if not key:
+            raise GeometryError(f"chart '{self.chart.name}': the point list is empty")
         store = self._blocks.get(key)
         if store is None:
             store = self._blocks[key] = {}
@@ -691,16 +702,17 @@ def curvature_action_from_second_derivative(
     derivative, nabla^2_{u,v} T - nabla^2_{v,u} T (the Ricci identity route).
 
     The difference is only evaluated, so like a "riemann-like" nabla^2 T it
-    is left unsimplified: both branches share one interned DAG.
+    is left unsimplified: both branches share one interned DAG. It is
+    antisymmetric in (u, v), so it is built for u < v only.
     """
     n = bundle.n
-    second = covariant_derivative_at(bundle, tensor, order=2)
-    comp = second.components
-    out = _object_array((n,) * (tensor.rank + 2))
-    for u in range(n):
-        for v in range(n):
-            for idx in np.ndindex(*(n,) * tensor.rank):
-                out[(u, v) + idx] = ex.sub(comp[(u, v) + idx], comp[(v, u) + idx])
+    comp = covariant_derivative_at(bundle, tensor, order=2).components
+
+    def build(idx):
+        u, v, rest = idx[0], idx[1], idx[2:]
+        return ex.sub(comp[idx], comp[(v, u) + rest])
+
+    out = _fill((n,) * (tensor.rank + 2), build, _antisymmetric_pair)
     return TensorField(n, tensor.rank + 2, out, symmetry="none")
 
 
@@ -711,10 +723,12 @@ def exterior_derivative_one_form_at(bundle: CurvatureBundle, omega: TensorField)
     n = bundle.n
     grad = covariant_derivative_at(bundle, omega).components  # [a, i] = (nabla_a w)_i
     half = ex.const(1) / 2
-    out = _object_array((n, n))
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = simplify(ex.mul(half, ex.sub(grad[i, j], grad[j, i])))
+
+    def build(idx):
+        i, j = idx
+        return simplify(ex.mul(half, ex.sub(grad[i, j], grad[j, i])))
+
+    out = _fill((n, n), build, _antisymmetric_pair)
     return TensorField(n, 2, out, symmetry="antisymmetric-2")
 
 
@@ -723,17 +737,12 @@ def wedge_two_one_forms_at(mu: TensorField, lam: TensorField) -> TensorField:
     if mu.rank != 1 or lam.rank != 1 or mu.dim != lam.dim:
         raise GeometryError("wedge expects two 1-forms of equal dimension")
     n = mu.dim
+    m, l = mu.components, lam.components
     half = ex.const(1) / 2
-    out = _object_array((n, n))
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = simplify(
-                ex.mul(
-                    half,
-                    ex.sub(
-                        ex.mul(mu.components[i], lam.components[j]),
-                        ex.mul(mu.components[j], lam.components[i]),
-                    ),
-                )
-            )
+
+    def build(idx):
+        i, j = idx
+        return simplify(ex.mul(half, ex.sub(ex.mul(m[i], l[j]), ex.mul(m[j], l[i]))))
+
+    out = _fill((n, n), build, _antisymmetric_pair)
     return TensorField(n, 2, out, symmetry="antisymmetric-2")

@@ -6,9 +6,10 @@ is compared against ``tol * (1 + scale)``, where the scale is the same
 contraction evaluated with every addend replaced by its absolute value.
 That makes the tolerance relative to the amount of cancellation actually
 demanded, so charts with wildly different curvature magnitudes are judged
-uniformly.  Every check, here and in ``recurrence``, builds its report
-through ``_report``; each cyclic sum is written once, in ``_cyclic``, and
-applied to the values and to their absolute values alike.
+uniformly.  Every check, here and in ``recurrence`` (the three links of
+its contraction chain included), builds its report through ``_report``;
+each cyclic sum is written once, in ``_cyclic``, and applied to the values
+and to their absolute values alike.
 
 The curvature action (R(d_u, d_v) T for rank-4 T) is evaluated here
 numerically through the derivation-property hooks, which need nothing

@@ -12,9 +12,16 @@ falls below a relative zero threshold are excluded from the fit (a tensor
 that is recurrent in the strict sense has no zeros).  lambda and mu are
 only ever evaluated, so they are left unsimplified, as nabla R and nabla C
 are; where lambda is zero (R on a constant-curvature chart) it evaluates
-to rounding noise rather than to an exact zero.  The bundle keeps lambda_R,
-lambda_C and, for verify_theorem, the mu, nabla lambda and d lambda of
-lambda_C, each built once.
+to rounding noise rather than to an exact zero.  R, G and C are read from
+the bundle's core block (``values_at``), never from a tape of their own.
+
+Every symbolic form is built once per bundle and kept on it: lambda_R and
+lambda_C, and the inputs that compute_mu, check_lambda_closed and
+check_mu_structure build, keyed by the interned component nodes of the
+1-forms they are built from.  verify_theorem calls those public functions,
+so it shares their forms.  Every check, the three links of the
+projective-to-Einstein contraction chain included, reports through the
+pass rule of ``identities._report``.
 
 The second recurrence form is mu = (dr - r lambda) / (n(n-1)); together
 the pair (lambda, mu) turns concircular recurrence into the extended
@@ -188,18 +195,25 @@ class TheoremReport:
 
 
 def _target_fields(bundle: CurvatureBundle, target: str):
+    """(core block name, symbolic field, its covariant derivative) of a target."""
     if target == "R":
-        return bundle.riemann, bundle.nabla_riemann()
+        return "riemann", bundle.riemann, bundle.nabla_riemann()
     if target == "C":
-        return bundle.concircular, bundle.nabla_concircular()
+        return "concircular", bundle.concircular, bundle.nabla_concircular()
     raise GeometryError(f"target must be 'R' or 'C', got {target!r}")
+
+
+def _form_key(name: str, *forms: TensorField) -> tuple:
+    """Bundle key of a form built from the given fields: their interned
+    component nodes, as ``CurvatureBundle.field_values`` keys its entries."""
+    return (name,) + tuple(tuple(f.components.ravel()) for f in forms)
 
 
 def _recurrence_form(bundle: CurvatureBundle, target: str) -> TensorField:
     """lambda_a = <nabla_a T, T> / <T, T>, built once per bundle and target."""
 
     def build():
-        tensor, grad = _target_fields(bundle, target)
+        _, tensor, grad = _target_fields(bundle, target)
         comp = tensor.components
         gcomp = grad.components
         den = ex.esum(ex.mul(comp[idx], comp[idx]) for idx in np.ndindex(*comp.shape))
@@ -232,17 +246,18 @@ def fit_recurrence_form(
     excluded; if every point is excluded the recurrence hypothesis is empty
     and HypothesisError is raised.
     """
-    tensor, grad = _target_fields(bundle, target)
+    vals = bundle.values_at(points)
+    name, _, grad = _target_fields(bundle, target)
     lam = _recurrence_form(bundle, target)
 
-    tv = bundle.field_values(tensor, points)
+    tv = vals[name]
     magnitudes = _per_point_max(tv)
-    zmax = float(np.max(magnitudes)) if len(points) else 0.0
+    zmax = float(np.max(magnitudes))
     # the zero threshold is relative to the largest target magnitude, but
     # never below the chart's own curvature scale 1 + max |G|: a target that
     # is pure cancellation noise (e.g. C on a constant-curvature chart) must
     # exclude every point rather than fit the noise
-    g_scale = 1.0 + float(np.max(np.abs(bundle.values_at(points)["gtensor"])))
+    g_scale = 1.0 + float(np.max(np.abs(vals["gtensor"])))
     admitted = magnitudes > ZERO_THRESHOLD * max(zmax, g_scale)
     if not np.any(admitted):
         raise HypothesisError(
@@ -271,23 +286,28 @@ def fit_recurrence_form(
 
 
 def compute_mu(bundle: CurvatureBundle, lam: TensorField) -> MuForm:
-    """Second recurrence form mu = (dr - r lambda) / (n(n-1))."""
+    """Second recurrence form mu = (dr - r lambda) / (n(n-1)), built once
+    per bundle and lambda."""
     n = bundle.n
     if lam.rank != 1 or lam.dim != n:
         raise GeometryError("lambda must be a 1-form on the same chart")
-    r = bundle.scalar_curvature
-    denom = ex.const(n * (n - 1))
-    dr = np.empty((n,), dtype=object)
-    mu = np.empty((n,), dtype=object)
-    for a, name in enumerate(bundle.chart.coordinates):
-        dr[a] = ex.simplify(ex.differentiate(r, name))
-        mu[a] = ex.div(ex.sub(dr[a], ex.mul(r, lam.components[a])), denom)
-    return MuForm(
-        mu=TensorField(n, 1, mu, symmetry="none"),
-        scalar=r,
-        dscalar=TensorField(n, 1, dr, symmetry="none"),
-        lam=lam,
-    )
+
+    def build():
+        r = bundle.scalar_curvature
+        denom = ex.const(n * (n - 1))
+        dr = np.empty((n,), dtype=object)
+        mu = np.empty((n,), dtype=object)
+        for a, name in enumerate(bundle.chart.coordinates):
+            dr[a] = ex.simplify(ex.differentiate(r, name))
+            mu[a] = ex.div(ex.sub(dr[a], ex.mul(r, lam.components[a])), denom)
+        return MuForm(
+            mu=TensorField(n, 1, mu, symmetry="none"),
+            scalar=r,
+            dscalar=TensorField(n, 1, dr, symmetry="none"),
+            lam=lam,
+        )
+
+    return bundle._derive(_form_key("mu", lam), build)
 
 
 def fit_mu_pointwise(bundle: CurvatureBundle, lam: TensorField, points) -> np.ndarray:
@@ -296,9 +316,9 @@ def fit_mu_pointwise(bundle: CurvatureBundle, lam: TensorField, points) -> np.nd
     Returns an (npoints, n) array; used to cross-check the closed form of
     compute_mu against the extended recurrence condition.
     """
+    vals = bundle.values_at(points)
+    rv, gv = vals["riemann"], vals["gtensor"]
     nr = bundle.field_values(bundle.nabla_riemann(), points)
-    rv = bundle.field_values(bundle.riemann, points)
-    gv = bundle.field_values(bundle.gtensor, points)
     lamv = bundle.field_values(lam, points)
     lhs = nr - np.einsum("pa,pwxyz->pawxyz", lamv, rv)
     num = np.einsum("pawxyz,pwxyz->pa", lhs, gv)
@@ -319,9 +339,9 @@ def check_extended_recurrence(
     the fit residual, so with mu = 0 it coincides with the R-fit residual
     for the same lambda.  The report's scale field is therefore zero.
     """
+    vals = bundle.values_at(points)
+    rv, gv = vals["riemann"], vals["gtensor"]
     nr = bundle.field_values(bundle.nabla_riemann(), points)
-    rv = bundle.field_values(bundle.riemann, points)
-    gv = bundle.field_values(bundle.gtensor, points)
     lamv = bundle.field_values(lam, points)
     muv = bundle.field_values(mu, points)
     diff = (
@@ -340,19 +360,13 @@ def check_lambda_closed(
 
     The scale is the antisymmetrized covariant derivative with absolute
     values, i.e. how much cancellation d lambda = 0 actually demands.
+    nabla lambda and d lambda are built once per bundle and lambda.
     """
-    return _lambda_closed_report(bundle, _closedness_fields(bundle, lam), points, tol)
 
+    def build():
+        return covariant_derivative_at(bundle, lam), exterior_derivative_one_form_at(bundle, lam)
 
-def _closedness_fields(bundle: CurvatureBundle, lam: TensorField) -> tuple:
-    """(nabla lambda, d lambda), the symbolic inputs of the closedness check."""
-    return covariant_derivative_at(bundle, lam), exterior_derivative_one_form_at(bundle, lam)
-
-
-def _lambda_closed_report(
-    bundle: CurvatureBundle, fields: tuple, points, tol: float
-) -> IdentityReport:
-    grad, dlam = fields
+    grad, dlam = bundle._derive(_form_key("closedness", lam), build)
     dv = bundle.field_values(dlam, points)
     gv = np.abs(bundle.field_values(grad, points))
     scale = 0.5 * (gv + np.einsum("pij->pji", gv))
@@ -372,19 +386,19 @@ def check_mu_structure(
     itself, and the display it reduces, R(U,V).R - 2 (d mu + mu ^ lambda)(U,V) G.
     Each is normalized by its own cancellation scale; the reported residual
     is the larger of the two (so the scale field is zero).  With mu = 0 the
-    second contraction is exactly the semisymmetry check.
+    second contraction is exactly the semisymmetry check.  d mu + mu ^ lambda
+    and nabla mu are built once per bundle, lambda and mu.
     """
-    dmu = exterior_derivative_one_form_at(bundle, mu)
-    wedge = wedge_two_one_forms_at(mu, lam)
-    n = bundle.n
-    form = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            form[i, j] = ex.add(dmu.components[i, j], wedge.components[i, j])
-    form_field = TensorField(n, 2, form, symmetry="antisymmetric-2")
 
+    def build():
+        dmu = exterior_derivative_one_form_at(bundle, mu)
+        wedge = wedge_two_one_forms_at(mu, lam)
+        form = dmu.components + wedge.components  # ex.add per component
+        form_field = TensorField(bundle.n, 2, form, symmetry="antisymmetric-2")
+        return form_field, covariant_derivative_at(bundle, mu)
+
+    form_field, gradmu = bundle._derive(_form_key("mu-structure", lam, mu), build)
     fv = bundle.field_values(form_field, points)
-    gradmu = covariant_derivative_at(bundle, mu)
     gmv = np.abs(bundle.field_values(gradmu, points))
     muv = np.abs(bundle.field_values(mu, points))
     lamv = np.abs(bundle.field_values(lam, points))
@@ -404,43 +418,23 @@ def check_mu_structure(
 
 @dataclass(frozen=True)
 class ProjEinsteinReport:
-    """Residuals of the contraction chain P -> Einstein -> constant curvature.
+    """The contraction chain P -> Einstein -> constant curvature, one
+    pass-rule report per link.
 
-    P(U,X,Y,Z) = (n-1) R(U,X,Y,Z) + g(U,Y) S(X,Z) - g(U,Z) S(X,Y); the
-    Einstein tensor is its literal -(1/n) g-trace over the (X,Z) pair, and
-    the last residual is the concircular tensor itself.
+    P(U,X,Y,Z) = (n-1) R(U,X,Y,Z) + g(U,Y) S(X,Z) - g(U,Z) S(X,Y) is
+    ``proj``; ``einstein`` is its literal -(1/n) g-trace over the (X,Z)
+    pair, and ``constcurv`` the concircular tensor itself.
     """
 
-    chart: str
-    points: tuple
-    proj_residuals: np.ndarray
-    proj_scales: np.ndarray
-    einstein_residuals: np.ndarray
-    einstein_scales: np.ndarray
-    constcurv_residuals: np.ndarray
-    constcurv_scales: np.ndarray
-    tol: float
-
-    def _passes(self, res, sc) -> np.ndarray:
-        return res <= self.tol * (1.0 + sc)
-
-    @property
-    def proj_passes(self) -> np.ndarray:
-        return self._passes(self.proj_residuals, self.proj_scales)
-
-    @property
-    def einstein_passes(self) -> np.ndarray:
-        return self._passes(self.einstein_residuals, self.einstein_scales)
-
-    @property
-    def constcurv_passes(self) -> np.ndarray:
-        return self._passes(self.constcurv_residuals, self.constcurv_scales)
+    proj: IdentityReport
+    einstein: IdentityReport
+    constcurv: IdentityReport
 
     @property
     def chain_holds(self) -> bool:
         """Wherever P vanishes, Einstein and constant curvature must follow."""
-        p = self.proj_passes
-        return bool(np.all(~p | (self.einstein_passes & self.constcurv_passes)))
+        p = self.proj.passes
+        return bool(np.all(~p | (self.einstein.passes & self.constcurv.passes)))
 
 
 def check_proj_einstein_chain(
@@ -470,15 +464,9 @@ def check_proj_einstein_chain(
     ] * np.abs(gt)
 
     return ProjEinsteinReport(
-        chart=bundle.chart.name,
-        points=tuple(points),
-        proj_residuals=_per_point_max(proj),
-        proj_scales=_per_point_max(proj_scale),
-        einstein_residuals=_per_point_max(einstein),
-        einstein_scales=_per_point_max(einstein_scale),
-        constcurv_residuals=_per_point_max(cv),
-        constcurv_scales=_per_point_max(cc_scale),
-        tol=tol,
+        proj=_report("projective", bundle, points, proj, proj_scale, tol),
+        einstein=_report("einstein", bundle, points, einstein, einstein_scale, tol),
+        constcurv=_report("constant-curvature", bundle, points, cv, cc_scale, tol),
     )
 
 
@@ -583,13 +571,10 @@ def verify_theorem(
 
     adm = cfit.admitted_points
     lam = cfit.lam
-    # mu, nabla lambda and d lambda of the bundle's lambda_C, built once
-    mu_form = bundle._derive("mu_C", lambda: compute_mu(bundle, lam))
-    closedness = bundle._derive("closedness_C", lambda: _closedness_fields(bundle, lam))
-    mu = mu_form.mu
+    mu_form = compute_mu(bundle, lam)
 
     n = bundle.n
-    muv = bundle.field_values(mu, adm)
+    muv = bundle.field_values(mu_form.mu, adm)
     drv = bundle.field_values(mu_form.dscalar, adm)
     lamv = bundle.field_values(lam, adm)
     rv = bundle.values_at(adm)["scalar"]
@@ -601,7 +586,7 @@ def verify_theorem(
     recurrence_check = check_extended_recurrence(
         bundle, lam, zero_one_form(n), adm, tol
     )
-    closed_check = _lambda_closed_report(bundle, closedness, adm, form_tol)
+    closed_check = check_lambda_closed(bundle, lam, adm, form_tol)
     semi_check = check_semisymmetry_at(bundle, adm, tol)
     return TheoremReport(
         chart=name,

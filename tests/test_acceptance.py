@@ -214,19 +214,19 @@ def test_criterion_07_projective_to_einstein_chain():
         pts = b.chart.sample_points(SEED, SAMPLES)
         rep = check_proj_einstein_chain(b, pts, tol=1e-9)
         good = bool(
-            rep.proj_passes.all()
-            and rep.einstein_passes.all()
-            and rep.constcurv_passes.all()
+            rep.proj.passes.all()
+            and rep.einstein.passes.all()
+            and rep.constcurv.passes.all()
             and rep.chain_holds
         )
         ok = ok and good
-        details.append(f"{name} P {np.max(rep.proj_residuals):.1e}")
+        details.append(f"{name} P {np.max(rep.proj.residuals):.1e}")
     b = bundle_for("ppwave_recurrent")
     pts = b.chart.sample_points(SEED, SAMPLES)
     rep = check_proj_einstein_chain(b, pts, tol=1e-8)
-    hyp_fails = bool(np.all(rep.proj_residuals > 0.1 * rep.proj_scales))
+    hyp_fails = bool(np.all(rep.proj.residuals > 0.1 * rep.proj.scales))
     ok = ok and hyp_fails and rep.chain_holds
-    details.append(f"ppwave min P/scale {np.min(rep.proj_residuals / rep.proj_scales):.2f} > 0.1")
+    details.append(f"ppwave min P/scale {np.min(rep.proj.residuals / rep.proj.scales):.2f} > 0.1")
     report(7, "Einstein chain", ok, "; ".join(details))
 
 

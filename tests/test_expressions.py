@@ -670,3 +670,17 @@ def test_simplify_keeps_a_term_over_zero(text):
     with pytest.raises(ex.DomainError) as err:
         ex.evaluate(s, {"x": 1.0, "y": 2.0})
     assert str(err.value).startswith("division by zero")
+
+
+def test_differentiate_and_dual_oracle_agree_on_a_deep_sum():
+    # 1200 terms chained by esum: deeper than Python's default recursion limit
+    x = ex.var("x")
+    e = ex.esum(ex.mul(ex.const(k), ex.sin(ex.mul(ex.const(k), x))) for k in range(1, 1201))
+    d = ex.differentiate(e, "x")
+    assert ex.differentiate(e, "x") is d
+    for p in (0.3, -1.7):
+        dual = ex.evaluate_dual(e, {"x": p}, {"x": 1.0})
+        assert dual.value == ex.evaluate(e, {"x": p})
+        want = sum(k * k * math.cos(k * p) for k in range(1, 1201))
+        assert abs(dual.deriv - want) <= 1e-9 * (1.0 + abs(want))
+        assert abs(ex.evaluate(d, {"x": p}) - dual.deriv) <= 1e-12 * (1.0 + abs(dual.deriv))

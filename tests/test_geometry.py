@@ -660,6 +660,52 @@ def test_sample_points_draws_and_admits_as_the_one_at_a_time_loop():
             assert got == want, (chart.name, seed)
 
 
+def test_sample_points_builds_its_tapes_once_per_chart(monkeypatch):
+    # the ln chart's blocks raise, so its rounds are decided point by point:
+    # through the block tape, one tape for the exclusion and one for det g
+    built = []
+
+    class CountingTape(ex._Tape):
+        __slots__ = ()
+
+        def __init__(self, exprs):
+            built.append(exprs)
+            super().__init__(exprs)
+
+    monkeypatch.setattr(ex, "_Tape", CountingTape)
+    chart = _chart("ln", ("x", "y"), [["1", "0"], ["0", "1"]],
+                   {"x": (-0.2, 3.0), "y": (0.0, 1.0)},
+                   exclusions=(ex.parse("ln(x) + 5", ("x", "y")),))
+    for seed in range(5):
+        _sampling_outcome(type(chart).sample_points, chart, seed, 25)
+    assert len(built) == 3
+
+
+def test_an_empty_point_list_is_refused_by_every_numeric_read():
+    from concirc.identities import check_bianchi_at
+    from concirc.recurrence import check_proj_einstein_chain, fit_recurrence_form
+
+    calls = {
+        "walker": lambda b: check_walker_at(b, []),
+        "bianchi-first": lambda b: check_bianchi_at(b, "first", []),
+        "bianchi-second": lambda b: check_bianchi_at(b, "second", []),
+        "semisymmetry": lambda b: check_semisymmetry_at(b, []),
+        "classify": lambda b: classify(b, []),
+        "fit-R": lambda b: fit_recurrence_form(b, "R", []),
+        "fit-C": lambda b: fit_recurrence_form(b, "C", []),
+        "verify-theorem": lambda b: verify_theorem(b, []),
+        "values": lambda b: b.values_at([]),
+        "field": lambda b: b.field_values(b.nabla_riemann(), []),
+    }
+    for name in ("sphere_2", "ppwave_recurrent", "perturbed_flat"):
+        b = curvature_bundle_at(get_builtin(name).chart)
+        chain = {"chain": lambda b: check_proj_einstein_chain(b, [])} if b.n >= 3 else {}
+        for what, call in {**calls, **chain}.items():
+            with pytest.raises(GeometryError, match="the point list is empty") as err:
+                call(b)
+            assert type(err.value) is GeometryError, (name, what)
+
+
 def test_tensor_field_evaluate_is_its_block_row_on_every_builtin():
     from concirc.catalog import builtin_names
     from concirc.recurrence import _recurrence_form

@@ -344,9 +344,9 @@ def test_proj_einstein_chain_on_constant_curvature():
         b = bundle_for(name)
         pts = b.chart.sample_points(42, 8)
         rep = check_proj_einstein_chain(b, pts, tol=1e-9)
-        assert rep.proj_passes.all(), name
-        assert rep.einstein_passes.all(), name
-        assert rep.constcurv_passes.all(), name
+        assert rep.proj.passes.all(), name
+        assert rep.einstein.passes.all(), name
+        assert rep.constcurv.passes.all(), name
         assert rep.chain_holds
 
 
@@ -354,8 +354,8 @@ def test_proj_einstein_chain_hypothesis_fails_on_ppwave():
     b = bundle_for("ppwave_recurrent")
     pts = b.chart.sample_points(42, 8)
     rep = check_proj_einstein_chain(b, pts, tol=1e-8)
-    assert np.all(rep.proj_residuals > 0.1 * rep.proj_scales)
-    assert not rep.proj_passes.any()
+    assert np.all(rep.proj.residuals > 0.1 * rep.proj.scales)
+    assert not rep.proj.passes.any()
     assert rep.chain_holds  # vacuously: P = 0 never fires
 
 
@@ -465,7 +465,8 @@ def test_verify_theorem_on_ppwave():
 
 
 def test_verify_theorem_builds_its_forms_once_per_bundle(monkeypatch):
-    # mu, nabla lambda and d lambda live on the bundle with lambda itself
+    # mu, nabla lambda and d lambda live on the bundle with lambda itself;
+    # compute_mu is called every time, but differentiates r only once
     b = curvature_bundle_at(get_builtin("ppwave_recurrent").chart)
     assert verify_theorem(b, b.chart.sample_points(1, 6)).passed
     builds = []
@@ -480,11 +481,66 @@ def test_verify_theorem_builds_its_forms_once_per_bundle(monkeypatch):
         (geometry, "covariant_derivative_at"),
         (recurrence, "covariant_derivative_at"),
         (recurrence, "exterior_derivative_one_form_at"),
-        (recurrence, "compute_mu"),
+        (ex, "differentiate"),
     ):
         monkeypatch.setattr(module, name, counting(getattr(module, name)))
     assert verify_theorem(b, b.chart.sample_points(2, 6)).passed
     assert builds == []
+
+
+def test_derived_forms_are_built_once_per_bundle_and_input(monkeypatch):
+    b = curvature_bundle_at(get_builtin("ppwave_recurrent").chart)
+    lam = _recurrence_form(b, "C")
+    # an equal 1-form held in another TensorField finds the same forms
+    twin = TensorField(b.n, 1, lam.components.copy())
+    pts = b.chart.sample_points(1, 5)
+    mu = compute_mu(b, lam)
+    assert compute_mu(b, twin) is mu
+    first = (check_lambda_closed(b, lam, pts), check_mu_structure(b, lam, mu.mu, pts))
+    builds = []
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            builds.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("covariant_derivative_at", "exterior_derivative_one_form_at",
+                 "wedge_two_one_forms_at"):
+        monkeypatch.setattr(recurrence, name, counting(getattr(recurrence, name)))
+    again = (check_lambda_closed(b, twin, pts), check_mu_structure(b, twin, mu.mu, pts))
+    assert builds == []
+    for old, new in zip(first, again):
+        np.testing.assert_array_equal(old.residuals, new.residuals)
+    # another lambda gets forms of its own
+    other = _const_one_form(b, [1.0, 0.0, 0.0, 0.0])
+    assert compute_mu(b, other) is not mu
+    check_lambda_closed(b, other, pts)
+    assert builds == ["covariant_derivative_at", "exterior_derivative_one_form_at"]
+
+
+@pytest.mark.parametrize("name", ["perturbed_flat", "ppwave_recurrent"])
+def test_classify_and_verify_theorem_read_core_fields_from_the_core_tape(monkeypatch, name):
+    b = curvature_bundle_at(get_builtin(name).chart)
+    core = {
+        field: tuple(tf.components.ravel())
+        for field, tf in (("R", b.riemann), ("G", b.gtensor), ("C", b.concircular))
+    }
+    roots = []
+
+    class RecordingTape(ex._Tape):
+        __slots__ = ()
+
+        def __init__(self, exprs):
+            roots.append(tuple(exprs))
+            super().__init__(exprs)
+
+    monkeypatch.setattr(ex, "_Tape", RecordingTape)
+    pts = b.chart.sample_points(42, 8)
+    classify(b, pts)
+    verify_theorem(b, pts)
+    assert roots  # the core block and the derived fields were compiled here
+    assert [field for field, comps in core.items() if comps in roots] == []
 
 
 def test_verify_theorem_skips_on_constant_curvature():
