@@ -30,14 +30,18 @@ evaluating component arrays at sample points and contracting with numpy.
 metric, its inverse, Gamma, R, Ricci, r, G and C (C vanishes identically in
 dimension 2), and the derivatives of fields not tagged "riemann-like"
 (nabla g, d of a 1-form) and the wedge. R is built from the metric's second
-derivatives and Gamma,
+derivatives and the first-kind symbols
+Gamma_l,ij = (1/2)(d_i g_jl + d_j g_il - d_l g_ij), which have no
+denominator,
 R[i,j,k,m] = (1/2)(d_k d_i g_mj + d_m d_j g_ki - d_k d_j g_mi - d_m d_i g_kj)
-             + g_ef (Gamma^e_ki Gamma^f_mj - Gamma^e_kj Gamma^f_mi),
-and riemann_13 is R with its last index raised. riemann_13, and the
-derivatives and curvature action of a "riemann-like" field (nabla R,
-nabla C, nabla^2 R, R(d_u, d_v).R), are only ever evaluated or summed into
-a simplified field, so they are kept as built: shared DAGs that cost less
-to build and to evaluate than their simplified forms.
+             + g^ab (Gamma_a,ki Gamma_b,mj - Gamma_a,kj Gamma_b,mi),
+so each term of the quadratic part carries one det g denominator, not the
+det g^2 of g_ef Gamma^e_ki Gamma^f_mj; riemann_13 is R with its last index
+raised. riemann_13, and the derivatives and curvature action of a
+"riemann-like" field (nabla R, nabla C, nabla^2 R, R(d_u, d_v).R), are
+only ever evaluated or summed into a simplified field, so they are kept as
+built: shared DAGs that cost less to build and to evaluate than their
+simplified forms.
 """
 
 from __future__ import annotations
@@ -412,6 +416,9 @@ class CurvatureBundle:
     and Ricci are built for i <= j, Gamma for i <= j in its lower pair,
     riemann_13 for i < j, and riemann, gtensor and concircular (tagged
     "riemann-like") for one slot per orbit of the pair symmetries.
+    riemann's quadratic part is g^ab Gamma_a,ki Gamma_b,mj, from the
+    first-kind symbols Gamma_l,ij (built for i <= j, not kept, and not
+    simplified on their own), so it has one det g denominator.
     Gamma, riemann, ricci, the scalar, gtensor and concircular are
     simplified; riemann_13 is raised from riemann by g^-1 and left
     unsimplified. The first Bianchi identity is not used to reduce R; it
@@ -444,12 +451,22 @@ class CurvatureBundle:
 
         self.inverse_metric = _inverse_metric(g)
         self.christoffel = christoffel_at(chart, self.inverse_metric)
-        gamma = self.christoffel
         ginv = self.inverse_metric
         half = ex.const(1) / 2
 
+        def dg(a, p, q):  # d_a g_pq
+            return differentiate(g[p, q], coords[a])
+
         def ddg(a, b, p, q):  # d_a d_b g_pq
-            return differentiate(differentiate(g[p, q], coords[b]), coords[a])
+            return differentiate(dg(b, p, q), coords[a])
+
+        def build_gamma1(idx):  # Gamma_l,ij = (d_i g_jl + d_j g_il - d_l g_ij) / 2
+            l, i, j = idx
+            return ex.mul(half, ex.sub(ex.add(dg(i, j, l), dg(j, i, l)), dg(l, i, j)))
+
+        # first-kind symbols at [l, i, j]: no denominator, and left
+        # unsimplified, being linear in dg; R's simplify absorbs them
+        gamma1 = _fill((n, n, n), build_gamma1, _symmetric_pair)
 
         def build_riemann(idx):
             i, j, k, m = idx
@@ -459,14 +476,14 @@ class CurvatureBundle:
             )
             quad = ex.esum(
                 ex.mul(
-                    g[e, f],
+                    ginv[a, b],
                     ex.sub(
-                        ex.mul(gamma[e, k, i], gamma[f, m, j]),
-                        ex.mul(gamma[e, k, j], gamma[f, m, i]),
+                        ex.mul(gamma1[a, k, i], gamma1[b, m, j]),
+                        ex.mul(gamma1[a, k, j], gamma1[b, m, i]),
                     ),
                 )
-                for e in range(n)
-                for f in range(n)
+                for a in range(n)
+                for b in range(n)
             )
             out = simplify(ex.add(ex.mul(half, second), quad))
             _guard("riemann", idx, out)
