@@ -18,8 +18,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import expressions as ex
 from .catalog import MetricFileError, builtin_names, get_builtin, load_metric_spec
 from .geometry import GeometryError, curvature_bundle_at
@@ -135,12 +133,6 @@ def _parse_point(spec: str, chart) -> dict:
     return point
 
 
-def _nested(arr: np.ndarray):
-    if arr.ndim == 0:
-        return float(arr)
-    return [_nested(a) for a in arr]
-
-
 def _point_entry(coords_dict, scalar, checks, lam=None, mu_norm=None, components=None):
     entry = {
         "coords": {k: float(v) for k, v in coords_dict.items()},
@@ -154,10 +146,9 @@ def _point_entry(coords_dict, scalar, checks, lam=None, mu_norm=None, components
     return entry
 
 
-def _check_entry(name, residual, scale, tol):
-    ok = bool(residual <= tol * (1.0 + scale))
+def _check_entry(name, residual, scale, ok):
     return {"name": name, "residual": float(residual), "scale": float(scale),
-            "pass": ok}
+            "pass": bool(ok)}
 
 
 def _assemble(chart, args, tol, points, point_entries, classification) -> dict:
@@ -204,15 +195,15 @@ def _run_chart_command(args) -> int:
         target = _parse_point(args.point, chart) if args.point else points[0]
         vals = bundle.values_at([target])
         components = {
-            "metric": _nested(vals["metric"][0]),
-            "inverse_metric": _nested(vals["inverse_metric"][0]),
-            "christoffel": _nested(vals["christoffel"][0]),
-            "riemann": _nested(vals["riemann"][0]),
-            "riemann_13": _nested(vals["riemann_13"][0]),
-            "ricci": _nested(vals["ricci"][0]),
+            "metric": vals["metric"][0].tolist(),
+            "inverse_metric": vals["inverse_metric"][0].tolist(),
+            "christoffel": vals["christoffel"][0].tolist(),
+            "riemann": vals["riemann"][0].tolist(),
+            "riemann_13": vals["riemann_13"][0].tolist(),
+            "ricci": vals["ricci"][0].tolist(),
             "scalar_curvature": float(vals["scalar"][0]),
-            "gtensor": _nested(vals["gtensor"][0]),
-            "concircular": _nested(vals["concircular"][0]),
+            "gtensor": vals["gtensor"][0].tolist(),
+            "concircular": vals["concircular"][0].tolist(),
         }
         entries.append(
             _point_entry(target, vals["scalar"][0], [], components=components)
@@ -221,7 +212,7 @@ def _run_chart_command(args) -> int:
     elif args.command == "check":
         rep = _IDENTITY_CHECKS[args.identity](bundle, points, tol)
         for i, p in enumerate(points):
-            checks = [_check_entry(rep.identity, rep.residuals[i], rep.scales[i], tol)]
+            checks = [_check_entry(rep.identity, rep.residuals[i], rep.scales[i], rep.passes[i])]
             entries.append(_point_entry(p, scalars[i], checks))
 
     elif args.command == "fit":
@@ -242,7 +233,7 @@ def _run_chart_command(args) -> int:
                 for k, c in enumerate(chart.coordinates)
             }
             checks = [
-                _check_entry(f"fit-{args.target}", fit.residuals[i], 0.0, tol)
+                _check_entry(f"fit-{args.target}", fit.residuals[i], 0.0, fit.passes[i])
             ]
             entries.append(_point_entry(p, scalars[i], checks, lam=lam_doc))
             adm_index += 1
@@ -261,18 +252,16 @@ def _run_chart_command(args) -> int:
             for i, p in enumerate(points):
                 entries.append(_point_entry(p, scalars[i], []))
         else:
-            adm = {id(p): k for k, p in enumerate(rep.c_fit.admitted_points)}
             lamv = bundle.field_values(rep.c_fit.lam, rep.c_fit.admitted_points)
+            k = 0
             for i, p in enumerate(points):
-                k = adm.get(id(p))
-                if k is None:
+                if not rep.c_fit.admitted[i]:
                     entries.append(_point_entry(p, scalars[i], []))
                     continue
-                checks = []
-                for name, sub in rep.checks.items():
-                    checks.append(
-                        _check_entry(name, sub.residuals[k], sub.scales[k], sub.tol)
-                    )
+                checks = [
+                    _check_entry(name, sub.residuals[k], sub.scales[k], sub.passes[k])
+                    for name, sub in rep.checks.items()
+                ]
                 lam_doc = {
                     c: float(lamv[k, j]) for j, c in enumerate(chart.coordinates)
                 }
@@ -280,6 +269,7 @@ def _run_chart_command(args) -> int:
                 entries.append(
                     _point_entry(p, scalars[i], checks, lam=lam_doc, mu_norm=mu_norm)
                 )
+                k += 1
 
     doc = _assemble(chart, args, tol, points, entries, verdict.verdict)
     return _emit(doc, args)

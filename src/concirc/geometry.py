@@ -28,20 +28,20 @@ evaluating component arrays at sample points and contracting with numpy.
 
 ``simplify`` runs where a check or a test needs an exact symbolic zero: the
 metric, its inverse, Gamma, R, Ricci, r, G and C (C vanishes identically in
-dimension 2), and the derivatives of fields not tagged "riemann-like"
-(nabla g, d of a 1-form) and the wedge. R is built from the metric's second
-derivatives and the first-kind symbols
+dimension 2), nabla g (metric compatibility, the one exact zero a
+covariant derivative owes) and the wedge. R is built from the metric's
+second derivatives and the first-kind symbols
 Gamma_l,ij = (1/2)(d_i g_jl + d_j g_il - d_l g_ij), which have no
 denominator,
 R[i,j,k,m] = (1/2)(d_k d_i g_mj + d_m d_j g_ki - d_k d_j g_mi - d_m d_i g_kj)
              + g^ab (Gamma_a,ki Gamma_b,mj - Gamma_a,kj Gamma_b,mi),
 so each term of the quadratic part carries one det g denominator, not the
 det g^2 of g_ef Gamma^e_ki Gamma^f_mj; riemann_13 is R with its last index
-raised. riemann_13, and the derivatives and curvature action of a
-"riemann-like" field (nabla R, nabla C, nabla^2 R, R(d_u, d_v).R), are
-only ever evaluated or summed into a simplified field, so they are kept as
-built: shared DAGs that cost less to build and to evaluate than their
-simplified forms.
+raised. riemann_13, every other covariant derivative (nabla R, nabla C,
+nabla^2 R, nabla of a 1-form), the exterior derivative of a 1-form and the
+curvature action are only ever evaluated or summed into a simplified
+field, so they are kept as built: shared DAGs that cost less to build and
+to evaluate than their simplified forms.
 """
 
 from __future__ import annotations
@@ -251,12 +251,12 @@ class TensorField:
     slots: antisymmetric within each of the pairs (i1, i2) and (i3, i4) and
     symmetric under swapping the pairs. covariant_derivative_at and
     curvature_action_at read that tag: they build one component per orbit
-    of those four slots and fill the rest by sign, leave each build
-    unsimplified, and keep the tag on their result, so nabla R, nabla C and
-    nabla^2 R are reduced and left unsimplified too. For any other tag they
-    simplify every component. The other tags are descriptive only. No tag
-    is used to reduce by the first Bianchi identity, which the identity
-    checks verify numerically.
+    of those four slots, fill the rest by sign and keep the tag on their
+    result, so nabla R, nabla C and nabla^2 R are reduced too. For any other
+    tag they build every component and tag the result "none". The other
+    tags are descriptive only, and no tag decides whether a component is
+    simplified. No tag is used to reduce by the first Bianchi identity,
+    which the identity checks verify numerically.
     """
 
     dim: int
@@ -650,10 +650,9 @@ def covariant_derivative_at(bundle: CurvatureBundle, tensor: TensorField, order:
     order=2 applies the derivative twice, so the result's first two slots are
     (a, b) with nabla^2_{a,b} = nabla_a nabla_b - nabla_{nabla_a b}. A
     "riemann-like" input gives a "riemann-like" result built once per orbit
-    of its last four slots, each build left as the derivative minus the
-    Gamma contractions. Any other input gives a "none" result whose every
-    component is simplified, so nabla g is an exact zero wherever the
-    simplifier can show it.
+    of its last four slots, any other input a "none" result. Components are
+    kept as built, except for the chart metric's own nodes: metric
+    compatibility makes nabla g an exact zero, so those are simplified.
     """
     if order not in (1, 2):
         raise GeometryError(f"order must be 1 or 2, got {order}")
@@ -664,8 +663,11 @@ def covariant_derivative_at(bundle: CurvatureBundle, tensor: TensorField, order:
     gamma = bundle.christoffel
     rank = tensor.rank
     comp = tensor.components
+    g = bundle.chart.metric
 
     reduce = tensor.symmetry == "riemann-like"
+    # nodes are interned, so this is structural equality with the metric
+    metric = comp.shape == g.shape and all(map(operator.is_, comp.flat, g.flat))
 
     def build(full):
         a, idx = full[0], full[1:]
@@ -674,7 +676,7 @@ def covariant_derivative_at(bundle: CurvatureBundle, tensor: TensorField, order:
             for m in range(n):
                 swapped = idx[:s] + (m,) + idx[s + 1 :]
                 acc = ex.sub(acc, ex.mul(gamma[m, a, idx[s]], comp[swapped]))
-        return acc if reduce else simplify(acc)
+        return simplify(acc) if metric else acc
 
     out = _fill((n,) * (rank + 1), build, _curvature_slot if reduce else None)
     result = TensorField(n, rank + 1, out, symmetry=tensor.symmetry if reduce else "none")
@@ -688,8 +690,8 @@ def curvature_action_at(bundle: CurvatureBundle, tensor: TensorField) -> TensorF
     derivation property: minus the sum of T with R(d_u,d_v) hooked into each
     slot. Independent of covariant differentiation. As in
     covariant_derivative_at, a "riemann-like" input is built once per orbit
-    of the last four slots and left unsimplified; any other input is
-    simplified."""
+    of the last four slots and any other input slot by slot; the action is
+    only ever evaluated, so every component is kept as built."""
     n = bundle.n
     if tensor.rank != 4 or tensor.dim != n:
         raise GeometryError("curvature action expects a rank-4 field on the same chart")
@@ -706,7 +708,7 @@ def curvature_action_at(bundle: CurvatureBundle, tensor: TensorField) -> TensorF
             acc = ex.add(acc, ex.mul(riem13[u, v, x, m], comp[w, m, y, z]))
             acc = ex.add(acc, ex.mul(riem13[u, v, y, m], comp[w, x, m, z]))
             acc = ex.add(acc, ex.mul(riem13[u, v, z, m], comp[w, x, y, m]))
-        return ex.neg(acc) if reduce else simplify(ex.neg(acc))
+        return ex.neg(acc)
 
     out = _fill((n,) * 6, build, _curvature_slot if reduce else None)
     return TensorField(n, 6, out, symmetry=tensor.symmetry if reduce else "none")
@@ -734,7 +736,8 @@ def curvature_action_from_second_derivative(
 
 
 def exterior_derivative_one_form_at(bundle: CurvatureBundle, omega: TensorField) -> TensorField:
-    """d omega for a 1-form, with (d w)(U,V) = ((nabla_U w)(V) - (nabla_V w)(U)) / 2."""
+    """d omega for a 1-form, with (d w)(U,V) = ((nabla_U w)(V) - (nabla_V w)(U)) / 2,
+    kept as built like nabla omega."""
     if omega.rank != 1 or omega.dim != bundle.n:
         raise GeometryError("exterior derivative expects a 1-form on the same chart")
     n = bundle.n
@@ -743,14 +746,15 @@ def exterior_derivative_one_form_at(bundle: CurvatureBundle, omega: TensorField)
 
     def build(idx):
         i, j = idx
-        return simplify(ex.mul(half, ex.sub(grad[i, j], grad[j, i])))
+        return ex.mul(half, ex.sub(grad[i, j], grad[j, i]))
 
     out = _fill((n, n), build, _antisymmetric_pair)
     return TensorField(n, 2, out, symmetry="antisymmetric-2")
 
 
 def wedge_two_one_forms_at(mu: TensorField, lam: TensorField) -> TensorField:
-    """mu wedge lam with the 1/2 normalization matching the exterior derivative."""
+    """mu wedge lam with the 1/2 normalization matching the exterior derivative,
+    simplified, so lam ^ lam is an exact zero."""
     if mu.rank != 1 or lam.rank != 1 or mu.dim != lam.dim:
         raise GeometryError("wedge expects two 1-forms of equal dimension")
     n = mu.dim

@@ -9,19 +9,20 @@ with <.,.> the componentwise inner product over all n^rank entries.  The
 quotient is built symbolically so that the closedness of lambda can later
 be tested by symbolic differentiation; points where the target magnitude
 falls below a relative zero threshold are excluded from the fit (a tensor
-that is recurrent in the strict sense has no zeros).  lambda and mu are
-only ever evaluated, so they are left unsimplified, as nabla R and nabla C
-are; where lambda is zero (R on a constant-curvature chart) it evaluates
-to rounding noise rather than to an exact zero.  R, G and C are read from
-the bundle's core block (``values_at``), never from a tape of their own.
+that is recurrent in the strict sense has no zeros).  lambda, mu and the
+forms built from them are only ever evaluated, so none is simplified, as
+nabla R and nabla C are not; where lambda is zero (R on a constant-curvature
+chart) it evaluates to rounding noise rather than to an exact zero.  R, G
+and C are read from the bundle's core block (``values_at``), never from a
+tape of their own.
 
 Every symbolic form is built once per bundle and kept on it: lambda_R and
 lambda_C, and the inputs that compute_mu, check_lambda_closed and
 check_mu_structure build, keyed by the interned component nodes of the
-1-forms they are built from.  verify_theorem calls those public functions,
-so it shares their forms.  Every check, the three links of the
-projective-to-Einstein contraction chain included, reports through the
-pass rule of ``identities._report``.
+1-forms they are built from; mu ^ lambda is formed from values, not built.
+verify_theorem calls those public functions, so it shares their forms.
+Every check, the three links of the projective-to-Einstein contraction
+chain included, reports through the pass rule of ``identities._report``.
 
 The second recurrence form is mu = (dr - r lambda) / (n(n-1)); together
 the pair (lambda, mu) turns concircular recurrence into the extended
@@ -89,7 +90,8 @@ class RecurrenceFit:
     """Least-squares recurrence form for one target tensor.
 
     residuals is aligned with points and holds NaN at excluded points;
-    magnitudes is the per-point max absolute target component.
+    magnitudes is the per-point max absolute target component. passes is
+    residual <= tol at admitted points and False at excluded ones.
     """
 
     target: str
@@ -115,10 +117,12 @@ class RecurrenceFit:
         return float(np.max(vals)) if len(vals) else float("nan")
 
     @property
+    def passes(self) -> np.ndarray:
+        return self.admitted & (self.residuals <= self.tol)
+
+    @property
     def passed(self) -> bool:
-        if not np.any(self.admitted):
-            return False
-        return bool(np.all(self.residuals[self.admitted] <= self.tol))
+        return bool(np.any(self.admitted) and np.all(self.passes[self.admitted]))
 
     def __str__(self) -> str:
         verdict = "pass" if self.passed else "FAIL"
@@ -298,7 +302,7 @@ def compute_mu(bundle: CurvatureBundle, lam: TensorField) -> MuForm:
         dr = np.empty((n,), dtype=object)
         mu = np.empty((n,), dtype=object)
         for a, name in enumerate(bundle.chart.coordinates):
-            dr[a] = ex.simplify(ex.differentiate(r, name))
+            dr[a] = ex.differentiate(r, name)
             mu[a] = ex.div(ex.sub(dr[a], ex.mul(r, lam.components[a])), denom)
         return MuForm(
             mu=TensorField(n, 1, mu, symmetry="none"),
@@ -386,25 +390,19 @@ def check_mu_structure(
     itself, and the display it reduces, R(U,V).R - 2 (d mu + mu ^ lambda)(U,V) G.
     Each is normalized by its own cancellation scale; the reported residual
     is the larger of the two (so the scale field is zero).  With mu = 0 the
-    second contraction is exactly the semisymmetry check.  d mu + mu ^ lambda
-    and nabla mu are built once per bundle, lambda and mu.
+    second contraction is exactly the semisymmetry check.  d mu and nabla mu
+    are built once per bundle and mu; mu ^ lambda is formed from their values.
     """
 
     def build():
-        dmu = exterior_derivative_one_form_at(bundle, mu)
-        wedge = wedge_two_one_forms_at(mu, lam)
-        form = dmu.components + wedge.components  # ex.add per component
-        form_field = TensorField(bundle.n, 2, form, symmetry="antisymmetric-2")
-        return form_field, covariant_derivative_at(bundle, mu)
+        return exterior_derivative_one_form_at(bundle, mu), covariant_derivative_at(bundle, mu)
 
-    form_field, gradmu = bundle._derive(_form_key("mu-structure", lam, mu), build)
-    fv = bundle.field_values(form_field, points)
-    gmv = np.abs(bundle.field_values(gradmu, points))
-    muv = np.abs(bundle.field_values(mu, points))
-    lamv = np.abs(bundle.field_values(lam, points))
-    scale1 = 0.5 * (gmv + np.einsum("pij->pji", gmv)) + 0.5 * (
-        np.einsum("pi,pj->pij", muv, lamv) + np.einsum("pj,pi->pij", muv, lamv)
-    )
+    dmu, gradmu = bundle._derive(_form_key("mu-structure", mu), build)
+    muv, lamv = bundle.field_values(mu, points), bundle.field_values(lam, points)
+    outer = np.einsum("pi,pj->pij", muv, lamv)
+    fv = bundle.field_values(dmu, points) + 0.5 * (outer - np.einsum("pij->pji", outer))
+    bound = np.abs(bundle.field_values(gradmu, points)) + np.abs(outer)
+    scale1 = 0.5 * (bound + np.einsum("pij->pji", bound))
     res1 = _per_point_max(fv) / (1.0 + _per_point_max(scale1))
 
     acted, acted_abs = _curvature_action(bundle, points)

@@ -1,5 +1,6 @@
 """Recurrence fitting, the derived 1-forms, classification, theorem checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,10 +9,24 @@ import pytest
 import concirc.expressions as ex
 from concirc import geometry, recurrence
 from concirc.catalog import get_builtin
-from concirc.geometry import GeometryError, MetricChart, TensorField, curvature_bundle_at
-from concirc.identities import HypothesisError, random_curvature_like
+from concirc.geometry import (
+    GeometryError,
+    MetricChart,
+    TensorField,
+    curvature_bundle_at,
+    exterior_derivative_one_form_at,
+    wedge_two_one_forms_at,
+)
+from concirc.identities import (
+    HypothesisError,
+    _curvature_action,
+    _per_point_max,
+    _report,
+    random_curvature_like,
+)
 from concirc.recurrence import (
     VERDICTS,
+    RecurrenceFit,
     _recurrence_form,
     check_extended_recurrence,
     check_lambda_closed,
@@ -172,6 +187,28 @@ def test_fit_report_shape():
     assert len(fit.admitted_points) == 5
     assert "surface_power" in str(fit)
     assert "pass" in str(fit)
+
+
+def test_fit_passes_per_point():
+    # residual <= tol at admitted points; an excluded point never passes
+    fit = RecurrenceFit(
+        target="R",
+        chart="synthetic",
+        lam=zero_one_form(2),
+        points=({}, {}, {}),
+        magnitudes=np.ones(3),
+        admitted=np.array([True, True, False]),
+        residuals=np.array([1e-9, 1e-7, np.nan]),
+        tol=1e-8,
+    )
+    np.testing.assert_array_equal(fit.passes, [True, False, False])
+    assert not fit.passed
+    ok = dataclasses.replace(fit, residuals=np.array([1e-9, 1e-8, np.nan]))
+    np.testing.assert_array_equal(ok.passes, [True, True, False])
+    assert ok.passed
+    none = dataclasses.replace(fit, admitted=np.zeros(3, dtype=bool))
+    assert not none.passes.any()
+    assert not none.passed
 
 
 # -- mu ---------------------------------------------------------------------------
@@ -336,6 +373,50 @@ def test_mu_structure_reduces_to_semisymmetry_for_zero_mu():
     assert not rep.passed
 
 
+def _reference_mu_structure(bundle, lam, mu, points, tol=1e-8):
+    """check_mu_structure by the symbolic route: d mu + mu ^ lambda built as
+    one 2-form field from exterior_derivative_one_form_at and
+    wedge_two_one_forms_at, then evaluated."""
+    form = TensorField(
+        bundle.n,
+        2,
+        exterior_derivative_one_form_at(bundle, mu).components
+        + wedge_two_one_forms_at(mu, lam).components,
+    )
+    fv = form.evaluate_block(points)
+    gmv = np.abs(geometry.covariant_derivative_at(bundle, mu).evaluate_block(points))
+    muv, lamv = np.abs(mu.evaluate_block(points)), np.abs(lam.evaluate_block(points))
+    scale1 = 0.5 * (gmv + np.einsum("pij->pji", gmv)) + 0.5 * (
+        np.einsum("pi,pj->pij", muv, lamv) + np.einsum("pj,pi->pij", muv, lamv)
+    )
+    res1 = _per_point_max(fv) / (1.0 + _per_point_max(scale1))
+    acted, acted_abs = _curvature_action(bundle, points)
+    gv = bundle.values_at(points)["gtensor"]
+    rhs = 2.0 * np.einsum("puv,pwxyz->puvwxyz", fv, gv)
+    rhs_abs = 2.0 * np.einsum("puv,pwxyz->puvwxyz", np.abs(fv), np.abs(gv))
+    res2 = _per_point_max(acted - rhs) / (1.0 + _per_point_max(acted_abs + rhs_abs))
+    residuals = np.maximum(res1, res2)
+    return _report("mu-structure", bundle, points, residuals, np.zeros(len(points)), tol)
+
+
+@pytest.mark.parametrize("name", ["ppwave_recurrent", "perturbed_flat"])
+@pytest.mark.parametrize("form", ["lambda_C", "constant"])
+def test_mu_structure_matches_the_symbolic_wedge(name, form):
+    # mu ^ lambda is read from the values of mu and lambda; the symbolic
+    # wedge pins its sign and its 1/2
+    b = curvature_bundle_at(get_builtin(name).chart)
+    pts = b.chart.sample_points(3, 8)
+    if form == "lambda_C":
+        lam = _recurrence_form(b, "C")
+    else:
+        lam = _const_one_form(b, [0.5, -1.0, 2.0, 0.25][: b.n])
+    mu = compute_mu(b, lam).mu
+    got = check_mu_structure(b, lam, mu, pts)
+    ref = _reference_mu_structure(b, lam, mu, pts)
+    np.testing.assert_allclose(got.residuals, ref.residuals, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(got.passes, ref.passes)
+
+
 # -- the contraction chain ----------------------------------------------------------
 
 
@@ -486,6 +567,50 @@ def test_verify_theorem_builds_its_forms_once_per_bundle(monkeypatch):
         monkeypatch.setattr(module, name, counting(getattr(module, name)))
     assert verify_theorem(b, b.chart.sample_points(2, 6)).passed
     assert builds == []
+
+
+def _top_level_simplify_calls(monkeypatch):
+    """List that records every simplify call not made from inside another."""
+    calls, depth = [], [0]
+    real = ex.simplify
+
+    def counting(e):
+        if depth[0] == 0:
+            calls.append(e)
+        depth[0] += 1
+        try:
+            return real(e)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(ex, "simplify", counting)
+    monkeypatch.setattr(geometry, "simplify", counting)
+    return calls
+
+
+def test_verify_theorem_simplifies_nothing(monkeypatch):
+    # mu, its inputs and the derivatives of lambda are only evaluated
+    b = curvature_bundle_at(get_builtin("ppwave_recurrent").chart)
+    pts = b.chart.sample_points(1, 6)
+    classify(b, pts)
+    calls = _top_level_simplify_calls(monkeypatch)
+    assert verify_theorem(b, pts).passed
+    assert calls == []
+
+
+def test_forms_of_lambda_and_mu_are_not_simplified(monkeypatch):
+    b = curvature_bundle_at(get_builtin("perturbed_flat").chart)
+    pts = b.chart.sample_points(1, 4)
+    lam = _recurrence_form(b, "C")
+    calls = _top_level_simplify_calls(monkeypatch)
+    counts = {}
+    check_lambda_closed(b, lam, pts)
+    counts["check_lambda_closed"] = len(calls)
+    mu = compute_mu(b, lam).mu
+    counts["compute_mu"] = len(calls) - counts["check_lambda_closed"]
+    check_mu_structure(b, lam, mu, pts)
+    counts["check_mu_structure"] = len(calls) - sum(counts.values())
+    assert counts == dict.fromkeys(counts, 0)
 
 
 def test_derived_forms_are_built_once_per_bundle_and_input(monkeypatch):

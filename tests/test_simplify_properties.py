@@ -2,6 +2,8 @@
 
 Expressions are random DAGs over x, y, sin(x) and cos(y): each step combines
 earlier nodes, so subtrees are shared the way tensor components share them.
+Canonical form includes build order: a sum or a product of the same nodes
+simplifies to one node whatever order it was built in.
 The same DAGs check the printer against the parser and `differentiate`
 against the forward-mode `evaluate_dual`.
 """
@@ -103,6 +105,33 @@ def test_linear_combinations_of_sums_reduce_to_zero(combination):
 def test_simplify_is_idempotent(steps):
     simplified = ex.simplify(_build_dag(steps)[-1])
     assert ex.simplify(simplified) is simplified, ex.to_string(simplified)
+
+
+@SETTINGS
+@given(
+    st.lists(STEP, min_size=1, max_size=12),
+    st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=5),
+    st.data(),
+)
+def test_simplified_sum_does_not_depend_on_term_order(steps, picks, data):
+    nodes = _build_dag(steps)
+    terms = [nodes[i % len(nodes)] for i in picks]
+    shuffled = data.draw(st.permutations(terms))
+    want = ex.simplify(ex.esum(terms))
+    assert ex.simplify(ex.esum(shuffled)) is want, ex.to_string(want)
+
+
+@SETTINGS
+@given(
+    st.lists(STEP, min_size=1, max_size=12),
+    st.integers(min_value=0, max_value=63),
+    st.integers(min_value=0, max_value=63),
+)
+def test_simplified_product_does_not_depend_on_factor_order(steps, i, j):
+    nodes = _build_dag(steps)
+    a, b = nodes[i % len(nodes)], nodes[j % len(nodes)]
+    want = ex.simplify(ex.mul(a, b))
+    assert ex.simplify(ex.mul(b, a)) is want, ex.to_string(want)
 
 
 @SETTINGS
