@@ -429,11 +429,11 @@ class CurvatureBundle:
     "nabla_concircular"), where ``recurrence`` keeps the forms it builds,
     each built once.
 
-    Numeric values are kept per point set: the core block of ``values_at``,
-    each ``field_values`` result and the curvature action of the identity
-    checks. Only the two most recently used point sets are kept; evaluation
-    is deterministic, so a point set evicted and asked for again gets the
-    same values. An empty point list raises GeometryError.
+    Numeric values are kept per point set: the core block of ``values_at``
+    and each ``field_values`` result. Only the two most recently used point
+    sets are kept; evaluation is deterministic, so a point set evicted and
+    asked for again gets the same values. An empty point list raises
+    GeometryError.
 
     Each evaluated root set is compiled once into an evaluation tape
     (``expressions._Tape``), kept in ``_tapes`` under the same entry as its
@@ -644,18 +644,14 @@ def curvature_bundle_at(chart: MetricChart) -> CurvatureBundle:
     return CurvatureBundle(chart)
 
 
-def covariant_derivative_at(bundle: CurvatureBundle, tensor: TensorField, order: int = 1) -> TensorField:
+def covariant_derivative_at(bundle: CurvatureBundle, tensor: TensorField) -> TensorField:
     """Covariant derivative of an all-lower tensor field; new index first.
 
-    order=2 applies the derivative twice, so the result's first two slots are
-    (a, b) with nabla^2_{a,b} = nabla_a nabla_b - nabla_{nabla_a b}. A
-    "riemann-like" input gives a "riemann-like" result built once per orbit
+    A "riemann-like" input gives a "riemann-like" result built once per orbit
     of its last four slots, any other input a "none" result. Components are
     kept as built, except for the chart metric's own nodes: metric
     compatibility makes nabla g an exact zero, so those are simplified.
     """
-    if order not in (1, 2):
-        raise GeometryError(f"order must be 1 or 2, got {order}")
     n = bundle.n
     if tensor.dim != n:
         raise GeometryError(f"tensor dimension {tensor.dim} != chart dimension {n}")
@@ -679,10 +675,7 @@ def covariant_derivative_at(bundle: CurvatureBundle, tensor: TensorField, order:
         return simplify(acc) if metric else acc
 
     out = _fill((n,) * (rank + 1), build, _curvature_slot if reduce else None)
-    result = TensorField(n, rank + 1, out, symmetry=tensor.symmetry if reduce else "none")
-    if order == 2:
-        return covariant_derivative_at(bundle, result, order=1)
-    return result
+    return TensorField(n, rank + 1, out, symmetry=tensor.symmetry if reduce else "none")
 
 
 def curvature_action_at(bundle: CurvatureBundle, tensor: TensorField) -> TensorField:
@@ -718,14 +711,16 @@ def curvature_action_from_second_derivative(
     bundle: CurvatureBundle, tensor: TensorField
 ) -> TensorField:
     """Same action computed as the antisymmetrized second covariant
-    derivative, nabla^2_{u,v} T - nabla^2_{v,u} T (the Ricci identity route).
+    derivative, nabla^2_{u,v} T - nabla^2_{v,u} T (the Ricci identity route),
+    where nabla^2_{u,v} = nabla_u nabla_v - nabla_{nabla_u v} is
+    covariant_derivative_at applied twice.
 
     The difference is only evaluated, so like a "riemann-like" nabla^2 T it
     is left unsimplified: both branches share one interned DAG. It is
     antisymmetric in (u, v), so it is built for u < v only.
     """
     n = bundle.n
-    comp = covariant_derivative_at(bundle, tensor, order=2).components
+    comp = covariant_derivative_at(bundle, covariant_derivative_at(bundle, tensor)).components
 
     def build(idx):
         u, v, rest = idx[0], idx[1], idx[2:]

@@ -11,14 +11,15 @@ its contraction chain included), builds its report through ``_report``;
 each cyclic sum is written once, in ``_cyclic``, and applied to the values
 and to their absolute values alike.
 
-The curvature action (R(d_u, d_v) T for rank-4 T) is evaluated here
-numerically through the derivation-property hooks, which need nothing
-beyond the already-evaluated curvature arrays; each hook is one batched
-matrix product over the sample points.  The action on R and its scale are
-computed once per bundle and point set and shared by the Walker and
-semisymmetry checks and by ``recurrence.check_mu_structure``.  The symbolic
-routes in ``geometry`` stay the reference implementation, which the tests
-compare against.
+The curvature action R(d_u, d_v) R is evaluated here numerically from the
+already-evaluated curvature arrays, on index pairs: R(X,Y).R is a
+symmetric form on 2-forms, so it is computed for u < v, w < x and y < z
+only, every other slot being a mirror or an exact zero.  Walker's cyclic
+sum is then a cyclic transpose of that pair array.  The scale keeps every
+slot of the full contraction: where w = x the action cancels term by term
+but its absolute-value contraction does not, so that diagonal is returned
+alongside.  The symbolic routes in ``geometry`` stay the reference
+implementation, which the tests compare against.
 """
 
 from __future__ import annotations
@@ -94,55 +95,40 @@ def _per_point_max(arr: np.ndarray) -> np.ndarray:
     return np.abs(arr).reshape(arr.shape[0], -1).max(axis=1)
 
 
-def _action_arrays(r13: np.ndarray, tv: np.ndarray):
-    """Derivation-route action of the curvature operator on a rank-4 field.
+def _curvature_action(r13: np.ndarray, riemann: np.ndarray):
+    """R(d_u, d_v) R on index pairs, with its cancellation scale.
 
-    Returns (A, A_abs) with A[p,u,v,w,x,y,z] = (R(d_u,d_v) T)(d_w,d_x,d_y,d_z)
-    and A_abs the same contraction of absolute values (cancellation scale).
+    With pairs P = (i < j) from np.triu_indices, returns (A, A_abs, diag):
+    A[p, U, W, Q] = (R(d_u,d_v) R)(d_w,d_x,d_y,d_z) for U = (u,v),
+    W = (w,x) and Q = (y,z) in P; A_abs the same contraction of absolute
+    values; diag[p, U, Q, w] that absolute-value contraction at w = x,
+    where the action itself cancels term by term.
     """
-
-    def hooks(r, t):
-        # hook k contracts r[p,u,v,s,m] with slot k of t and puts s in slot k;
-        # as a batched product: (p, uvs, m) @ (p, m, other three slots)
-        npts, n = r.shape[:2]
-        rows = r.reshape(npts, n**3, n)
-        total = None
-        for k in range(4):
-            cols = np.moveaxis(t, 1 + k, 1).reshape(npts, n, n**3)
-            hook = np.matmul(rows, cols).reshape((npts,) + (n,) * 6)
-            hook = np.moveaxis(hook, 3, 3 + k)
-            if total is None:
-                total = hook
-            else:
-                total += hook
-        return total
-
-    acted = hooks(r13, tv)
-    np.negative(acted, out=acted)
-    return acted, hooks(np.abs(r13), np.abs(tv))
-
-
-def _curvature_action(bundle: CurvatureBundle, points):
-    """(R(d_u,d_v) R, its scale) at the points, computed once per point set.
-
-    The arrays are shared between callers and therefore read-only.
-    """
-
-    def compute():
-        vals = bundle.values_at(points)
-        acted, acted_abs = _action_arrays(vals["riemann_13"], vals["riemann"])
-        acted.flags.writeable = False
-        acted_abs.flags.writeable = False
-        return acted, acted_abs
-
-    return bundle._cached(points, "action", compute)
+    i, j = np.triu_indices(r13.shape[1], 1)
+    # a[p, U, w, m] is R(d_u, d_v) as a matrix; t[p, m, x, Q] is R(., ., d_y, d_z)
+    a, t = r13[:, i, j], riemann[..., i, j]
+    # the hook of R(d_u, d_v) into the first slot, at every (w, x)
+    h = np.einsum("pUwm,pmxQ->pUwxQ", a, t)
+    h_abs = np.einsum("pUwm,pmxQ->pUwxQ", np.abs(a), np.abs(t))
+    # R is antisymmetric in its first pair, so the hooks into both of its
+    # slots sum to h minus its (w, x) transpose; by pair symmetry the hooks
+    # into the second pair are that sum with W and Q swapped
+    f = (h - h.swapaxes(2, 3))[:, :, i, j]
+    both_abs = h_abs + h_abs.swapaxes(2, 3)
+    f_abs = both_abs[:, :, i, j]
+    return (
+        -(f + f.swapaxes(2, 3)),
+        f_abs + f_abs.swapaxes(2, 3),
+        both_abs.diagonal(axis1=2, axis2=3),
+    )
 
 
 def _report(identity: str, bundle: CurvatureBundle, points, total, scale, tol) -> IdentityReport:
     """The pass-rule report: per-point max of |total| against that of |scale|.
 
     A check that normalises its own residual passes those per-point values
-    and a zero scale; _per_point_max returns a non-negative (npoints,)
+    and a zero scale, and one whose scale spans several arrays passes its
+    per-point maximum; _per_point_max returns a non-negative (npoints,)
     array unchanged.
     """
     return IdentityReport(
@@ -169,9 +155,15 @@ def check_walker_at(bundle: CurvatureBundle, points, tol: float = 1e-8) -> Ident
     (R(U,V)R)(W,X,Y,Z) + (R(W,X)R)(Y,Z,U,V) + (R(Y,Z)R)(U,V,W,X) vanishes
     on every pseudo-Riemannian manifold; this must pass on any valid chart.
     """
-    acted, acted_abs = _curvature_action(bundle, points)
-    cycle = ("pwxyzuv->puvwxyz", "pyzuvwx->puvwxyz")
-    return _report("walker", bundle, points, _cyclic(acted, cycle), _cyclic(acted_abs, cycle), tol)
+    vals = bundle.values_at(points)
+    acted, acted_abs, diag = _curvature_action(vals["riemann_13"], vals["riemann"])
+    cycle = ("pWQU->pUWQ", "pQUW->pUWQ")
+    # at w = x the cycle's (W, Q, U) term vanishes, scale and all; the
+    # other two are diag and its U, Q transpose
+    scale = np.maximum(
+        _per_point_max(_cyclic(acted_abs, cycle)), _per_point_max(diag + diag.swapaxes(1, 2))
+    )
+    return _report("walker", bundle, points, _cyclic(acted, cycle), scale, tol)
 
 
 def check_bianchi_at(
@@ -198,11 +190,14 @@ def check_bianchi_at(
 def check_semisymmetry_at(bundle: CurvatureBundle, points, tol: float = 1e-8) -> IdentityReport:
     """Max component of R(U,V).R over the points; a verdict, not a theorem.
 
-    The action comes from the derivation hooks; the symbolic
-    ``geometry.curvature_action_from_second_derivative`` is its reference.
+    The action is computed on index pairs by ``_curvature_action``; the
+    symbolic ``geometry.curvature_action_from_second_derivative`` is its
+    reference.
     """
-    acted, acted_abs = _curvature_action(bundle, points)
-    return _report("semisymmetry", bundle, points, acted, acted_abs, tol)
+    vals = bundle.values_at(points)
+    acted, acted_abs, diag = _curvature_action(vals["riemann_13"], vals["riemann"])
+    scale = np.maximum(_per_point_max(acted_abs), _per_point_max(diag))
+    return _report("semisymmetry", bundle, points, acted, scale, tol)
 
 
 def _antisymmetric_basis(n: int) -> np.ndarray:

@@ -45,7 +45,6 @@ from .geometry import (
     TensorField,
     covariant_derivative_at,
     exterior_derivative_one_form_at,
-    wedge_two_one_forms_at,
 )
 from .identities import (
     HypothesisError,
@@ -390,8 +389,9 @@ def check_mu_structure(
     itself, and the display it reduces, R(U,V).R - 2 (d mu + mu ^ lambda)(U,V) G.
     Each is normalized by its own cancellation scale; the reported residual
     is the larger of the two (so the scale field is zero).  With mu = 0 the
-    second contraction is exactly the semisymmetry check.  d mu and nabla mu
-    are built once per bundle and mu; mu ^ lambda is formed from their values.
+    second contraction is exactly the semisymmetry check, and like it is
+    compared on index pairs (u < v, w < x, y < z).  d mu and nabla mu are
+    built once per bundle and mu; mu ^ lambda is formed from their values.
     """
 
     def build():
@@ -405,11 +405,16 @@ def check_mu_structure(
     scale1 = 0.5 * (bound + np.einsum("pij->pji", bound))
     res1 = _per_point_max(fv) / (1.0 + _per_point_max(scale1))
 
-    acted, acted_abs = _curvature_action(bundle, points)
-    gv = bundle.values_at(points)["gtensor"]
-    rhs = 2.0 * np.einsum("puv,pwxyz->puvwxyz", fv, gv)
-    rhs_abs = 2.0 * np.einsum("puv,pwxyz->puvwxyz", np.abs(fv), np.abs(gv))
-    res2 = _per_point_max(acted - rhs) / (1.0 + _per_point_max(acted_abs + rhs_abs))
+    vals = bundle.values_at(points)
+    acted, acted_abs, diag = _curvature_action(vals["riemann_13"], vals["riemann"])
+    # on index pairs: the 2-form's N values and G's N x N pair matrix
+    i, j = np.triu_indices(bundle.n, 1)
+    form, gram = fv[:, i, j], vals["gtensor"][:, i, j][..., i, j]
+    rhs = 2.0 * np.einsum("pU,pWQ->pUWQ", form, gram)
+    rhs_abs = 2.0 * np.einsum("pU,pWQ->pUWQ", np.abs(form), np.abs(gram))
+    # where w = x the right-hand side vanishes and the action's scale is diag
+    scale2 = np.maximum(_per_point_max(acted_abs + rhs_abs), _per_point_max(diag))
+    res2 = _per_point_max(acted - rhs) / (1.0 + scale2)
     residuals = np.maximum(res1, res2)
     return _report("mu-structure", bundle, points, residuals, np.zeros(len(points)), tol)
 

@@ -433,7 +433,7 @@ def test_second_covariant_derivative_shape_and_flat_case():
     )
     b = curvature_bundle_at(c)
     w = TensorField(2, 1, np.array([ex.parse("x^2*y", c.coordinates), ex.ZERO], dtype=object))
-    second = covariant_derivative_at(b, w, order=2)
+    second = covariant_derivative_at(b, covariant_derivative_at(b, w))
     assert second.rank == 3
     # flat chart: nabla^2 = plain second partials, symmetric in (a, b)
     p = {"x": 0.7, "y": 0.3}

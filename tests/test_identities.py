@@ -1,9 +1,11 @@
 """Identity checks: Walker, Bianchi, semisymmetry, and the kernel lemma."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from concirc.catalog import builtin_names, get_builtin
+from concirc.catalog import builtin_names, get_builtin, random_perturbed_flat
 from concirc.geometry import (
     GeometryError,
     curvature_action_at,
@@ -13,7 +15,7 @@ from concirc.geometry import (
 from concirc.identities import (
     HypothesisError,
     IdentityReport,
-    _action_arrays,
+    _curvature_action,
     _per_point_max,
     check_bianchi_at,
     check_semisymmetry_at,
@@ -21,8 +23,6 @@ from concirc.identities import (
     random_curvature_like,
     walker_lemma_kernel,
 )
-from concirc.recurrence import verify_theorem
-
 _BUNDLES = {}
 
 
@@ -87,7 +87,7 @@ def test_semisymmetry_fails_on_generic_chart():
 
 
 def test_semisymmetry_routes_agree():
-    # the check's derivation hooks against the symbolic Ricci-identity route
+    # the check's pair-space action against the symbolic Ricci-identity route
     for name in ("sphere_2", "ppwave_recurrent", "perturbed_flat"):
         b = bundle_for(name)
         pts = b.chart.sample_points(3, 5)
@@ -103,6 +103,12 @@ def _max_over_components(arr):
     return np.max(np.abs(arr), axis=tuple(range(1, arr.ndim)))
 
 
+def _on_pairs(arr):
+    """The (u<v, w<x, y<z) slots of a (p, n^6) array, as (p, N, N, N)."""
+    i, j = np.triu_indices(arr.shape[1], 1)
+    return arr[:, i, j][:, :, i, j][:, :, :, i, j]
+
+
 @pytest.mark.parametrize("name", ["ppwave_recurrent", "perturbed_flat", "sphere_3"])
 def test_check_arrays_match_the_sums_written_out(name):
     # each check's residuals and scales, recomputed from the evaluated fields
@@ -110,7 +116,7 @@ def test_check_arrays_match_the_sums_written_out(name):
     b = bundle_for(name)
     pts = b.chart.sample_points(17, 6)
     v = b.values_at(pts)
-    acted, acted_abs = _action_arrays(v["riemann_13"], v["riemann"])
+    acted, acted_abs, diag = _curvature_action(v["riemann_13"], v["riemann"])
     rv, ra = v["riemann"], np.abs(v["riemann"])
     nr = b.field_values(b.nabla_riemann(), pts)
     na = np.abs(nr)
@@ -118,11 +124,16 @@ def test_check_arrays_match_the_sums_written_out(name):
         "walker": (
             check_walker_at(b, pts),
             acted
-            + np.einsum("pwxyzuv->puvwxyz", acted)
-            + np.einsum("pyzuvwx->puvwxyz", acted),
-            acted_abs
-            + np.einsum("pwxyzuv->puvwxyz", acted_abs)
-            + np.einsum("pyzuvwx->puvwxyz", acted_abs),
+            + np.einsum("pWQU->pUWQ", acted)
+            + np.einsum("pQUW->pUWQ", acted),
+            np.maximum(
+                _max_over_components(
+                    acted_abs
+                    + np.einsum("pWQU->pUWQ", acted_abs)
+                    + np.einsum("pQUW->pUWQ", acted_abs)
+                ),
+                _max_over_components(diag + np.einsum("pQUw->pUQw", diag)),
+            ),
         ),
         "bianchi-first": (
             check_bianchi_at(b, "first", pts),
@@ -134,11 +145,16 @@ def test_check_arrays_match_the_sums_written_out(name):
             nr + np.einsum("pwxayz->pawxyz", nr) + np.einsum("pxawyz->pawxyz", nr),
             na + np.einsum("pwxayz->pawxyz", na) + np.einsum("pxawyz->pawxyz", na),
         ),
-        "semisymmetry": (check_semisymmetry_at(b, pts), acted, acted_abs),
+        "semisymmetry": (
+            check_semisymmetry_at(b, pts),
+            acted,
+            np.maximum(_max_over_components(acted_abs), _max_over_components(diag)),
+        ),
     }
     for identity, (rep, total, scale) in expected.items():
         assert rep.identity == identity
         assert rep.points == tuple(pts)
+        # a (npoints,) scale is already the per-point maximum, and passes through
         np.testing.assert_array_equal(rep.residuals, _max_over_components(total), err_msg=identity)
         np.testing.assert_array_equal(rep.scales, _max_over_components(scale), err_msg=identity)
 
@@ -148,16 +164,17 @@ def test_action_arrays_match_symbolic_route():
         b = bundle_for(name)
         pts = b.chart.sample_points(13, 5)
         v = b.values_at(pts)
-        acted, scale = _action_arrays(v["riemann_13"], v["riemann"])
+        acted, scale, diag = _curvature_action(v["riemann_13"], v["riemann"])
         symbolic = b.field_values(curvature_action_at(b, b.riemann), pts)
         np.testing.assert_allclose(
-            acted, symbolic, rtol=0, atol=1e-12 * (1 + np.max(scale)), err_msg=name
+            acted, _on_pairs(symbolic), rtol=0, atol=1e-12 * (1 + np.max(scale)), err_msg=name
         )
-        assert np.all(scale >= 0)
+        assert np.all(scale >= 0) and np.all(diag >= 0)
 
 
 def _action_arrays_by_einsum(r13, tv):
-    """Reference: one plain einsum per derivation hook."""
+    """Reference: the n^6 action and its scale, one plain einsum per
+    derivation hook."""
     hooks = (
         ("puvwm,pmxyz->puvwxyz", tv),
         ("puvxm,pwmyz->puvwxyz", tv),
@@ -169,35 +186,73 @@ def _action_arrays_by_einsum(r13, tv):
     return -acted, scale
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+def _pair_symmetric(rng, npts, n):
+    """Random (npts, n^4) arrays antisymmetric in each index pair and
+    symmetric under the pair swap, with no first Bianchi projection, so a
+    slot mix-up still shows."""
+    t = rng.standard_normal((npts,) + (n,) * 4)
+    t = t - np.einsum("pwxyz->pxwyz", t)
+    t = t - np.einsum("pwxyz->pwxzy", t)
+    return t + np.einsum("pwxyz->pyzwx", t)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_action_arrays_match_einsum_reference(n):
-    # unsymmetric inputs, so a hook that contracts the wrong slot shows
     rng = np.random.default_rng(100 + n)
     r13 = rng.standard_normal((7,) + (n,) * 4)
-    tv = rng.standard_normal((7,) + (n,) * 4)
-    acted, scale = _action_arrays(r13, tv)
+    r13 = r13 - np.einsum("puvwm->pvuwm", r13)
+    tv = _pair_symmetric(rng, 7, n)
+    acted, scale, diag = _curvature_action(r13, tv)
     ref_acted, ref_scale = _action_arrays_by_einsum(r13, tv)
+    npairs = n * (n - 1) // 2
+    assert acted.shape == scale.shape == (7,) + (npairs,) * 3
+    assert diag.shape == (7, npairs, npairs, n)
     atol = 1e-12 * (1 + np.max(ref_scale))
-    assert acted.shape == ref_acted.shape == (7,) + (n,) * 6
-    np.testing.assert_allclose(acted, ref_acted, rtol=0, atol=atol)
-    np.testing.assert_allclose(scale, ref_scale, rtol=0, atol=atol)
+    np.testing.assert_allclose(acted, _on_pairs(ref_acted), rtol=0, atol=atol)
+    np.testing.assert_allclose(scale, _on_pairs(ref_scale), rtol=0, atol=atol)
+    # every other slot of the reference is a signed mirror of a pair slot,
+    # a w = x (or y = z) diagonal, or zero
+    pair = {(a, b): k for k, (a, b) in enumerate(zip(*np.triu_indices(n, 1)))}
+
+    def index(a, b):
+        return (pair[a, b], 1.0) if a < b else (pair[b, a], -1.0)
+
+    want, want_abs = np.zeros_like(ref_acted), np.zeros_like(ref_scale)
+    for u, v, w, x, y, z in itertools.product(range(n), repeat=6):
+        if u == v or (w == x and y == z):
+            continue
+        U, su = index(u, v)
+        if w == x:
+            want_abs[:, u, v, w, x, y, z] = diag[:, U, index(y, z)[0], w]
+        elif y == z:
+            want_abs[:, u, v, w, x, y, z] = diag[:, U, index(w, x)[0], y]
+        else:
+            (W, sw), (Q, sq) = index(w, x), index(y, z)
+            want[:, u, v, w, x, y, z] = su * sw * sq * acted[:, U, W, Q]
+            want_abs[:, u, v, w, x, y, z] = scale[:, U, W, Q]
+    np.testing.assert_allclose(ref_acted, want, rtol=0, atol=atol)
+    np.testing.assert_allclose(ref_scale, want_abs, rtol=0, atol=atol)
 
 
-def test_curvature_action_computed_once_per_point_set(monkeypatch):
-    calls = []
-
-    def counting(r13, tv):
-        calls.append(r13.shape[0])
-        return _action_arrays(r13, tv)
-
-    monkeypatch.setattr("concirc.identities._action_arrays", counting)
-    b = curvature_bundle_at(get_builtin("ppwave_recurrent").chart)
-    pts = b.chart.sample_points(5, 8)
+def test_walker_and_semisymmetry_match_einsum_reference_in_dimension_5():
+    b = curvature_bundle_at(random_perturbed_flat(1, dim=5))
+    pts = b.chart.sample_points(3, 6)
+    v = b.values_at(pts)
+    acted, acted_abs = _action_arrays_by_einsum(v["riemann_13"], v["riemann"])
+    cycle = ("pwxyzuv->puvwxyz", "pyzuvwx->puvwxyz")
+    walker = (
+        acted + np.einsum(cycle[0], acted) + np.einsum(cycle[1], acted),
+        acted_abs + np.einsum(cycle[0], acted_abs) + np.einsum(cycle[1], acted_abs),
+    )
+    for rep, (total, scale) in (
+        (check_walker_at(b, pts), walker),
+        (check_semisymmetry_at(b, pts), (acted, acted_abs)),
+    ):
+        ref_scales = _max_over_components(scale)
+        atol = 1e-12 * (1 + ref_scales)
+        assert np.all(np.abs(rep.scales - ref_scales) <= atol), rep.identity
+        assert np.all(np.abs(rep.residuals - _max_over_components(total)) <= atol), rep.identity
     assert check_walker_at(b, pts).passed
-    assert check_semisymmetry_at(b, pts).passed
-    theorem = verify_theorem(b, pts)
-    assert theorem.passed and len(theorem.semisymmetry_check.points) == len(pts)
-    assert calls == [len(pts)]
 
 
 def test_identity_report_pass_rule():
