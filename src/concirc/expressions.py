@@ -936,10 +936,11 @@ def _constant(n: Expr) -> float:
         raise DomainError("constant out of float range", n) from None
 
 
-def _order(roots) -> tuple[list, list, dict]:
+def _order(roots, leaves=()) -> tuple[list, list, dict]:
     """The union DAG of roots children first: the nodes, the positions of
     each node's arguments and each node's position by id. Roots are taken
-    in turn, first arguments first, so the order depends on the roots alone."""
+    in turn, first arguments first, so the order depends on the roots alone.
+    A node whose id is in leaves is taken as a leaf: the walk stops there."""
     position: dict[int, int] = {}
     nodes: list[Expr] = []
     argpos: list[tuple] = []
@@ -951,7 +952,7 @@ def _order(roots) -> tuple[list, list, dict]:
         stack = [root]
         while stack:
             n = stack[-1]
-            args = n.args
+            args = () if id(n) in leaves else n.args
             if args:
                 p0 = position.get(id(args[0]))
                 if p0 is None:
@@ -1034,22 +1035,28 @@ class _Tape:
 
     The union DAG of the roots is put in children-first order (`_order`),
     once, and each node becomes one entry (slot, fn, a, b): regs[slot] =
-    fn(regs[a], regs[b]), or fn(regs[a]) when b is None. Constants and
-    variables are load entries, with fn None and a the constant's np.float64
-    value or the coordinate's name. A node's slot is handed to a later node
-    once its last reader has run (linear-scan reuse), so the tape needs as
-    many slots as values are live at once, not one per node; root slots
-    stay live to the end. The tape holds floats, names, numpy functions and
-    the roots, but no interior node: entry p is node p of `_order(roots)`,
-    recomputed only to name a failing node. `run` checks a block's values
-    once at the end; `at` checks each value at one point as it is made.
+    fn(regs[a], regs[b]), or fn(regs[a]) when b is None. Constants,
+    variables and loads are leaf entries, with fn None and a the constant's
+    np.float64 value, the coordinate's name or the load's index. Loads are
+    nodes whose rows the caller has already evaluated for the same points
+    and passes to `run`, in the order given here; the walk stops at them,
+    so their subexpressions are not compiled. A node's slot is handed to a
+    later node once its last reader has run (linear-scan reuse), so the tape
+    needs as many slots as values are live at once, not one per node; root
+    slots stay live to the end. The tape holds floats, names, numpy
+    functions, the roots and the loads, but no interior node: entry p is
+    node p of `_order`, recomputed only to name a failing node. `run` checks
+    a block's values once at the end; `at`, for a tape without loads, checks
+    each value at one point as it is made.
     """
 
-    __slots__ = ("roots", "size", "ops", "outputs")
+    __slots__ = ("roots", "loads", "size", "ops", "outputs")
 
-    def __init__(self, exprs):
+    def __init__(self, exprs, loads=()):
         self.roots = roots = tuple(exprs)
-        nodes, argpos, position = _order(roots)
+        self.loads = tuple(loads)
+        load_index = {id(n): k for k, n in enumerate(self.loads)}
+        nodes, argpos, position = _order(roots, load_index)
 
         # linear scan run backwards: a value is live from its definition to
         # its last reader, so it takes a slot at the last reader (the first
@@ -1076,7 +1083,9 @@ class _Tape:
                         slot_of[q] = size
                         size += 1
             if not ia:
-                value = np.float64(_constant(n)) if n.kind == _CONST else n.payload
+                value = load_index.get(id(n))
+                if value is None:
+                    value = np.float64(_constant(n)) if n.kind == _CONST else n.payload
                 ops[p] = (slot, None, value, None)
             elif len(ia) == 2:
                 ops[p] = (slot, _BINARY_NP[n.kind], slot_of[ia[0]], slot_of[ia[1]])
@@ -1120,8 +1129,11 @@ class _Tape:
             out[j] = regs[slot]
         return out[:, 0]
 
-    def values(self, columns: dict) -> np.ndarray:
-        """Run the tape under the caller's errstate; no finiteness check."""
+    def values(self, columns: dict, loaded=()) -> np.ndarray:
+        """Run the tape under the caller's errstate; no finiteness check.
+
+        loaded holds one row per load, each evaluated at the columns' points.
+        """
         npts = len(next(iter(columns.values()))) if columns else 1
         regs = [None] * self.size
         for slot, fn, a, b in self.ops:
@@ -1129,17 +1141,21 @@ class _Tape:
                 regs[slot] = fn(regs[a], regs[b])
             elif fn is not None:
                 regs[slot] = fn(regs[a])
+            elif isinstance(a, str):
+                regs[slot] = columns[a]
+            elif isinstance(a, int):
+                regs[slot] = loaded[a]
             else:
-                regs[slot] = columns[a] if isinstance(a, str) else a
+                regs[slot] = a
         out = np.empty((len(self.roots), npts))
         for j, slot in enumerate(self.outputs):
             out[j] = regs[slot]
         return out
 
-    def run(self, columns: dict) -> np.ndarray:
+    def run(self, columns: dict, loaded=()) -> np.ndarray:
         """Values of the roots at the points, checked for finiteness."""
         with np.errstate(all="ignore"):
-            out = self.values(columns)
+            out = self.values(columns, loaded)
         finite = np.isfinite(out)
         if not finite.all():
             bad = ~finite

@@ -192,6 +192,7 @@ class MetricChart:
         """
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         tape = self._sampling_tape
+        lo, hi = np.array([self.domain[c] for c in self.coordinates], dtype=float).T
         points = []
         attempts = 0
         while len(points) < count:
@@ -202,16 +203,14 @@ class MetricChart:
                     "exclusion loci may fill the box"
                 )
             attempts += draws
-            batch = [
-                {
-                    c: float(rng.uniform(self.domain[c][0], self.domain[c][1]))
-                    for c in self.coordinates
-                }
-                for _ in range(draws)
-            ]
+            # one draw per coordinate, candidate by candidate, in row-major
+            # order: the scalars a uniform call per coordinate would draw
+            drawn = rng.uniform(lo, hi, size=(draws, self.n))
+            batch = [dict(zip(self.coordinates, row)) for row in drawn.tolist()]
+            columns = dict(zip(self.coordinates, np.ascontiguousarray(drawn.T)))
             try:
                 with np.errstate(over="raise", divide="raise", invalid="raise"):
-                    values = tape.values(points_to_columns(batch, self.coordinates))
+                    values = tape.values(columns)
             except (FloatingPointError, KeyError):  # KeyError: a non-coordinate variable
                 values = None
             else:
@@ -429,18 +428,23 @@ class CurvatureBundle:
     "nabla_concircular"), where ``recurrence`` keeps the forms it builds,
     each built once.
 
-    Numeric values are kept per point set: the core block of ``values_at``
-    and each ``field_values`` result. Only the two most recently used point
-    sets are kept; evaluation is deterministic, so a point set evicted and
-    asked for again gets the same values. An empty point list raises
-    GeometryError.
+    Numeric results are kept per point set (``_cached``), and this store is
+    the one place where results that several checks share live: the core
+    block of ``values_at``, each ``field_values`` result, and the per-point
+    reductions and fits that ``identities`` and ``recurrence`` keep there.
+    Only the two most recently used point sets are kept; evaluation is
+    deterministic, so a point set evicted and asked for again gets the same
+    values. An empty point list raises GeometryError.
 
     Each evaluated root set is compiled once into an evaluation tape
     (``expressions._Tape``), kept in ``_tapes`` under the same entry as its
     values: "core" for ``values_at`` and the component tuple for
     ``field_values``. A new point set reruns the tape; the tapes live as
     long as the bundle. R, G and C are read from the core block, so no
-    other tape is compiled over them.
+    other tape is compiled over them. A field may name, in ``_loads``, the
+    fields its tape loads (``_declare_loads``): their components are loads
+    of the tape, and every run reads their rows from the store for the
+    point set being run.
     """
 
     def __init__(self, chart: MetricChart):
@@ -534,6 +538,8 @@ class CurvatureBundle:
         self._blocks: OrderedDict = OrderedDict()
         # entry -> evaluation tape of its expressions, built on first use
         self._tapes: dict = {}
+        # field entry -> the sources its tape loads: core block names or fields
+        self._loads: dict = {}
 
     @property
     def n(self) -> int:
@@ -585,12 +591,31 @@ class CurvatureBundle:
             store[entry] = compute()
         return store[entry]
 
+    def _declare_loads(self, tf: TensorField, sources: tuple):
+        """Let tf's tape load the components of sources, each a core block
+        name or a field, instead of compiling them. The first declaration
+        for tf's components stands, as the tape compiled from it does."""
+        self._loads.setdefault(tuple(tf.components.ravel()), sources)
+
     def _evaluate(self, entry, exprs, points) -> np.ndarray:
-        """(len(exprs), npoints) values, through the tape kept under entry."""
+        """(len(exprs), npoints) values, through the tape kept under entry.
+
+        The rows of the tape's loads are read from the store for these
+        points, so they are never another point set's.
+        """
+        loads, loaded = [], []
+        for src in self._loads.get(entry, ()):
+            if isinstance(src, str):
+                comps, values = self._core_fields()[src], self.values_at(points)[src]
+            else:
+                comps, values = src.components, self.field_values(src, points)
+            loads.extend(comps.ravel())
+            # the (components, npoints) rows the source's own tape made
+            loaded.extend(values.reshape(len(points), -1).T)
         tape = self._tapes.get(entry)
         if tape is None:
-            tape = self._tapes[entry] = ex._Tape(exprs)
-        return tape.run(points_to_columns(points, self.chart.coordinates))
+            tape = self._tapes[entry] = ex._Tape(exprs, loads)
+        return tape.run(points_to_columns(points, self.chart.coordinates), loaded)
 
     def values_at(self, points) -> dict:
         """Numeric component arrays of the core fields at the given points.
@@ -601,8 +626,9 @@ class CurvatureBundle:
         """
         return self._cached(points, "core", lambda: self._evaluate_core(points))
 
-    def _evaluate_core(self, points) -> dict:
-        named = {
+    def _core_fields(self) -> dict:
+        """Component arrays of the core block by name, the scalar aside."""
+        return {
             "metric": self.chart.metric,
             "inverse_metric": self.inverse_metric,
             "christoffel": self.christoffel,
@@ -612,9 +638,11 @@ class CurvatureBundle:
             "gtensor": self.gtensor.components,
             "concircular": self.concircular.components,
         }
+
+    def _evaluate_core(self, points) -> dict:
         exprs = [self.scalar_curvature]
         spans = []
-        for name, arr in named.items():
+        for name, arr in self._core_fields().items():
             flat = list(arr.ravel())
             spans.append((name, len(exprs), len(flat), arr.shape))
             exprs.extend(flat)

@@ -18,8 +18,11 @@ only, every other slot being a mirror or an exact zero.  Walker's cyclic
 sum is then a cyclic transpose of that pair array.  The scale keeps every
 slot of the full contraction: where w = x the action cancels term by term
 but its absolute-value contraction does not, so that diagonal is returned
-alongside.  The symbolic routes in ``geometry`` stay the reference
-implementation, which the tests compare against.
+alongside.  The action is computed once per point set: the bundle's store
+keeps only the per-point maxima that Walker and semisymmetry report, the
+residual and scale of each, never the action arrays themselves.  The
+symbolic routes in ``geometry`` stay the reference implementation, which
+the tests compare against.
 """
 
 from __future__ import annotations
@@ -149,21 +152,37 @@ def _cyclic(arr: np.ndarray, specs: tuple) -> np.ndarray:
     return arr + np.einsum(first, arr) + np.einsum(second, arr)
 
 
+def _action_maxima(bundle: CurvatureBundle, points) -> dict:
+    """Per-point (residual, scale) of Walker and of semisymmetry, from one
+    curvature action per point set, kept in the bundle's store."""
+
+    def compute():
+        vals = bundle.values_at(points)
+        acted, acted_abs, diag = _curvature_action(vals["riemann_13"], vals["riemann"])
+        cycle = ("pWQU->pUWQ", "pQUW->pUWQ")
+        # at w = x the cycle's (W, Q, U) term vanishes, scale and all; the
+        # other two are diag and its U, Q transpose
+        walker_scale = np.maximum(
+            _per_point_max(_cyclic(acted_abs, cycle)),
+            _per_point_max(diag + diag.swapaxes(1, 2)),
+        )
+        semi_scale = np.maximum(_per_point_max(acted_abs), _per_point_max(diag))
+        return {
+            "walker": (_per_point_max(_cyclic(acted, cycle)), walker_scale),
+            "semisymmetry": (_per_point_max(acted), semi_scale),
+        }
+
+    return bundle._cached(points, "action", compute)
+
+
 def check_walker_at(bundle: CurvatureBundle, points, tol: float = 1e-8) -> IdentityReport:
     """Cyclic pair sum of the curvature action on R itself.
 
     (R(U,V)R)(W,X,Y,Z) + (R(W,X)R)(Y,Z,U,V) + (R(Y,Z)R)(U,V,W,X) vanishes
     on every pseudo-Riemannian manifold; this must pass on any valid chart.
     """
-    vals = bundle.values_at(points)
-    acted, acted_abs, diag = _curvature_action(vals["riemann_13"], vals["riemann"])
-    cycle = ("pWQU->pUWQ", "pQUW->pUWQ")
-    # at w = x the cycle's (W, Q, U) term vanishes, scale and all; the
-    # other two are diag and its U, Q transpose
-    scale = np.maximum(
-        _per_point_max(_cyclic(acted_abs, cycle)), _per_point_max(diag + diag.swapaxes(1, 2))
-    )
-    return _report("walker", bundle, points, _cyclic(acted, cycle), scale, tol)
+    residual, scale = _action_maxima(bundle, points)["walker"]
+    return _report("walker", bundle, points, residual, scale, tol)
 
 
 def check_bianchi_at(
@@ -190,14 +209,12 @@ def check_bianchi_at(
 def check_semisymmetry_at(bundle: CurvatureBundle, points, tol: float = 1e-8) -> IdentityReport:
     """Max component of R(U,V).R over the points; a verdict, not a theorem.
 
-    The action is computed on index pairs by ``_curvature_action``; the
-    symbolic ``geometry.curvature_action_from_second_derivative`` is its
-    reference.
+    The action is computed on index pairs by ``_curvature_action``, once per
+    point set with Walker's; the symbolic
+    ``geometry.curvature_action_from_second_derivative`` is its reference.
     """
-    vals = bundle.values_at(points)
-    acted, acted_abs, diag = _curvature_action(vals["riemann_13"], vals["riemann"])
-    scale = np.maximum(_per_point_max(acted_abs), _per_point_max(diag))
-    return _report("semisymmetry", bundle, points, acted, scale, tol)
+    residual, scale = _action_maxima(bundle, points)["semisymmetry"]
+    return _report("semisymmetry", bundle, points, residual, scale, tol)
 
 
 def _antisymmetric_basis(n: int) -> np.ndarray:

@@ -20,9 +20,15 @@ Every symbolic form is built once per bundle and kept on it: lambda_R and
 lambda_C, and the inputs that compute_mu, check_lambda_closed and
 check_mu_structure build, keyed by the interned component nodes of the
 1-forms they are built from; mu ^ lambda is formed from values, not built.
-verify_theorem calls those public functions, so it shares their forms.
-Every check, the three links of the projective-to-Einstein contraction
-chain included, reports through the pass rule of ``identities._report``.
+lambda's tape loads the rows of T from the core block and of nabla T from
+``field_values``, both for the point set being run, so it compiles only
+the quotient above them.  A fit's numbers are kept in the bundle's
+per-point-set store under the interned nodes of T and nabla T, so
+verify_theorem reuses the C-fit of classify, and its R-fit where C is R
+node for node.  verify_theorem calls those public functions, so it shares
+their forms.  Every check, the three links of the projective-to-Einstein
+contraction chain included, reports through the pass rule of
+``identities._report``.
 
 The second recurrence form is mu = (dr - r lambda) / (n(n-1)); together
 the pair (lambda, mu) turns concircular recurrence into the extended
@@ -213,10 +219,15 @@ def _form_key(name: str, *forms: TensorField) -> tuple:
 
 
 def _recurrence_form(bundle: CurvatureBundle, target: str) -> TensorField:
-    """lambda_a = <nabla_a T, T> / <T, T>, built once per bundle and target."""
+    """lambda_a = <nabla_a T, T> / <T, T>, built once per bundle and target.
+
+    Its tape loads T's rows from the core block and nabla T's from
+    ``field_values``, for the point set being run, instead of compiling
+    them again.
+    """
 
     def build():
-        _, tensor, grad = _target_fields(bundle, target)
+        name, tensor, grad = _target_fields(bundle, target)
         comp = tensor.components
         gcomp = grad.components
         den = ex.esum(ex.mul(comp[idx], comp[idx]) for idx in np.ndindex(*comp.shape))
@@ -231,9 +242,34 @@ def _recurrence_form(bundle: CurvatureBundle, target: str) -> TensorField:
                 ex.mul(gcomp[(a,) + idx], comp[idx]) for idx in np.ndindex(*comp.shape)
             )
             lam_comps[a] = ex.div(num, den)
-        return TensorField(bundle.n, 1, lam_comps, symmetry="none")
+        lam = TensorField(bundle.n, 1, lam_comps, symmetry="none")
+        bundle._declare_loads(lam, (name, grad))
+        return lam
 
     return bundle._derive(f"lambda_{target}", build)
+
+
+def _fit_values(bundle: CurvatureBundle, name: str, grad: TensorField, lam: TensorField, points):
+    """(magnitudes, admitted, residuals) of the fit of nabla T = lambda (x) T,
+    T being the core block field ``name``; residuals are NaN where excluded."""
+    vals = bundle.values_at(points)
+    tv = vals[name]
+    magnitudes = _per_point_max(tv)
+    zmax = float(np.max(magnitudes))
+    # the zero threshold is relative to the largest target magnitude, but
+    # never below the chart's own curvature scale 1 + max |G|: a target that
+    # is pure cancellation noise (e.g. C on a constant-curvature chart) must
+    # exclude every point rather than fit the noise
+    g_scale = 1.0 + float(np.max(np.abs(vals["gtensor"])))
+    admitted = magnitudes > ZERO_THRESHOLD * max(zmax, g_scale)
+    residuals = np.full(len(points), np.nan)
+    if np.any(admitted):
+        adm_pts = tuple(p for p, ok in zip(points, admitted) if ok)
+        gv = bundle.field_values(grad, adm_pts)
+        lamv = bundle.field_values(lam, adm_pts)
+        diff = gv - np.einsum("pa,p...->pa...", lamv, tv[admitted])
+        residuals[admitted] = _per_point_max(diff) / (1.0 + magnitudes[admitted])
+    return magnitudes, admitted, residuals
 
 
 def fit_recurrence_form(
@@ -248,34 +284,27 @@ def fit_recurrence_form(
     chart-wide target maximum and the curvature scale 1 + max |G| are
     excluded; if every point is excluded the recurrence hypothesis is empty
     and HypothesisError is raised.
-    """
-    vals = bundle.values_at(points)
-    name, _, grad = _target_fields(bundle, target)
-    lam = _recurrence_form(bundle, target)
 
-    tv = vals[name]
-    magnitudes = _per_point_max(tv)
-    zmax = float(np.max(magnitudes))
-    # the zero threshold is relative to the largest target magnitude, but
-    # never below the chart's own curvature scale 1 + max |G|: a target that
-    # is pure cancellation noise (e.g. C on a constant-curvature chart) must
-    # exclude every point rather than fit the noise
-    g_scale = 1.0 + float(np.max(np.abs(vals["gtensor"])))
-    admitted = magnitudes > ZERO_THRESHOLD * max(zmax, g_scale)
+    The magnitudes, admitted mask and residuals depend on the point set and
+    on the nodes of T and nabla T alone (tol only decides ``passes``), so
+    they are kept in the bundle's store under those nodes: a target whose
+    fields are another's node for node (C = R where r vanishes identically)
+    reuses that fit, and the fit returned names the target asked for and
+    carries its own lambda.
+    """
+    bundle.values_at(points)  # an empty point list is refused before any build
+    name, tensor, grad = _target_fields(bundle, target)
+    lam = _recurrence_form(bundle, target)
+    magnitudes, admitted, residuals = bundle._cached(
+        points,
+        _form_key("fit", tensor, grad),
+        lambda: _fit_values(bundle, name, grad, lam, points),
+    )
     if not np.any(admitted):
         raise HypothesisError(
             f"target {target} is numerically zero at every sample point of "
             f"{bundle.chart.name}; no recurrence form exists"
         )
-
-    adm_pts = tuple(p for p, ok in zip(points, admitted) if ok)
-    gv = bundle.field_values(grad, adm_pts)
-    tva = tv[admitted]
-    lamv = bundle.field_values(lam, adm_pts)
-    diff = gv - np.einsum("pa,p...->pa...", lamv, tva)
-    res_adm = _per_point_max(diff) / (1.0 + magnitudes[admitted])
-    residuals = np.full(len(points), np.nan)
-    residuals[admitted] = res_adm
     return RecurrenceFit(
         target=target,
         chart=bundle.chart.name,
@@ -340,18 +369,18 @@ def check_extended_recurrence(
 
     The residual is normalized by 1 + max |R| at each point, exactly like
     the fit residual, so with mu = 0 it coincides with the R-fit residual
-    for the same lambda.  The report's scale field is therefore zero.
+    for the same lambda.  The report's scale field is therefore zero.  A mu
+    whose every component is the exact ZERO adds no mu (x) G term: x - 0.0
+    is x, and G is finite.
     """
     vals = bundle.values_at(points)
-    rv, gv = vals["riemann"], vals["gtensor"]
+    rv = vals["riemann"]
     nr = bundle.field_values(bundle.nabla_riemann(), points)
     lamv = bundle.field_values(lam, points)
-    muv = bundle.field_values(mu, points)
-    diff = (
-        nr
-        - np.einsum("pa,pwxyz->pawxyz", lamv, rv)
-        - np.einsum("pa,pwxyz->pawxyz", muv, gv)
-    )
+    diff = nr - np.einsum("pa,pwxyz->pawxyz", lamv, rv)
+    if any(c is not ex.ZERO for c in mu.components.flat):
+        muv = bundle.field_values(mu, points)
+        diff = diff - np.einsum("pa,pwxyz->pawxyz", muv, vals["gtensor"])
     residuals = _per_point_max(diff) / (1.0 + _per_point_max(rv))
     return _report("extended-recurrence", bundle, points, residuals, np.zeros(len(points)), tol)
 

@@ -557,6 +557,19 @@ def test_block_reuses_slots_once_a_node_is_read_for_the_last_time():
     )
 
 
+def test_a_tape_stops_at_its_loads_and_reads_their_rows():
+    x, y = ex.var("x"), ex.var("y")
+    inner = ex.add(ex.mul(ex.sin(x), ex.exp(y)), ex.div(x, ex.cosh(y)))
+    outer = ex.mul(ex.add(inner, x), ex.sub(inner, ex.const(3)))
+    columns = {"x": np.array([0.3, -1.2, 2.5]), "y": np.array([0.7, 0.1, -0.4])}
+    plain = ex._Tape([outer])
+    loaded = ex._Tape([outer], [inner])
+    # inner's subexpressions are not compiled; x is, being read above inner too
+    assert len(loaded.ops) == len(plain.ops) - (ex.node_count(inner) - 2)
+    rows = ex._Tape([inner]).run(columns)
+    np.testing.assert_array_equal(loaded.run(columns, list(rows)), plain.run(columns))
+
+
 @pytest.mark.parametrize("text", ["1/0", "0^(0-1)*x", "x*10^400"])
 def test_constants_never_escape_block_evaluation_as_python_errors(text):
     e = ex.parse(text, COORDS)

@@ -596,8 +596,8 @@ def test_bundle_builds_each_tape_once_across_point_sets(monkeypatch):
     class CountingTape(ex._Tape):
         __slots__ = ()
 
-        def __init__(self, exprs):
-            super().__init__(exprs)
+        def __init__(self, exprs, loads=()):
+            super().__init__(exprs, loads)
             built.append(self.roots)
 
     monkeypatch.setattr(ex, "_Tape", CountingTape)
@@ -696,6 +696,36 @@ def test_sample_points_draws_and_admits_as_the_one_at_a_time_loop():
         for seed in seeds:
             want = _sampling_outcome(_reference_sample_points, chart, seed, 25)
             got = _sampling_outcome(type(chart).sample_points, chart, seed, 25)
+            assert got == want, (chart.name, seed)
+
+
+def _scalar_draw_sample_points(chart, rng, count):
+    """sample_points with one scalar uniform call per coordinate, candidate
+    by candidate, and each candidate decided at once by the chart's scalar
+    tapes; the rule is the block's, only the draws are scalar."""
+    *exclusions, det = chart._scalar_tapes
+    points = []
+    while len(points) < count:
+        p = {c: float(rng.uniform(*chart.domain[c])) for c in chart.coordinates}
+        if any(abs(t.at(p)[0]) < 1e-3 for t in exclusions):
+            continue
+        d = float(det.at(p)[0])
+        if abs(d) <= 1e-12:
+            raise SingularMetricError(chart.name, p, d)
+        points.append(p)
+    return points
+
+
+def test_sample_points_draws_as_one_scalar_uniform_per_coordinate():
+    from concirc.catalog import builtin_names
+
+    charts = [(get_builtin(name).chart, range(5)) for name in builtin_names()]
+    charts += [(random_perturbed_flat(s), range(5)) for s in range(8)]
+    for chart, seeds in charts:
+        for seed in seeds:
+            want = _sampling_outcome(_scalar_draw_sample_points, chart, seed, 64)
+            got = _sampling_outcome(type(chart).sample_points, chart, seed, 64)
+            # the same points, and the generator left where the scalar loop leaves it
             assert got == want, (chart.name, seed)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import concirc.expressions as ex
-from concirc import geometry, recurrence
+from concirc import geometry, identities, recurrence
 from concirc.catalog import get_builtin
 from concirc.geometry import (
     GeometryError,
@@ -21,6 +21,8 @@ from concirc.identities import (
     HypothesisError,
     _per_point_max,
     _report,
+    check_semisymmetry_at,
+    check_walker_at,
     random_curvature_like,
 )
 from concirc.recurrence import (
@@ -657,9 +659,9 @@ def test_classify_and_verify_theorem_read_core_fields_from_the_core_tape(monkeyp
     class RecordingTape(ex._Tape):
         __slots__ = ()
 
-        def __init__(self, exprs):
+        def __init__(self, exprs, loads=()):
             roots.append(tuple(exprs))
-            super().__init__(exprs)
+            super().__init__(exprs, loads)
 
     monkeypatch.setattr(ex, "_Tape", RecordingTape)
     pts = b.chart.sample_points(42, 8)
@@ -690,3 +692,148 @@ def test_zero_one_form():
     z = zero_one_form(4)
     assert z.rank == 1 and z.dim == 4
     assert all(c is ex.ZERO for c in z.components.ravel())
+
+
+# -- numeric work shared per point set -------------------------------------------
+
+
+def _counting(monkeypatch, module, name):
+    """List that grows by one at each call of module.name."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("name, fits", [("ppwave_recurrent", 1), ("perturbed_flat", 2)])
+def test_a_point_set_computes_one_curvature_action_and_one_fit_per_node_key(
+    monkeypatch, name, fits
+):
+    b = curvature_bundle_at(get_builtin(name).chart)
+    pts = b.chart.sample_points(42, 8)
+    actions = _counting(monkeypatch, identities, "_curvature_action")
+    # check_mu_structure reads the action through this name; nothing here calls it
+    monkeypatch.setattr(recurrence, "_curvature_action", identities._curvature_action)
+    computed = _counting(monkeypatch, recurrence, "_fit_values")
+    check_walker_at(b, pts)
+    check_semisymmetry_at(b, pts)
+    classify(b, pts)
+    verify_theorem(b, pts)
+    assert len(actions) == 1
+    # on ppwave_recurrent r vanishes identically, so C is R node for node and
+    # its fit is R's; on perturbed_flat R and C are fitted once each
+    c_is_r = all(c is r for c, r in zip(b.concircular.components.flat, b.riemann.components.flat))
+    assert c_is_r == (name == "ppwave_recurrent")
+    assert len(computed) == fits
+
+
+def test_verify_theorem_reuses_the_r_fit_where_c_is_r_node_for_node():
+    b = curvature_bundle_at(get_builtin("ppwave_recurrent").chart)
+    pts = b.chart.sample_points(42, 8)
+    assert classify(b, pts).verdict == "recurrent"  # an R-fit, no C-fit
+    fit = verify_theorem(b, pts).c_fit
+    assert fit.target == "C"
+    assert fit.lam is _recurrence_form(b, "C")
+    fresh = curvature_bundle_at(b.chart)
+    alone = verify_theorem(fresh, pts).c_fit
+    for field in ("magnitudes", "admitted", "residuals"):
+        np.testing.assert_array_equal(getattr(fit, field), getattr(alone, field))
+    assert str(fit) == str(alone)
+
+
+def test_a_shared_fit_names_the_target_asked_for_when_it_excludes_every_point():
+    # a pp-wave of amplitude 1e-12: r vanishes identically, so C is R node
+    # for node, and R is below the zero threshold at every point
+    coords = ("u", "v", "x", "y")
+    rows = [["0.000000000001*exp(u)*(x^2 - y^2)", "1", "0", "0"],
+            ["1", "0", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
+    metric = np.array([[ex.parse(t, coords) for t in row] for row in rows], dtype=object)
+    chart = MetricChart("faint_ppwave", coords, metric, {c: (-1.5, 1.5) for c in coords})
+    b = curvature_bundle_at(chart)
+    assert all(c is r for c, r in zip(b.concircular.components.flat, b.riemann.components.flat))
+    pts = chart.sample_points(1, 5)
+    for target in ("C", "R", "C"):
+        with pytest.raises(HypothesisError, match=f"target {target} is numerically zero"):
+            fit_recurrence_form(b, target, pts)
+
+
+@pytest.mark.parametrize("seed", [None, 1, 6])
+def test_lambda_through_loads_is_its_unloaded_tape_bit_for_bit(seed):
+    from concirc.catalog import random_perturbed_flat
+
+    chart = get_builtin("perturbed_flat").chart if seed is None else random_perturbed_flat(seed)
+    b = curvature_bundle_at(chart)
+    pts = chart.sample_points(3, 12)
+    for target in ("R", "C"):
+        lam = _recurrence_form(b, target)
+        got = b.field_values(lam, pts)
+        np.testing.assert_array_equal(got, lam.evaluate_block(pts))
+        tape = b._tapes[tuple(lam.components.ravel())]
+        assert tape.loads
+        assert len(tape.ops) < len(ex._Tape(lam.components.ravel()).ops)
+
+
+def test_loaded_rows_come_from_the_point_set_being_run(monkeypatch):
+    chart = get_builtin("perturbed_flat").chart
+    b = curvature_bundle_at(chart)
+    lam = _recurrence_form(b, "C")
+    entry = tuple(lam.components.ravel())
+    point_sets = [chart.sample_points(seed, 6) for seed in range(3)]
+    runs = []
+    real = ex._Tape.run
+
+    def recording(self, columns, loaded=()):
+        if self.roots == entry:
+            runs.append((columns, [row.copy() for row in loaded]))
+        return real(self, columns, loaded)
+
+    monkeypatch.setattr(ex._Tape, "run", recording)
+    for pts in point_sets:
+        b.field_values(lam, pts)
+    # the third point set evicts the first, whose loaded rows must then be
+    # recomputed for it, not read from another point set
+    assert b._point_key(point_sets[0]) not in b._blocks
+    again = b.field_values(lam, point_sets[0])
+    assert len(runs) == 4
+    fresh = curvature_bundle_at(chart)
+    for (columns, loaded), pts in zip(runs, point_sets + point_sets[:1]):
+        assert [list(col) for col in columns.values()] == [
+            [p[c] for p in pts] for c in chart.coordinates
+        ]
+        want = np.concatenate([
+            fresh.values_at(pts)["concircular"].reshape(len(pts), -1),
+            fresh.field_values(fresh.nabla_concircular(), pts).reshape(len(pts), -1),
+        ], axis=1).T
+        np.testing.assert_array_equal(np.array(loaded), want)
+    np.testing.assert_array_equal(again, lam.evaluate_block(point_sets[0]))
+
+
+@pytest.mark.parametrize("target", ["R", "C"])
+def test_lambda_values_do_not_depend_on_whether_a_fit_ran_first(target):
+    chart = get_builtin("perturbed_flat").chart
+    pts = chart.sample_points(5, 10)
+    before = curvature_bundle_at(chart)
+    unfitted = before.field_values(_recurrence_form(before, target), pts)
+    after = curvature_bundle_at(chart)
+    fit = fit_recurrence_form(after, target, pts)
+    assert fit.admitted.all()
+    assert after.field_values(fit.lam, pts).tobytes() == unfitted.tobytes()
+
+
+def test_extended_recurrence_with_an_exact_zero_mu_adds_no_term(monkeypatch):
+    b = curvature_bundle_at(get_builtin("perturbed_flat").chart)
+    pts = b.chart.sample_points(42, 6)
+    lam = _recurrence_form(b, "C")
+    # sin(0) is a node that evaluates to 0.0, so it takes the mu (x) G path
+    vanishing = TensorField(3, 1, np.array([ex.sin(ex.ZERO)] * 3, dtype=object))
+    assert ex.sin(ex.ZERO) is not ex.ZERO
+    full = check_extended_recurrence(b, lam, vanishing, pts)
+    reads = _counting(monkeypatch, b, "field_values")
+    short = check_extended_recurrence(b, lam, zero_one_form(3), pts)
+    assert len(reads) == 2  # nabla R and lambda; no tape for mu
+    np.testing.assert_array_equal(short.residuals, full.residuals)
