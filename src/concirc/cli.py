@@ -151,6 +151,25 @@ def _check_entry(name, residual, scale, ok):
             "pass": bool(ok)}
 
 
+def _fit_entries(bundle, points, scalars, fit, row) -> list:
+    """Point entries of a fit's report. The k-th point fit admitted, sample
+    i, gets its lambda and the (checks, mu_norm) that row(i, k) returns;
+    every other point, and every point when fit is None, gets no checks."""
+    if fit is None:
+        return [_point_entry(p, s, []) for p, s in zip(points, scalars)]
+    lamv = bundle.field_values(fit.lam, fit.admitted_points)
+    entries, k = [], 0
+    for i, p in enumerate(points):
+        if not fit.admitted[i]:
+            entries.append(_point_entry(p, scalars[i], []))
+            continue
+        lam = {c: float(lamv[k, j]) for j, c in enumerate(bundle.chart.coordinates)}
+        checks, mu_norm = row(i, k)
+        entries.append(_point_entry(p, scalars[i], checks, lam=lam, mu_norm=mu_norm))
+        k += 1
+    return entries
+
+
 def _assemble(chart, args, tol, points, point_entries, classification) -> dict:
     all_checks = [c for p in point_entries for c in p["checks"]]
     skipped = sum(1 for p in point_entries if not p["checks"])
@@ -220,23 +239,11 @@ def _run_chart_command(args) -> int:
             fit = fit_recurrence_form(bundle, args.target, points, tol)
         except HypothesisError:
             fit = None
-        lamv = None
-        if fit is not None:
-            lamv = bundle.field_values(fit.lam, fit.admitted_points)
-        adm_index = 0
-        for i, p in enumerate(points):
-            if fit is None or not fit.admitted[i]:
-                entries.append(_point_entry(p, scalars[i], []))
-                continue
-            lam_doc = {
-                c: float(lamv[adm_index, k])
-                for k, c in enumerate(chart.coordinates)
-            }
-            checks = [
-                _check_entry(f"fit-{args.target}", fit.residuals[i], 0.0, fit.passes[i])
-            ]
-            entries.append(_point_entry(p, scalars[i], checks, lam=lam_doc))
-            adm_index += 1
+
+        def fit_row(i, k):
+            return [_check_entry(f"fit-{args.target}", fit.residuals[i], 0.0, fit.passes[i])], None
+
+        entries = _fit_entries(bundle, points, scalars, fit, fit_row)
 
     elif args.command == "classify":
         ok = not verdict.theorem_violation
@@ -248,28 +255,16 @@ def _run_chart_command(args) -> int:
 
     elif args.command == "verify-theorem":
         rep = verify_theorem(bundle, points, tol)
-        if rep.skipped:
-            for i, p in enumerate(points):
-                entries.append(_point_entry(p, scalars[i], []))
-        else:
-            lamv = bundle.field_values(rep.c_fit.lam, rep.c_fit.admitted_points)
-            k = 0
-            for i, p in enumerate(points):
-                if not rep.c_fit.admitted[i]:
-                    entries.append(_point_entry(p, scalars[i], []))
-                    continue
-                checks = [
-                    _check_entry(name, sub.residuals[k], sub.scales[k], sub.passes[k])
-                    for name, sub in rep.checks.items()
-                ]
-                lam_doc = {
-                    c: float(lamv[k, j]) for j, c in enumerate(chart.coordinates)
-                }
-                mu_norm = float(rep.mu_check.residuals[k])
-                entries.append(
-                    _point_entry(p, scalars[i], checks, lam=lam_doc, mu_norm=mu_norm)
-                )
-                k += 1
+
+        def theorem_row(i, k):
+            checks = [
+                _check_entry(name, sub.residuals[k], sub.scales[k], sub.passes[k])
+                for name, sub in rep.checks.items()
+            ]
+            return checks, float(rep.mu_check.residuals[k])
+
+        fit = None if rep.skipped else rep.c_fit
+        entries = _fit_entries(bundle, points, scalars, fit, theorem_row)
 
     doc = _assemble(chart, args, tol, points, entries, verdict.verdict)
     return _emit(doc, args)

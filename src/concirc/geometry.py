@@ -41,7 +41,8 @@ raised. riemann_13, every other covariant derivative (nabla R, nabla C,
 nabla^2 R, nabla of a 1-form), the exterior derivative of a 1-form and the
 curvature action are only ever evaluated or summed into a simplified
 field, so they are kept as built: shared DAGs that cost less to build and
-to evaluate than their simplified forms.
+to evaluate than their simplified forms. ``recurrence`` reads d of a 1-form
+from nabla's values; exterior_derivative_one_form_at is the tests' reference.
 """
 
 from __future__ import annotations
@@ -597,12 +598,15 @@ class CurvatureBundle:
         for tf's components stands, as the tape compiled from it does."""
         self._loads.setdefault(tuple(tf.components.ravel()), sources)
 
-    def _evaluate(self, entry, exprs, points) -> np.ndarray:
-        """(len(exprs), npoints) values, through the tape kept under entry.
+    def _evaluate(self, entry, fields: dict, points) -> np.ndarray:
+        """(components, npoints) values of fields, component arrays by name,
+        through the tape kept under entry; a non-finite value raises
+        DomainError naming its field and component.
 
         The rows of the tape's loads are read from the store for these
         points, so they are never another point set's.
         """
+        exprs = [e for arr in fields.values() for e in arr.flat]
         loads, loaded = [], []
         for src in self._loads.get(entry, ()):
             if isinstance(src, str):
@@ -615,7 +619,13 @@ class CurvatureBundle:
         tape = self._tapes.get(entry)
         if tape is None:
             tape = self._tapes[entry] = ex._Tape(exprs, loads)
-        return tape.run(points_to_columns(points, self.chart.coordinates), loaded)
+        try:
+            return tape.run(points_to_columns(points, self.chart.coordinates), loaded)
+        except ex.DomainError as e:  # its subexpression is the first failing row
+            rows = [f"{name}{list(idx) if idx else ''}"
+                    for name, arr in fields.items() for idx in np.ndindex(arr.shape)]
+            e.args = (f"{rows[exprs.index(e.subexpression)]}: {e}",)
+            raise
 
     def values_at(self, points) -> dict:
         """Numeric component arrays of the core fields at the given points.
@@ -640,16 +650,13 @@ class CurvatureBundle:
         }
 
     def _evaluate_core(self, points) -> dict:
-        exprs = [self.scalar_curvature]
-        spans = []
-        for name, arr in self._core_fields().items():
-            flat = list(arr.ravel())
-            spans.append((name, len(exprs), len(flat), arr.shape))
-            exprs.extend(flat)
-        block = self._evaluate("core", exprs, points).T  # (npts, nexprs)
-        out = {"scalar": block[:, 0]}
-        for name, start, size, shape in spans:
-            out[name] = block[:, start : start + size].reshape((len(points),) + shape)
+        fields = {"scalar": np.array(self.scalar_curvature, dtype=object)}
+        fields.update(self._core_fields())
+        block = self._evaluate("core", fields, points).T  # (npts, nexprs)
+        out, start = {}, 0
+        for name, arr in fields.items():
+            out[name] = block[:, start : start + arr.size].reshape((len(points),) + arr.shape)
+            start += arr.size
         return out
 
     def field_values(self, tf: TensorField, points) -> np.ndarray:
@@ -661,7 +668,7 @@ class CurvatureBundle:
         entry = tuple(tf.components.ravel())
 
         def compute():
-            rows = self._evaluate(entry, entry, points)
+            rows = self._evaluate(entry, {"component": tf.components}, points)
             return rows.T.reshape((len(points),) + tf.components.shape)
 
         return self._cached(points, entry, compute)

@@ -17,9 +17,10 @@ and C are read from the bundle's core block (``values_at``), never from a
 tape of their own.
 
 Every symbolic form is built once per bundle and kept on it: lambda_R and
-lambda_C, and the inputs that compute_mu, check_lambda_closed and
-check_mu_structure build, keyed by the interned component nodes of the
-1-forms they are built from; mu ^ lambda is formed from values, not built.
+lambda_C, mu, and nabla omega of each 1-form omega the checks test, keyed
+by the interned component nodes of the 1-forms they are built from.  d omega
+and mu ^ lambda are formed from values, d omega as the antisymmetric part of
+nabla omega (geometry.exterior_derivative_one_form_at is the tests' reference).
 lambda's tape loads the rows of T from the core block and of nabla T from
 ``field_values``, both for the point set being run, so it compiles only
 the quotient above them.  A fit's numbers are kept in the bundle's
@@ -44,13 +45,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expressions as ex
-from .expressions import Expr
 from .geometry import (
     CurvatureBundle,
     GeometryError,
     TensorField,
     covariant_derivative_at,
-    exterior_derivative_one_form_at,
 )
 from .identities import (
     HypothesisError,
@@ -82,6 +81,8 @@ __all__ = [
 ]
 
 ZERO_THRESHOLD = 1e-8
+# tolerance of the checks that a 1-form vanishes or is closed (mu, d lambda)
+FORM_TOL = 1e-10
 
 
 def zero_one_form(n: int) -> TensorField:
@@ -139,12 +140,11 @@ class RecurrenceFit:
 
 @dataclass(frozen=True)
 class MuForm:
-    """mu = (dr - r lambda) / (n(n-1)) together with its inputs."""
+    """mu = (dr - r lambda) / (n(n-1)) and dr; d mu is not built, but read
+    from nabla mu's values by check_mu_structure."""
 
     mu: TensorField
-    scalar: Expr
     dscalar: TensorField
-    lam: TensorField
 
 
 @dataclass(frozen=True)
@@ -334,9 +334,7 @@ def compute_mu(bundle: CurvatureBundle, lam: TensorField) -> MuForm:
             mu[a] = ex.div(ex.sub(dr[a], ex.mul(r, lam.components[a])), denom)
         return MuForm(
             mu=TensorField(n, 1, mu, symmetry="none"),
-            scalar=r,
             dscalar=TensorField(n, 1, dr, symmetry="none"),
-            lam=lam,
         )
 
     return bundle._derive(_form_key("mu", lam), build)
@@ -385,22 +383,26 @@ def check_extended_recurrence(
     return _report("extended-recurrence", bundle, points, residuals, np.zeros(len(points)), tol)
 
 
+def _nabla_values(bundle: CurvatureBundle, omega: TensorField, points):
+    """Values of nabla omega, built once per bundle and 1-form omega, and of
+    d omega, read from them as (nabla_i omega_j - nabla_j omega_i) / 2."""
+    key = _form_key("nabla", omega)
+    grad = bundle._derive(key, lambda: covariant_derivative_at(bundle, omega))
+    gv = bundle.field_values(grad, points)
+    return gv, 0.5 * (gv - np.einsum("pij->pji", gv))
+
+
 def check_lambda_closed(
-    bundle: CurvatureBundle, lam: TensorField, points, tol: float = 1e-10
+    bundle: CurvatureBundle, lam: TensorField, points, tol: float = FORM_TOL
 ) -> IdentityReport:
     """Residual of d lambda at the points.
 
-    The scale is the antisymmetrized covariant derivative with absolute
-    values, i.e. how much cancellation d lambda = 0 actually demands.
-    nabla lambda and d lambda are built once per bundle and lambda.
+    d lambda is read from the values of nabla lambda, the one derivative
+    field built for lambda.  The scale is the symmetrized |nabla lambda|,
+    i.e. how much cancellation d lambda = 0 actually demands.
     """
-
-    def build():
-        return covariant_derivative_at(bundle, lam), exterior_derivative_one_form_at(bundle, lam)
-
-    grad, dlam = bundle._derive(_form_key("closedness", lam), build)
-    dv = bundle.field_values(dlam, points)
-    gv = np.abs(bundle.field_values(grad, points))
+    gv, dv = _nabla_values(bundle, lam, points)
+    gv = np.abs(gv)
     scale = 0.5 * (gv + np.einsum("pij->pji", gv))
     return _report("lambda-closed", bundle, points, dv, scale, tol)
 
@@ -419,18 +421,14 @@ def check_mu_structure(
     Each is normalized by its own cancellation scale; the reported residual
     is the larger of the two (so the scale field is zero).  With mu = 0 the
     second contraction is exactly the semisymmetry check, and like it is
-    compared on index pairs (u < v, w < x, y < z).  d mu and nabla mu are
-    built once per bundle and mu; mu ^ lambda is formed from their values.
+    compared on index pairs (u < v, w < x, y < z).  nabla mu is the one
+    derivative field built for mu; d mu and mu ^ lambda come from values.
     """
-
-    def build():
-        return exterior_derivative_one_form_at(bundle, mu), covariant_derivative_at(bundle, mu)
-
-    dmu, gradmu = bundle._derive(_form_key("mu-structure", mu), build)
+    gradmu, dmu = _nabla_values(bundle, mu, points)
     muv, lamv = bundle.field_values(mu, points), bundle.field_values(lam, points)
     outer = np.einsum("pi,pj->pij", muv, lamv)
-    fv = bundle.field_values(dmu, points) + 0.5 * (outer - np.einsum("pij->pji", outer))
-    bound = np.abs(bundle.field_values(gradmu, points)) + np.abs(outer)
+    fv = dmu + 0.5 * (outer - np.einsum("pij->pji", outer))
+    bound = np.abs(gradmu) + np.abs(outer)
     scale1 = 0.5 * (bound + np.einsum("pij->pji", bound))
     res1 = _per_point_max(fv) / (1.0 + _per_point_max(scale1))
 
@@ -578,15 +576,14 @@ def classify(bundle: CurvatureBundle, points, tol: float = 1e-8) -> Classificati
     return Classification(bundle.chart.name, "generic", ev)
 
 
-def verify_theorem(
-    bundle: CurvatureBundle, points, tol: float = 1e-8, form_tol: float = 1e-10
-) -> TheoremReport:
+def verify_theorem(bundle: CurvatureBundle, points, tol: float = 1e-8) -> TheoremReport:
     """Check the implication chain on a chart satisfying the hypothesis.
 
     Hypothesis: the concircular tensor is recurrent (C-fit passes at the
     admitted points).  Conclusion, checked at those points: mu vanishes,
     nabla R = lambda (x) R with the same lambda, d lambda = 0, and the
-    curvature action on R vanishes (semisymmetry).  A chart that fails the
+    curvature action on R vanishes (semisymmetry).  mu = 0 and d lambda = 0
+    are held to FORM_TOL, the rest to tol.  A chart that fails the
     hypothesis yields a skip.
     """
     name = bundle.chart.name
@@ -613,12 +610,12 @@ def verify_theorem(
     mu_scale = (
         _per_point_max(drv) + np.abs(rv) * _per_point_max(lamv)
     ) / (n * (n - 1))
-    mu_check = _report("mu-vanishes", bundle, adm, muv, mu_scale, form_tol)
+    mu_check = _report("mu-vanishes", bundle, adm, muv, mu_scale, FORM_TOL)
 
     recurrence_check = check_extended_recurrence(
         bundle, lam, zero_one_form(n), adm, tol
     )
-    closed_check = check_lambda_closed(bundle, lam, adm, form_tol)
+    closed_check = check_lambda_closed(bundle, lam, adm)
     semi_check = check_semisymmetry_at(bundle, adm, tol)
     return TheoremReport(
         chart=name,

@@ -550,7 +550,7 @@ def test_verify_theorem_on_ppwave():
 
 
 def test_verify_theorem_builds_its_forms_once_per_bundle(monkeypatch):
-    # mu, nabla lambda and d lambda live on the bundle with lambda itself;
+    # mu and nabla lambda live on the bundle with lambda itself;
     # compute_mu is called every time, but differentiates r only once
     b = curvature_bundle_at(get_builtin("ppwave_recurrent").chart)
     assert verify_theorem(b, b.chart.sample_points(1, 6)).passed
@@ -565,7 +565,6 @@ def test_verify_theorem_builds_its_forms_once_per_bundle(monkeypatch):
     for module, name in (
         (geometry, "covariant_derivative_at"),
         (recurrence, "covariant_derivative_at"),
-        (recurrence, "exterior_derivative_one_form_at"),
         (ex, "differentiate"),
     ):
         monkeypatch.setattr(module, name, counting(getattr(module, name)))
@@ -634,8 +633,10 @@ def test_derived_forms_are_built_once_per_bundle_and_input(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    for name in ("covariant_derivative_at", "exterior_derivative_one_form_at"):
-        monkeypatch.setattr(recurrence, name, counting(getattr(recurrence, name)))
+    # covariant_derivative_at is the one builder recurrence uses: d is read
+    # from nabla's values
+    name = "covariant_derivative_at"
+    monkeypatch.setattr(recurrence, name, counting(getattr(recurrence, name)))
     again = (check_lambda_closed(b, twin, pts), check_mu_structure(b, twin, mu.mu, pts))
     assert builds == []
     for old, new in zip(first, again):
@@ -644,7 +645,7 @@ def test_derived_forms_are_built_once_per_bundle_and_input(monkeypatch):
     other = _const_one_form(b, [1.0, 0.0, 0.0, 0.0])
     assert compute_mu(b, other) is not mu
     check_lambda_closed(b, other, pts)
-    assert builds == ["covariant_derivative_at", "exterior_derivative_one_form_at"]
+    assert builds == ["covariant_derivative_at"]
 
 
 @pytest.mark.parametrize("name", ["perturbed_flat", "ppwave_recurrent"])
