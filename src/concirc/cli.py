@@ -133,14 +133,15 @@ def _parse_point(spec: str, chart) -> dict:
     return point
 
 
-def _point_entry(coords_dict, scalar, checks, lam=None, mu_norm=None, components=None):
+def _point_entry(coords_dict, scalar, components=None):
+    """A point's report entry with no checks; each command fills in its own."""
     entry = {
         "coords": {k: float(v) for k, v in coords_dict.items()},
         "scalar_curvature": float(scalar),
-        "checks": checks,
+        "checks": [],
+        "lambda": None,
+        "mu_norm": None,
     }
-    entry["lambda"] = lam
-    entry["mu_norm"] = mu_norm
     if components is not None:
         entry["components"] = components
     return entry
@@ -151,23 +152,18 @@ def _check_entry(name, residual, scale, ok):
             "pass": bool(ok)}
 
 
-def _fit_entries(bundle, points, scalars, fit, row) -> list:
-    """Point entries of a fit's report. The k-th point fit admitted, sample
-    i, gets its lambda and the (checks, mu_norm) that row(i, k) returns;
-    every other point, and every point when fit is None, gets no checks."""
+def _admitted(bundle, fit, entries) -> list:
+    """(k, i) for the k-th point fit admitted, sample i, in order, each
+    entries[i] given its lambda; none when fit is None."""
     if fit is None:
-        return [_point_entry(p, s, []) for p, s in zip(points, scalars)]
+        return []
     lamv = bundle.field_values(fit.lam, fit.admitted_points)
-    entries, k = [], 0
-    for i, p in enumerate(points):
-        if not fit.admitted[i]:
-            entries.append(_point_entry(p, scalars[i], []))
-            continue
-        lam = {c: float(lamv[k, j]) for j, c in enumerate(bundle.chart.coordinates)}
-        checks, mu_norm = row(i, k)
-        entries.append(_point_entry(p, scalars[i], checks, lam=lam, mu_norm=mu_norm))
-        k += 1
-    return entries
+    index = [i for i, ok in enumerate(fit.admitted) if ok]
+    for k, i in enumerate(index):
+        entries[i]["lambda"] = {
+            c: float(lamv[k, j]) for j, c in enumerate(bundle.chart.coordinates)
+        }
+    return list(enumerate(index))
 
 
 def _assemble(chart, args, tol, points, point_entries, classification) -> dict:
@@ -208,7 +204,7 @@ def _run_chart_command(args) -> int:
     points = chart.sample_points(args.seed, args.samples)
     scalars = bundle.values_at(points)["scalar"]
     verdict = classify(bundle, points, tol)
-    entries = []
+    entries = [_point_entry(p, s) for p, s in zip(points, scalars)]
 
     if args.command == "compute":
         target = _parse_point(args.point, chart) if args.point else points[0]
@@ -224,47 +220,41 @@ def _run_chart_command(args) -> int:
             "gtensor": vals["gtensor"][0].tolist(),
             "concircular": vals["concircular"][0].tolist(),
         }
-        entries.append(
-            _point_entry(target, vals["scalar"][0], [], components=components)
-        )
+        entries = [
+            _point_entry(target, vals["scalar"][0], components=components)
+        ]
 
     elif args.command == "check":
         rep = _IDENTITY_CHECKS[args.identity](bundle, points, tol)
-        for i, p in enumerate(points):
+        for i, entry in enumerate(entries):
             checks = [_check_entry(rep.identity, rep.residuals[i], rep.scales[i], rep.passes[i])]
-            entries.append(_point_entry(p, scalars[i], checks))
+            entry["checks"] = checks
 
     elif args.command == "fit":
         try:
             fit = fit_recurrence_form(bundle, args.target, points, tol)
         except HypothesisError:
             fit = None
-
-        def fit_row(i, k):
-            return [_check_entry(f"fit-{args.target}", fit.residuals[i], 0.0, fit.passes[i])], None
-
-        entries = _fit_entries(bundle, points, scalars, fit, fit_row)
+        for _, i in _admitted(bundle, fit, entries):
+            entries[i]["checks"] = [
+                _check_entry(f"fit-{args.target}", fit.residuals[i], 0.0, fit.passes[i])
+            ]
 
     elif args.command == "classify":
         ok = not verdict.theorem_violation
-        for i, p in enumerate(points):
-            checks = [
+        for entry in entries:
+            entry["checks"] = [
                 {"name": "classification", "residual": 0.0, "scale": 0.0, "pass": ok}
             ]
-            entries.append(_point_entry(p, scalars[i], checks))
 
     elif args.command == "verify-theorem":
         rep = verify_theorem(bundle, points, tol)
-
-        def theorem_row(i, k):
-            checks = [
+        for k, i in _admitted(bundle, None if rep.skipped else rep.c_fit, entries):
+            entries[i]["checks"] = [
                 _check_entry(name, sub.residuals[k], sub.scales[k], sub.passes[k])
                 for name, sub in rep.checks.items()
             ]
-            return checks, float(rep.mu_check.residuals[k])
-
-        fit = None if rep.skipped else rep.c_fit
-        entries = _fit_entries(bundle, points, scalars, fit, theorem_row)
+            entries[i]["mu_norm"] = float(rep.mu_check.residuals[k])
 
     doc = _assemble(chart, args, tol, points, entries, verdict.verdict)
     return _emit(doc, args)

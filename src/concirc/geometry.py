@@ -606,7 +606,6 @@ class CurvatureBundle:
         The rows of the tape's loads are read from the store for these
         points, so they are never another point set's.
         """
-        exprs = [e for arr in fields.values() for e in arr.flat]
         loads, loaded = [], []
         for src in self._loads.get(entry, ()):
             if isinstance(src, str):
@@ -618,13 +617,14 @@ class CurvatureBundle:
             loaded.extend(values.reshape(len(points), -1).T)
         tape = self._tapes.get(entry)
         if tape is None:
+            exprs = [e for arr in fields.values() for e in arr.flat]
             tape = self._tapes[entry] = ex._Tape(exprs, loads)
         try:
             return tape.run(points_to_columns(points, self.chart.coordinates), loaded)
         except ex.DomainError as e:  # its subexpression is the first failing row
             rows = [f"{name}{list(idx) if idx else ''}"
                     for name, arr in fields.items() for idx in np.ndindex(arr.shape)]
-            e.args = (f"{rows[exprs.index(e.subexpression)]}: {e}",)
+            e.args = (f"{rows[tape.roots.index(e.subexpression)]}: {e}",)
             raise
 
     def values_at(self, points) -> dict:
@@ -650,8 +650,7 @@ class CurvatureBundle:
         }
 
     def _evaluate_core(self, points) -> dict:
-        fields = {"scalar": np.array(self.scalar_curvature, dtype=object)}
-        fields.update(self._core_fields())
+        fields = dict(self._core_fields(), scalar=np.array(self.scalar_curvature, dtype=object))
         block = self._evaluate("core", fields, points).T  # (npts, nexprs)
         out, start = {}, 0
         for name, arr in fields.items():
