@@ -11,15 +11,22 @@ vanishes and the chart is semisymmetric.
 Two instances:
 
   ppwave_recurrent  a plane-wave metric where C-recurrence holds with
-                    lambda = du; verify_theorem confirms every consequence.
-  surface_power     a 2-d surface whose curvature never vanishes; in dim 2
-                    recurrence always holds with lambda = d ln|r|.
+                    lambda = du.  Its scalar curvature is 0, so C is R node
+                    for node and mu is built as ZERO: the chain holds, but
+                    trivially.
+  dx^2 + x^4 dy^2 + dz^2
+                    the case the theorem is about.  r = -4/x^2 is nowhere
+                    zero, so C is not R and mu is a nonzero expression; mu
+                    vanishes at every point only because lambda_C is
+                    d ln|r| = -(2/x) dx.  The chart is built here from
+                    expression strings, as a metric file would give it.
 """
 
 import numpy as np
 
 import concirc.expressions as ex
 from concirc import (
+    MetricChart,
     compute_mu,
     curvature_bundle_at,
     fit_recurrence_form,
@@ -39,8 +46,23 @@ def show_one_form(chart, lam):
     return " + ".join(parts) if parts else "0"
 
 
-def main():
-    print("== ppwave_recurrent: concircular recurrence and its consequences ==")
+def c_differs_from_r(b):
+    """How many components of C are not R's own interned node."""
+    pairs = zip(b.concircular.components.flat, b.riemann.components.flat)
+    return sum(c is not r for c, r in pairs)
+
+
+def show_chain(b, pts):
+    rep = verify_theorem(b, pts)
+    for name, check in rep.checks.items():
+        print(f"  {name:<32} max residual {check.max_residual:.2e}  "
+              f"{'ok' if check.passed else 'FAILED'}")
+    print(f"theorem verified: {rep.passed}")
+    return rep
+
+
+def ppwave():
+    print("== ppwave_recurrent: concircular recurrence where r = 0 ==")
     b = curvature_bundle_at(get_builtin("ppwave_recurrent").chart)
     pts = b.chart.sample_points(SEED, SAMPLES)
 
@@ -48,38 +70,54 @@ def main():
     print(f"fit nabla C = lambda (x) C: residual {fit.max_residual:.2e}, "
           f"{fit.excluded_count} points excluded")
     print(f"lambda = {show_one_form(b.chart, fit.lam)}")
+    print(f"r = {ex.to_string(b.scalar_curvature)}; "
+          f"C differs from R in {c_differs_from_r(b)} of {b.riemann.components.size} components")
 
     mu = compute_mu(b, fit.lam)
     print(f"mu = (dr - r lambda)/(n(n-1)) has components "
           f"{[ex.to_string(c) for c in mu.mu.components]}")
+    assert show_chain(b, pts).passed
 
-    rep = verify_theorem(b, pts)
-    for name, check in rep.checks.items():
-        print(f"  {name:<32} max residual {check.max_residual:.2e}  "
-              f"{'ok' if check.passed else 'FAILED'}")
-    print(f"theorem verified: {rep.passed}")
 
+def surface_x4_times_line():
+    print("== dx^2 + x^4 dy^2 + dz^2: concircular recurrence where C != R ==")
+    coords = ("x", "y", "z")
+    g = np.empty((3, 3), dtype=object)
+    g[:] = ex.ZERO
+    for i, text in enumerate(("1", "x^4", "1")):
+        g[i, i] = ex.parse(text, coords)
+    chart = MetricChart(
+        "surface_x4_times_line", coords, g, {"x": (0.5, 3.0), "y": (-2.0, 2.0), "z": (-2.0, 2.0)}
+    )
+    b = curvature_bundle_at(chart)
+    pts = chart.sample_points(SEED, SAMPLES)
+
+    fit = fit_recurrence_form(b, "C", pts)
+    print(f"fit nabla C = lambda (x) C: residual {fit.max_residual:.2e}, "
+          f"{fit.excluded_count} points excluded")
+    adm = fit.admitted_points
+    lamv = b.field_values(fit.lam, adm)
+    x = np.array([p["x"] for p in adm])
+    gap = np.max(np.abs(lamv - np.stack([-2.0 / x, 0 * x, 0 * x], axis=1)))
+    print(f"lambda_C = -(2/x) dx at every sample point: max gap {gap:.2e}")
+
+    print(f"r = {ex.to_string(b.scalar_curvature)}; "
+          f"C differs from R in {c_differs_from_r(b)} of {b.riemann.components.size} components")
+    mu = compute_mu(b, fit.lam)
+    built = sum(c is not ex.ZERO for c in mu.mu.components)
+    muv = b.field_values(mu.mu, adm)
+    print(f"mu has {built} component(s) not built as ZERO, "
+          f"yet max |mu| at the points is {np.max(np.abs(muv)):.2e}")
+    rep = show_chain(b, pts)
+
+    np.testing.assert_allclose(gap, 0.0, atol=1e-9)
+    assert c_differs_from_r(b) > 0 and built > 0 and rep.passed
+
+
+def main():
+    ppwave()
     print()
-    print("== surface_power: dim-2 recurrence with lambda = d ln|r| ==")
-    b2 = curvature_bundle_at(get_builtin("surface_power").chart)
-    pts2 = b2.chart.sample_points(SEED, SAMPLES)
-    fit2 = fit_recurrence_form(b2, "R", pts2)
-    print(f"fit nabla R = lambda (x) R: residual {fit2.max_residual:.2e}")
-    print(f"lambda = {show_one_form(b2.chart, fit2.lam)}")
-
-    r = b2.scalar_curvature
-    for p in pts2[:3]:
-        fitted = [float(ex.evaluate(c, p)) for c in fit2.lam.components]
-        logd = [
-            float(ex.evaluate(ex.div(ex.differentiate(r, name), r), p))
-            for name in b2.chart.coordinates
-        ]
-        gap = max(abs(a - b_) for a, b_ in zip(fitted, logd))
-        coords = ", ".join(f"{k}={v:.3f}" for k, v in sorted(p.items()))
-        print(f"point ({coords}): max|lambda - d ln|r|| = {gap:.2e}")
-
-    np.testing.assert_allclose(fit2.max_residual, 0.0, atol=1e-8)
-    print("the fitted one-form is the logarithmic derivative of the scalar curvature")
+    surface_x4_times_line()
 
 
 if __name__ == "__main__":

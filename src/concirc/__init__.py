@@ -9,14 +9,12 @@ and classifies charts by curvature type.
 
 from .expressions import (
     DomainError,
-    DualValue,
     Expr,
     ExpressionError,
     ParseError,
     UnknownIdentifierError,
     differentiate,
     evaluate,
-    evaluate_dual,
     parse,
     simplify,
     to_string,
@@ -29,11 +27,7 @@ from .geometry import (
     TensorField,
     christoffel_at,
     covariant_derivative_at,
-    curvature_action_at,
-    curvature_action_from_second_derivative,
     curvature_bundle_at,
-    exterior_derivative_one_form_at,
-    wedge_two_one_forms_at,
 )
 from .identities import (
     HypothesisError,
@@ -58,7 +52,6 @@ from .recurrence import (
     check_proj_einstein_chain,
     classify,
     compute_mu,
-    fit_mu_pointwise,
     fit_recurrence_form,
     verify_theorem,
     zero_one_form,
@@ -76,14 +69,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DomainError",
-    "DualValue",
     "Expr",
     "ExpressionError",
     "ParseError",
     "UnknownIdentifierError",
     "differentiate",
     "evaluate",
-    "evaluate_dual",
     "parse",
     "simplify",
     "to_string",
@@ -94,11 +85,7 @@ __all__ = [
     "TensorField",
     "christoffel_at",
     "covariant_derivative_at",
-    "curvature_action_at",
-    "curvature_action_from_second_derivative",
     "curvature_bundle_at",
-    "exterior_derivative_one_form_at",
-    "wedge_two_one_forms_at",
     "HypothesisError",
     "IdentityReport",
     "KernelReport",
@@ -119,7 +106,6 @@ __all__ = [
     "check_proj_einstein_chain",
     "classify",
     "compute_mu",
-    "fit_mu_pointwise",
     "fit_recurrence_form",
     "verify_theorem",
     "zero_one_form",

@@ -288,10 +288,14 @@ def load_metric_spec(path) -> MetricChart:
         iv = domain_doc[c]
         _require(
             isinstance(iv, list) and len(iv) == 2
-            and all(isinstance(v, (int, float)) for v in iv) and iv[0] < iv[1],
-            f"{path}: domain[{c!r}] must be [lo, hi] with lo < hi",
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in iv)
+            and iv[0] < iv[1],
+            f"{path}: domain[{c!r}] must be two numbers [lo, hi] with lo < hi",
         )
-        domain[c] = (float(iv[0]), float(iv[1]))
+        try:
+            domain[c] = (float(iv[0]), float(iv[1]))
+        except OverflowError:  # an integer literal beyond the float range
+            raise MetricFileError(f"{path}: domain[{c!r}] is not finite") from None
 
     exclusions = []
     for k, s in enumerate(doc.get("exclusions", [])):

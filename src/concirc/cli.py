@@ -15,7 +15,7 @@ failed, 2 bad input or configuration.
 from __future__ import annotations
 
 import argparse
-import os
+import math
 import sys
 
 from . import expressions as ex
@@ -60,10 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, default=20, metavar="N",
                        help="number of sample points (default 20)")
         p.add_argument("--seed", type=int, default=42, metavar="N",
-                       help="sampling seed (default 42)")
-        p.add_argument("--tol", type=float, default=None, metavar="X",
-                       help="tolerance (default 1e-8; env CONCIRC_TOL overrides "
-                       "the default, the flag wins)")
+                       help="sampling seed, >= 0 (default 42)")
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL, metavar="X",
+                       help="tolerance, positive and finite (default 1e-8)")
         out = p.add_mutually_exclusive_group()
         out.add_argument("--json", metavar="PATH", default=None,
                          help="write the JSON report to PATH instead of stdout")
@@ -91,22 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_tol(args) -> float:
-    if args.tol is not None:
-        tol = args.tol
-    else:
-        raw = os.environ.get("CONCIRC_TOL")
-        if raw is None:
-            return DEFAULT_TOL
-        try:
-            tol = float(raw)
-        except ValueError:
-            raise _CliError(f"CONCIRC_TOL is not a number: {raw!r}")
-    if not tol > 0:
-        raise _CliError(f"tolerance must be positive, got {tol}")
-    return tol
-
-
 def _resolve_chart(args):
     if args.builtin is not None:
         return get_builtin(args.builtin).chart
@@ -123,6 +106,8 @@ def _parse_point(spec: str, chart) -> dict:
                 f"bad point assignment {part.strip()!r}; coordinates are "
                 f"{', '.join(chart.coordinates)}"
             )
+        if name in point:
+            raise _CliError(f"coordinate {name!r} is assigned twice in the point")
         try:
             point[name] = float(value)
         except ValueError:
@@ -199,7 +184,11 @@ def _run_chart_command(args) -> int:
     chart = _resolve_chart(args)
     if args.samples < 1:
         raise _CliError(f"--samples must be >= 1, got {args.samples}")
-    tol = _resolve_tol(args)
+    if args.seed < 0:
+        raise _CliError(f"--seed must be >= 0, got {args.seed}")
+    tol = args.tol
+    if not (tol > 0 and math.isfinite(tol)):
+        raise _CliError(f"--tol must be positive and finite, got {tol}")
     bundle = curvature_bundle_at(chart)
     points = chart.sample_points(args.seed, args.samples)
     scalars = bundle.values_at(points)["scalar"]

@@ -33,8 +33,8 @@ runs it at many points and checks finiteness once on the result.
 `evaluate` runs it at one point on one-element columns, so its values are
 a block column's bit for bit, and checks each value as it is made: the
 first non-finite one raises DomainError naming its subexpression.
-`evaluate_dual` carries a directional derivative on Python floats and is
-the independent check of `differentiate`.
+The independent check of `differentiate`, a dual-number evaluator on
+Python floats, is the tests' reference in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ import numpy as np
 
 __all__ = [
     "Expr",
-    "DualValue",
     "ExpressionError",
     "ParseError",
     "UnknownIdentifierError",
@@ -82,7 +81,6 @@ __all__ = [
     "simplify",
     "evaluate",
     "evaluate_block",
-    "evaluate_dual",
     "node_count",
 ]
 
@@ -1184,104 +1182,3 @@ def evaluate_block(exprs, columns: dict) -> np.ndarray:
     `evaluate` to pinpoint the subexpression.
     """
     return _Tape(exprs).run(columns)
-
-
-@dataclass(frozen=True)
-class DualValue:
-    """First-order dual number: value + derivative along a fixed direction."""
-
-    value: float
-    deriv: float
-
-
-def evaluate_dual(e: Expr, point: dict, direction: dict) -> DualValue:
-    """Forward-mode directional derivative; independent of `differentiate`.
-
-    direction maps coordinate names to the components of the tangent vector
-    along which the derivative is taken (missing names mean 0).
-    """
-    nodes, argpos, _ = _order((e,))
-    values: list[DualValue] = []
-    for n, ia in zip(nodes, argpos):
-        values.append(_dual(n, [values[q] for q in ia], point, direction))
-    return values[-1]
-
-
-def _dual(n: Expr, args: list, point: dict, direction: dict) -> DualValue:
-    """Dual value of one node from the dual values of its arguments."""
-    x, y = (args[0], args[-1]) if args else (None, None)
-    k = n.kind
-    if k == _CONST:
-        out = DualValue(_constant(n), 0.0)
-    elif k == _VAR:
-        try:
-            v = float(point[n.payload])
-        except KeyError:
-            raise DomainError(f"coordinate '{n.payload}' not assigned", n) from None
-        out = DualValue(v, float(direction.get(n.payload, 0.0)))
-    elif k == _ADD:
-        out = DualValue(x.value + y.value, x.deriv + y.deriv)
-    elif k == _SUB:
-        out = DualValue(x.value - y.value, x.deriv - y.deriv)
-    elif k == _NEG:
-        out = DualValue(-x.value, -x.deriv)
-    elif k == _MUL:
-        out = DualValue(x.value * y.value, x.deriv * y.value + x.value * y.deriv)
-    elif k == _DIV:
-        if y.value == 0.0:
-            raise DomainError("division by zero", n)
-        out = DualValue(
-            x.value / y.value,
-            (x.deriv * y.value - x.value * y.deriv) / (y.value * y.value),
-        )
-    elif k == _POW:
-        ise = n.args[1].kind == _CONST
-        if x.value == 0.0 and y.value < 0:
-            raise DomainError("zero base with negative exponent", n)
-        if x.value < 0 and y.value != int(y.value):
-            raise DomainError("negative base with non-integer exponent", n)
-        v = x.value ** y.value
-        if ise:
-            dv = y.value * (x.value ** (y.value - 1.0)) * x.deriv if y.value != 0 else 0.0
-        else:
-            if x.value <= 0:
-                raise DomainError("non-constant exponent needs positive base", n)
-            dv = v * (y.deriv * math.log(x.value) + y.value * x.deriv / x.value)
-        out = DualValue(v, dv)
-    elif k == "sin":
-        out = DualValue(math.sin(x.value), math.cos(x.value) * x.deriv)
-    elif k == "cos":
-        out = DualValue(math.cos(x.value), -math.sin(x.value) * x.deriv)
-    elif k == "tan":
-        t = math.tan(x.value)
-        out = DualValue(t, (1.0 + t * t) * x.deriv)
-    elif k == "cot":
-        s = math.sin(x.value)
-        if s == 0.0:
-            raise DomainError("cot at a zero of sin", n)
-        c = math.cos(x.value) / s
-        out = DualValue(c, -(1.0 + c * c) * x.deriv)
-    elif k == "exp":
-        v = math.exp(x.value)
-        out = DualValue(v, v * x.deriv)
-    elif k == "ln":
-        if x.value <= 0.0:
-            raise DomainError("ln of non-positive value", n)
-        out = DualValue(math.log(x.value), x.deriv / x.value)
-    elif k == "sinh":
-        out = DualValue(math.sinh(x.value), math.cosh(x.value) * x.deriv)
-    elif k == "cosh":
-        out = DualValue(math.cosh(x.value), math.sinh(x.value) * x.deriv)
-    elif k == "sqrt":
-        if x.value < 0.0:
-            raise DomainError("sqrt of negative value", n)
-        v = math.sqrt(x.value)
-        if v == 0.0 and x.deriv != 0.0:
-            raise DomainError("sqrt derivative at zero", n)
-        out = DualValue(v, x.deriv / (2.0 * v) if x.deriv != 0.0 else 0.0)
-    elif k == "abs":
-        s = -1.0 if x.value < 0 else 1.0
-        out = DualValue(abs(x.value), s * x.deriv)
-    else:
-        raise ExpressionError(f"cannot evaluate node kind {k!r}")
-    return out

@@ -28,8 +28,8 @@ evaluating component arrays at sample points and contracting with numpy.
 
 ``simplify`` runs where a check or a test needs an exact symbolic zero: the
 metric, its inverse, Gamma, R, Ricci, r, G and C (C vanishes identically in
-dimension 2), nabla g (metric compatibility, the one exact zero a
-covariant derivative owes) and the wedge. R is built from the metric's
+dimension 2) and nabla g (metric compatibility, the one exact zero a
+covariant derivative owes). R is built from the metric's
 second derivatives and the first-kind symbols
 Gamma_l,ij = (1/2)(d_i g_jl + d_j g_il - d_l g_ij), which have no
 denominator,
@@ -37,16 +37,19 @@ R[i,j,k,m] = (1/2)(d_k d_i g_mj + d_m d_j g_ki - d_k d_j g_mi - d_m d_i g_kj)
              + g^ab (Gamma_a,ki Gamma_b,mj - Gamma_a,kj Gamma_b,mi),
 so each term of the quadratic part carries one det g denominator, not the
 det g^2 of g_ef Gamma^e_ki Gamma^f_mj; riemann_13 is R with its last index
-raised. riemann_13, every other covariant derivative (nabla R, nabla C,
-nabla^2 R, nabla of a 1-form), the exterior derivative of a 1-form and the
-curvature action are only ever evaluated or summed into a simplified
-field, so they are kept as built: shared DAGs that cost less to build and
-to evaluate than their simplified forms. ``recurrence`` reads d of a 1-form
-from nabla's values; exterior_derivative_one_form_at is the tests' reference.
+raised. riemann_13 and every other covariant derivative (nabla R,
+nabla C, nabla^2 R, nabla of a 1-form) are only ever evaluated or summed
+into a simplified field, so they are kept as built: shared DAGs that cost
+less to build and to evaluate than their simplified forms. No exterior
+derivative, wedge or curvature-action field is built here: ``recurrence``
+reads d of a 1-form from nabla's values and ``identities`` computes the
+action from values. Their symbolic routes are the tests' references, in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -67,10 +70,6 @@ __all__ = [
     "christoffel_at",
     "curvature_bundle_at",
     "covariant_derivative_at",
-    "curvature_action_at",
-    "curvature_action_from_second_derivative",
-    "exterior_derivative_one_form_at",
-    "wedge_two_one_forms_at",
     "metric_determinant",
     "points_to_columns",
 ]
@@ -170,6 +169,11 @@ class MetricChart:
             lo, hi = self.domain[c]
             if not lo < hi:
                 raise GeometryError(f"chart '{self.name}': empty interval for '{c}'")
+            # sampling draws uniform(lo, hi), which needs a finite width
+            if not math.isfinite(hi - lo):
+                raise GeometryError(
+                    f"chart '{self.name}': interval for '{c}' is not finite: [{lo}, {hi}]"
+                )
 
     @property
     def n(self) -> int:
@@ -249,11 +253,11 @@ class TensorField:
     symmetry is a declared tag ("none", "symmetric-2", "antisymmetric-2",
     "riemann-like"). "riemann-like" means curvature-like in the last four
     slots: antisymmetric within each of the pairs (i1, i2) and (i3, i4) and
-    symmetric under swapping the pairs. covariant_derivative_at and
-    curvature_action_at read that tag: they build one component per orbit
-    of those four slots, fill the rest by sign and keep the tag on their
-    result, so nabla R, nabla C and nabla^2 R are reduced too. For any other
-    tag they build every component and tag the result "none". The other
+    symmetric under swapping the pairs. covariant_derivative_at reads that
+    tag: it builds one component per orbit of those four slots, fills the
+    rest by sign and keeps the tag on its result, so nabla R, nabla C and
+    nabla^2 R are reduced too. For any other tag it builds every component
+    and tags the result "none". The other
     tags are descriptive only, and no tag decides whether a component is
     simplified. No tag is used to reduce by the first Bianchi identity,
     which the identity checks verify numerically.
@@ -710,89 +714,3 @@ def covariant_derivative_at(bundle: CurvatureBundle, tensor: TensorField) -> Ten
 
     out = _fill((n,) * (rank + 1), build, _curvature_slot if reduce else None)
     return TensorField(n, rank + 1, out, symmetry=tensor.symmetry if reduce else "none")
-
-
-def curvature_action_at(bundle: CurvatureBundle, tensor: TensorField) -> TensorField:
-    """(R(d_u, d_v) T)(d_w, d_x, d_y, d_z) for a rank-4 field, via the
-    derivation property: minus the sum of T with R(d_u,d_v) hooked into each
-    slot. Independent of covariant differentiation. As in
-    covariant_derivative_at, a "riemann-like" input is built once per orbit
-    of the last four slots and any other input slot by slot; the action is
-    only ever evaluated, so every component is kept as built."""
-    n = bundle.n
-    if tensor.rank != 4 or tensor.dim != n:
-        raise GeometryError("curvature action expects a rank-4 field on the same chart")
-    riem13 = bundle.riemann_13
-    comp = tensor.components
-
-    reduce = tensor.symmetry == "riemann-like"
-
-    def build(idx):
-        u, v, w, x, y, z = idx
-        acc = ex.ZERO
-        for m in range(n):
-            acc = ex.add(acc, ex.mul(riem13[u, v, w, m], comp[m, x, y, z]))
-            acc = ex.add(acc, ex.mul(riem13[u, v, x, m], comp[w, m, y, z]))
-            acc = ex.add(acc, ex.mul(riem13[u, v, y, m], comp[w, x, m, z]))
-            acc = ex.add(acc, ex.mul(riem13[u, v, z, m], comp[w, x, y, m]))
-        return ex.neg(acc)
-
-    out = _fill((n,) * 6, build, _curvature_slot if reduce else None)
-    return TensorField(n, 6, out, symmetry=tensor.symmetry if reduce else "none")
-
-
-def curvature_action_from_second_derivative(
-    bundle: CurvatureBundle, tensor: TensorField
-) -> TensorField:
-    """Same action computed as the antisymmetrized second covariant
-    derivative, nabla^2_{u,v} T - nabla^2_{v,u} T (the Ricci identity route),
-    where nabla^2_{u,v} = nabla_u nabla_v - nabla_{nabla_u v} is
-    covariant_derivative_at applied twice.
-
-    The difference is only evaluated, so like a "riemann-like" nabla^2 T it
-    is left unsimplified: both branches share one interned DAG. It is
-    antisymmetric in (u, v), so it is built for u < v only.
-    """
-    n = bundle.n
-    comp = covariant_derivative_at(bundle, covariant_derivative_at(bundle, tensor)).components
-
-    def build(idx):
-        u, v, rest = idx[0], idx[1], idx[2:]
-        return ex.sub(comp[idx], comp[(v, u) + rest])
-
-    out = _fill((n,) * (tensor.rank + 2), build, _antisymmetric_pair)
-    return TensorField(n, tensor.rank + 2, out, symmetry="none")
-
-
-def exterior_derivative_one_form_at(bundle: CurvatureBundle, omega: TensorField) -> TensorField:
-    """d omega for a 1-form, with (d w)(U,V) = ((nabla_U w)(V) - (nabla_V w)(U)) / 2,
-    kept as built like nabla omega."""
-    if omega.rank != 1 or omega.dim != bundle.n:
-        raise GeometryError("exterior derivative expects a 1-form on the same chart")
-    n = bundle.n
-    grad = covariant_derivative_at(bundle, omega).components  # [a, i] = (nabla_a w)_i
-    half = ex.const(1) / 2
-
-    def build(idx):
-        i, j = idx
-        return ex.mul(half, ex.sub(grad[i, j], grad[j, i]))
-
-    out = _fill((n, n), build, _antisymmetric_pair)
-    return TensorField(n, 2, out, symmetry="antisymmetric-2")
-
-
-def wedge_two_one_forms_at(mu: TensorField, lam: TensorField) -> TensorField:
-    """mu wedge lam with the 1/2 normalization matching the exterior derivative,
-    simplified, so lam ^ lam is an exact zero."""
-    if mu.rank != 1 or lam.rank != 1 or mu.dim != lam.dim:
-        raise GeometryError("wedge expects two 1-forms of equal dimension")
-    n = mu.dim
-    m, l = mu.components, lam.components
-    half = ex.const(1) / 2
-
-    def build(idx):
-        i, j = idx
-        return simplify(ex.mul(half, ex.sub(ex.mul(m[i], l[j]), ex.mul(m[j], l[i]))))
-
-    out = _fill((n, n), build, _antisymmetric_pair)
-    return TensorField(n, 2, out, symmetry="antisymmetric-2")

@@ -21,8 +21,9 @@ but its absolute-value contraction does not, so that diagonal is returned
 alongside.  The action is computed once per point set: the bundle's store
 keeps only the per-point maxima that Walker and semisymmetry report, the
 residual and scale of each, never the action arrays themselves.  The
-symbolic routes in ``geometry`` stay the reference implementation, which
-the tests compare against.
+symbolic routes, by the derivation property and by the Ricci identity,
+stay the reference implementation the tests compare against, in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -211,7 +212,8 @@ def check_semisymmetry_at(bundle: CurvatureBundle, points, tol: float = 1e-8) ->
 
     The action is computed on index pairs by ``_curvature_action``, once per
     point set with Walker's; the symbolic
-    ``geometry.curvature_action_from_second_derivative`` is its reference.
+    ``curvature_action_from_second_derivative`` of ``tests/reference.py``
+    is its reference.
     """
     residual, scale = _action_maxima(bundle, points)["semisymmetry"]
     return _report("semisymmetry", bundle, points, residual, scale, tol)

@@ -20,7 +20,9 @@ Every symbolic form is built once per bundle and kept on it: lambda_R and
 lambda_C, mu, and nabla omega of each 1-form omega the checks test, keyed
 by the interned component nodes of the 1-forms they are built from.  d omega
 and mu ^ lambda are formed from values, d omega as the antisymmetric part of
-nabla omega (geometry.exterior_derivative_one_form_at is the tests' reference).
+nabla omega; the symbolic d omega and mu ^ lambda, and a per-point
+least-squares mu that cross-checks compute_mu, are the tests' references in
+``tests/reference.py``.
 lambda's tape loads the rows of T from the core block and of nabla T from
 ``field_values``, both for the point set being run, so it compiles only
 the quotient above them.  A fit's numbers are kept in the bundle's
@@ -70,7 +72,6 @@ __all__ = [
     "zero_one_form",
     "fit_recurrence_form",
     "compute_mu",
-    "fit_mu_pointwise",
     "check_extended_recurrence",
     "check_lambda_closed",
     "check_mu_structure",
@@ -338,22 +339,6 @@ def compute_mu(bundle: CurvatureBundle, lam: TensorField) -> MuForm:
         )
 
     return bundle._derive(_form_key("mu", lam), build)
-
-
-def fit_mu_pointwise(bundle: CurvatureBundle, lam: TensorField, points) -> np.ndarray:
-    """Numeric per-point least-squares mu from nabla R - lambda (x) R = mu (x) G.
-
-    Returns an (npoints, n) array; used to cross-check the closed form of
-    compute_mu against the extended recurrence condition.
-    """
-    vals = bundle.values_at(points)
-    rv, gv = vals["riemann"], vals["gtensor"]
-    nr = bundle.field_values(bundle.nabla_riemann(), points)
-    lamv = bundle.field_values(lam, points)
-    lhs = nr - np.einsum("pa,pwxyz->pawxyz", lamv, rv)
-    num = np.einsum("pawxyz,pwxyz->pa", lhs, gv)
-    den = np.einsum("pwxyz,pwxyz->p", gv, gv)
-    return num / den[:, None]
 
 
 def check_extended_recurrence(

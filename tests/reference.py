@@ -1,0 +1,274 @@
+"""Reference routes: a second way to compute what the package computes.
+
+The package computes each quantity by one route, and these are kept only
+so the tests can compare that route against an independent one:
+
+    evaluate_dual, DualValue, _dual
+        forward-mode dual numbers on Python floats, against
+        ``expressions.differentiate``
+    curvature_action_at
+        R(d_u, d_v) T as a symbolic field by the derivation property, against
+        the numeric pair action ``identities._curvature_action``
+    curvature_action_from_second_derivative
+        the same action by the Ricci identity, as the antisymmetrized second
+        covariant derivative
+    exterior_derivative_one_form_at
+        d omega as a symbolic field, against the antisymmetric part of
+        nabla omega's values that ``recurrence`` reads
+    wedge_two_one_forms_at
+        mu ^ lam as a simplified symbolic field, against the outer product
+        of values that ``check_mu_structure`` forms
+    fit_mu_pointwise
+        a per-point least-squares mu from the extended recurrence condition,
+        against the closed form of ``recurrence.compute_mu``
+
+No CLI path, demo, check or benchmark workload calls them. Tests import them
+as ``from reference import ...``; pytest puts this directory on sys.path.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from concirc import expressions as ex
+from concirc.expressions import (
+    _ADD,
+    _CONST,
+    _DIV,
+    _MUL,
+    _NEG,
+    _POW,
+    _SUB,
+    _VAR,
+    DomainError,
+    Expr,
+    ExpressionError,
+    _constant,
+    _order,
+    simplify,
+)
+from concirc.geometry import (
+    CurvatureBundle,
+    GeometryError,
+    TensorField,
+    _antisymmetric_pair,
+    _curvature_slot,
+    _fill,
+    covariant_derivative_at,
+)
+
+__all__ = [
+    "DualValue",
+    "evaluate_dual",
+    "curvature_action_at",
+    "curvature_action_from_second_derivative",
+    "exterior_derivative_one_form_at",
+    "wedge_two_one_forms_at",
+    "fit_mu_pointwise",
+]
+
+
+@dataclass(frozen=True)
+class DualValue:
+    """First-order dual number: value + derivative along a fixed direction."""
+
+    value: float
+    deriv: float
+
+
+def evaluate_dual(e: Expr, point: dict, direction: dict) -> DualValue:
+    """Forward-mode directional derivative; independent of `differentiate`.
+
+    direction maps coordinate names to the components of the tangent vector
+    along which the derivative is taken (missing names mean 0).
+    """
+    nodes, argpos, _ = _order((e,))
+    values: list[DualValue] = []
+    for n, ia in zip(nodes, argpos):
+        values.append(_dual(n, [values[q] for q in ia], point, direction))
+    return values[-1]
+
+
+def _dual(n: Expr, args: list, point: dict, direction: dict) -> DualValue:
+    """Dual value of one node from the dual values of its arguments."""
+    x, y = (args[0], args[-1]) if args else (None, None)
+    k = n.kind
+    if k == _CONST:
+        out = DualValue(_constant(n), 0.0)
+    elif k == _VAR:
+        try:
+            v = float(point[n.payload])
+        except KeyError:
+            raise DomainError(f"coordinate '{n.payload}' not assigned", n) from None
+        out = DualValue(v, float(direction.get(n.payload, 0.0)))
+    elif k == _ADD:
+        out = DualValue(x.value + y.value, x.deriv + y.deriv)
+    elif k == _SUB:
+        out = DualValue(x.value - y.value, x.deriv - y.deriv)
+    elif k == _NEG:
+        out = DualValue(-x.value, -x.deriv)
+    elif k == _MUL:
+        out = DualValue(x.value * y.value, x.deriv * y.value + x.value * y.deriv)
+    elif k == _DIV:
+        if y.value == 0.0:
+            raise DomainError("division by zero", n)
+        out = DualValue(
+            x.value / y.value,
+            (x.deriv * y.value - x.value * y.deriv) / (y.value * y.value),
+        )
+    elif k == _POW:
+        ise = n.args[1].kind == _CONST
+        if x.value == 0.0 and y.value < 0:
+            raise DomainError("zero base with negative exponent", n)
+        if x.value < 0 and y.value != int(y.value):
+            raise DomainError("negative base with non-integer exponent", n)
+        v = x.value ** y.value
+        if ise:
+            dv = y.value * (x.value ** (y.value - 1.0)) * x.deriv if y.value != 0 else 0.0
+        else:
+            if x.value <= 0:
+                raise DomainError("non-constant exponent needs positive base", n)
+            dv = v * (y.deriv * math.log(x.value) + y.value * x.deriv / x.value)
+        out = DualValue(v, dv)
+    elif k == "sin":
+        out = DualValue(math.sin(x.value), math.cos(x.value) * x.deriv)
+    elif k == "cos":
+        out = DualValue(math.cos(x.value), -math.sin(x.value) * x.deriv)
+    elif k == "tan":
+        t = math.tan(x.value)
+        out = DualValue(t, (1.0 + t * t) * x.deriv)
+    elif k == "cot":
+        s = math.sin(x.value)
+        if s == 0.0:
+            raise DomainError("cot at a zero of sin", n)
+        c = math.cos(x.value) / s
+        out = DualValue(c, -(1.0 + c * c) * x.deriv)
+    elif k == "exp":
+        v = math.exp(x.value)
+        out = DualValue(v, v * x.deriv)
+    elif k == "ln":
+        if x.value <= 0.0:
+            raise DomainError("ln of non-positive value", n)
+        out = DualValue(math.log(x.value), x.deriv / x.value)
+    elif k == "sinh":
+        out = DualValue(math.sinh(x.value), math.cosh(x.value) * x.deriv)
+    elif k == "cosh":
+        out = DualValue(math.cosh(x.value), math.sinh(x.value) * x.deriv)
+    elif k == "sqrt":
+        if x.value < 0.0:
+            raise DomainError("sqrt of negative value", n)
+        v = math.sqrt(x.value)
+        if v == 0.0 and x.deriv != 0.0:
+            raise DomainError("sqrt derivative at zero", n)
+        out = DualValue(v, x.deriv / (2.0 * v) if x.deriv != 0.0 else 0.0)
+    elif k == "abs":
+        s = -1.0 if x.value < 0 else 1.0
+        out = DualValue(abs(x.value), s * x.deriv)
+    else:
+        raise ExpressionError(f"cannot evaluate node kind {k!r}")
+    return out
+
+
+def curvature_action_at(bundle: CurvatureBundle, tensor: TensorField) -> TensorField:
+    """(R(d_u, d_v) T)(d_w, d_x, d_y, d_z) for a rank-4 field, via the
+    derivation property: minus the sum of T with R(d_u,d_v) hooked into each
+    slot. Independent of covariant differentiation. As in
+    covariant_derivative_at, a "riemann-like" input is built once per orbit
+    of the last four slots and any other input slot by slot; the action is
+    only ever evaluated, so every component is kept as built."""
+    n = bundle.n
+    if tensor.rank != 4 or tensor.dim != n:
+        raise GeometryError("curvature action expects a rank-4 field on the same chart")
+    riem13 = bundle.riemann_13
+    comp = tensor.components
+
+    reduce = tensor.symmetry == "riemann-like"
+
+    def build(idx):
+        u, v, w, x, y, z = idx
+        acc = ex.ZERO
+        for m in range(n):
+            acc = ex.add(acc, ex.mul(riem13[u, v, w, m], comp[m, x, y, z]))
+            acc = ex.add(acc, ex.mul(riem13[u, v, x, m], comp[w, m, y, z]))
+            acc = ex.add(acc, ex.mul(riem13[u, v, y, m], comp[w, x, m, z]))
+            acc = ex.add(acc, ex.mul(riem13[u, v, z, m], comp[w, x, y, m]))
+        return ex.neg(acc)
+
+    out = _fill((n,) * 6, build, _curvature_slot if reduce else None)
+    return TensorField(n, 6, out, symmetry=tensor.symmetry if reduce else "none")
+
+
+def curvature_action_from_second_derivative(
+    bundle: CurvatureBundle, tensor: TensorField
+) -> TensorField:
+    """Same action computed as the antisymmetrized second covariant
+    derivative, nabla^2_{u,v} T - nabla^2_{v,u} T (the Ricci identity route),
+    where nabla^2_{u,v} = nabla_u nabla_v - nabla_{nabla_u v} is
+    covariant_derivative_at applied twice.
+
+    The difference is only evaluated, so like a "riemann-like" nabla^2 T it
+    is left unsimplified: both branches share one interned DAG. It is
+    antisymmetric in (u, v), so it is built for u < v only.
+    """
+    n = bundle.n
+    comp = covariant_derivative_at(bundle, covariant_derivative_at(bundle, tensor)).components
+
+    def build(idx):
+        u, v, rest = idx[0], idx[1], idx[2:]
+        return ex.sub(comp[idx], comp[(v, u) + rest])
+
+    out = _fill((n,) * (tensor.rank + 2), build, _antisymmetric_pair)
+    return TensorField(n, tensor.rank + 2, out, symmetry="none")
+
+
+def exterior_derivative_one_form_at(bundle: CurvatureBundle, omega: TensorField) -> TensorField:
+    """d omega for a 1-form, with (d w)(U,V) = ((nabla_U w)(V) - (nabla_V w)(U)) / 2,
+    kept as built like nabla omega."""
+    if omega.rank != 1 or omega.dim != bundle.n:
+        raise GeometryError("exterior derivative expects a 1-form on the same chart")
+    n = bundle.n
+    grad = covariant_derivative_at(bundle, omega).components  # [a, i] = (nabla_a w)_i
+    half = ex.const(1) / 2
+
+    def build(idx):
+        i, j = idx
+        return ex.mul(half, ex.sub(grad[i, j], grad[j, i]))
+
+    out = _fill((n, n), build, _antisymmetric_pair)
+    return TensorField(n, 2, out, symmetry="antisymmetric-2")
+
+
+def wedge_two_one_forms_at(mu: TensorField, lam: TensorField) -> TensorField:
+    """mu wedge lam with the 1/2 normalization matching the exterior derivative,
+    simplified, so lam ^ lam is an exact zero."""
+    if mu.rank != 1 or lam.rank != 1 or mu.dim != lam.dim:
+        raise GeometryError("wedge expects two 1-forms of equal dimension")
+    n = mu.dim
+    m, l = mu.components, lam.components
+    half = ex.const(1) / 2
+
+    def build(idx):
+        i, j = idx
+        return simplify(ex.mul(half, ex.sub(ex.mul(m[i], l[j]), ex.mul(m[j], l[i]))))
+
+    out = _fill((n, n), build, _antisymmetric_pair)
+    return TensorField(n, 2, out, symmetry="antisymmetric-2")
+
+
+def fit_mu_pointwise(bundle: CurvatureBundle, lam: TensorField, points) -> np.ndarray:
+    """Numeric per-point least-squares mu from nabla R - lambda (x) R = mu (x) G.
+
+    Returns an (npoints, n) array; used to cross-check the closed form of
+    compute_mu against the extended recurrence condition.
+    """
+    vals = bundle.values_at(points)
+    rv, gv = vals["riemann"], vals["gtensor"]
+    nr = bundle.field_values(bundle.nabla_riemann(), points)
+    lamv = bundle.field_values(lam, points)
+    lhs = nr - np.einsum("pa,pwxyz->pawxyz", lamv, rv)
+    num = np.einsum("pawxyz,pwxyz->pa", lhs, gv)
+    den = np.einsum("pwxyz,pwxyz->p", gv, gv)
+    return num / den[:, None]

@@ -285,6 +285,14 @@ def test_loader_validates_domain(tmp_path):
     doc["domain"]["phi"] = [0.0, "six"]
     with pytest.raises(MetricFileError):
         load_metric_spec(_write(tmp_path, doc))
+    # JSON booleans are not bounds, though Python counts them as ints
+    doc["domain"]["phi"] = [False, True]
+    with pytest.raises(MetricFileError, match="must be"):
+        load_metric_spec(_write(tmp_path, doc))
+    for bounds in ("[-Infinity, Infinity]", "[-1e308, 1e308]", "[0, 1" + "0" * 400 + "]"):
+        text = json.dumps(_valid_doc()).replace("[0.0, 6.28]", bounds)
+        with pytest.raises(MetricFileError, match="not finite"):
+            load_metric_spec(_write(tmp_path, text))
 
 
 def test_loader_validates_exclusions(tmp_path):

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON schema, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -244,6 +245,40 @@ def test_exit_code_two_on_bad_input(capsys, tmp_path):
         capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--builtin", "sphere_2", "--seed", "-1"],
+        ["fit", "--target", "R", "--builtin", "perturbed_flat", "--samples", "3", "--tol", "inf"],
+        ["fit", "--target", "R", "--builtin", "perturbed_flat", "--samples", "3", "--tol", "1e400"],
+        ["classify", "--builtin", "sphere_2", "--samples", "2", "--tol", "nan"],
+        ["compute", "--builtin", "sphere_2", "--point", "theta=1,theta=2,phi=0"],
+    ],
+    ids=["negative-seed", "tol-inf", "tol-overflow", "tol-nan", "point-twice"],
+)
+def test_rejected_input_exits_two_with_a_message(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("concirc: error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_metric_file_with_unbounded_domain_exits_two(capsys, tmp_path):
+    doc = {
+        "name": "unbounded", "dim": 2, "coordinates": ["x", "y"],
+        "metric": [["1", "0"], ["0", "1"]],
+        "domain": {"x": [0.5, 3.0], "y": [-1.0, 1.0]},
+    }
+    for bounds in ([-math.inf, math.inf], [0.0, math.inf], [-1e308, 1e308]):
+        doc["domain"]["y"] = bounds
+        path = tmp_path / "unbounded.json"
+        path.write_text(json.dumps(doc))
+        assert run(["classify", "--metric", str(path), "--samples", "2"]) == 2, bounds
+        err = capsys.readouterr().err
+        assert err.startswith("concirc: error: ") and "not finite" in err
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert "concirc" in capsys.readouterr().out
@@ -252,26 +287,18 @@ def test_help_exits_zero(capsys):
 # -- tolerance plumbing ------------------------------------------------------------------
 
 
-def test_tolerance_env_var_and_flag_precedence(capsys, monkeypatch):
+def test_tolerance_flag_sets_the_pass_rule(capsys):
     argv = ["check", "--builtin", "perturbed_flat", "--identity", "semisym", "--samples", "4"]
     assert run(argv) == 1
     capsys.readouterr()
 
-    monkeypatch.setenv("CONCIRC_TOL", "1e6")
-    rc, doc, _ = run_json(capsys, argv)
+    rc, doc, _ = run_json(capsys, argv + ["--tol", "1e6"])
     assert rc == 0
     assert doc["tolerance"] == 1e6
 
-    # explicit flag beats the environment
     rc, doc, _ = run_json(capsys, argv + ["--tol", "1e-8"])
     assert rc == 1
     assert doc["tolerance"] == 1e-8
-
-
-def test_bad_tolerance_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("CONCIRC_TOL", "not-a-number")
-    assert run(["classify", "--builtin", "sphere_2", "--samples", "2"]) == 2
-    assert "CONCIRC_TOL" in capsys.readouterr().err
 
 
 # -- determinism ----------------------------------------------------------------------------

@@ -16,15 +16,17 @@ from concirc.geometry import (
     _curvature_slot,
     christoffel_at,
     covariant_derivative_at,
-    curvature_action_at,
-    curvature_action_from_second_derivative,
     curvature_bundle_at,
-    exterior_derivative_one_form_at,
     metric_determinant,
-    wedge_two_one_forms_at,
 )
 from concirc.identities import check_semisymmetry_at, check_walker_at
 from concirc.recurrence import classify, verify_theorem
+from reference import (
+    curvature_action_at,
+    curvature_action_from_second_derivative,
+    exterior_derivative_one_form_at,
+    wedge_two_one_forms_at,
+)
 
 
 def _obj(rows):
@@ -112,6 +114,10 @@ def test_chart_rejects_bad_domains():
         _chart("bad", ("x", "y"), [["1", "0"], ["0", "1"]], {"x": (1, 1), "y": (0, 1)})
     with pytest.raises(GeometryError):
         _chart("bad", ("x",), [["1"]], {"x": (0, 1)})
+    # sampling needs a finite box: each bound and the width hi - lo
+    for bounds in ((-math.inf, math.inf), (0.0, math.inf), (-1e308, 1e308)):
+        with pytest.raises(GeometryError, match="not finite"):
+            _chart("bad", ("x", "y"), [["1", "0"], ["0", "1"]], {"x": bounds, "y": (0, 1)})
 
 
 def test_tensor_field_shape_validation():

@@ -14,8 +14,6 @@ from concirc.geometry import (
     MetricChart,
     TensorField,
     curvature_bundle_at,
-    exterior_derivative_one_form_at,
-    wedge_two_one_forms_at,
 )
 from concirc.identities import (
     HypothesisError,
@@ -35,10 +33,14 @@ from concirc.recurrence import (
     check_proj_einstein_chain,
     classify,
     compute_mu,
-    fit_mu_pointwise,
     fit_recurrence_form,
     verify_theorem,
     zero_one_form,
+)
+from reference import (
+    exterior_derivative_one_form_at,
+    fit_mu_pointwise,
+    wedge_two_one_forms_at,
 )
 from test_identities import _action_arrays_by_einsum
 

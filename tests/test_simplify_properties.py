@@ -18,6 +18,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import concirc.expressions as ex  # noqa: E402
+from reference import evaluate_dual  # noqa: E402
 
 X, Y = ex.var("x"), ex.var("y")
 ATOMS = (X, Y, ex.sin(X), ex.cos(Y))
@@ -145,7 +146,7 @@ def test_print_then_parse_gives_the_same_node(steps):
 
 def _derivative(e, point, name):
     try:
-        v = ex.evaluate_dual(e, point, {name: 1.0}).deriv
+        v = evaluate_dual(e, point, {name: 1.0}).deriv
     except ex.DomainError:
         return None
     return v if math.isfinite(v) else None

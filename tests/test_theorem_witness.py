@@ -19,11 +19,7 @@ import pytest
 import concirc.expressions as ex
 from concirc import recurrence
 from concirc.catalog import get_builtin
-from concirc.geometry import (
-    MetricChart,
-    curvature_bundle_at,
-    exterior_derivative_one_form_at,
-)
+from concirc.geometry import MetricChart, curvature_bundle_at
 from concirc.recurrence import (
     _recurrence_form,
     check_lambda_closed,
@@ -33,6 +29,7 @@ from concirc.recurrence import (
     fit_recurrence_form,
     verify_theorem,
 )
+from reference import exterior_derivative_one_form_at
 
 X_RANGE = (0.5, 3.0)
 
