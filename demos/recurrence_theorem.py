@@ -41,8 +41,10 @@ SAMPLES = 12
 def show_one_form(chart, lam):
     parts = []
     for name, comp in zip(chart.coordinates, lam.components):
+        # simplified for display only: the form itself is kept as built
+        comp = ex.simplify(comp)
         if comp is not ex.ZERO:
-            parts.append(f"({ex.to_string(comp)}) d{name}")
+            parts.append(f"d{name}" if comp is ex.ONE else f"({ex.to_string(comp)}) d{name}")
     return " + ".join(parts) if parts else "0"
 
 

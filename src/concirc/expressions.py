@@ -1046,9 +1046,15 @@ class _Tape:
     node p of `_order`, recomputed only to name a failing node. `run` checks
     a block's values once at the end; `at`, for a tape without loads, checks
     each value at one point as it is made.
+
+    Only the loads some entry reaches are read: ``reads`` lists their
+    indices in ``loads``, ascending, and a load entry's a is its position in
+    ``reads``. Roots often share a node (every ZERO component is one), so a
+    block run fills one row per distinct root slot (``outputs``) and expands
+    them to one row per root with the integer index ``expand``.
     """
 
-    __slots__ = ("roots", "loads", "size", "ops", "outputs")
+    __slots__ = ("roots", "loads", "reads", "size", "ops", "outputs", "expand")
 
     def __init__(self, exprs, loads=()):
         self.roots = roots = tuple(exprs)
@@ -1068,6 +1074,7 @@ class _Tape:
                 slot_of[p] = size
                 size += 1
         ops: list = [None] * len(nodes)
+        load_entries: list[int] = []
         for p in range(len(nodes) - 1, -1, -1):
             slot = slot_of[p]
             free.append(slot)
@@ -1084,6 +1091,8 @@ class _Tape:
                 value = load_index.get(id(n))
                 if value is None:
                     value = np.float64(_constant(n)) if n.kind == _CONST else n.payload
+                else:
+                    load_entries.append(p)
                 ops[p] = (slot, None, value, None)
             elif len(ia) == 2:
                 ops[p] = (slot, _BINARY_NP[n.kind], slot_of[ia[0]], slot_of[ia[1]])
@@ -1092,9 +1101,18 @@ class _Tape:
                 if fn is None:
                     raise ExpressionError(f"cannot evaluate node kind {n.kind!r}")
                 ops[p] = (slot, fn, slot_of[ia[0]], None)
+        self.reads = tuple(sorted({ops[p][2] for p in load_entries}))
+        read_pos = {k: r for r, k in enumerate(self.reads)}
+        for p in load_entries:
+            ops[p] = (ops[p][0], None, read_pos[ops[p][2]], None)
         self.size = size
         self.ops = tuple(ops)
-        self.outputs = tuple(slot_of[position[id(r)]] for r in roots)
+        root_slots = [slot_of[position[id(r)]] for r in roots]
+        row_of = {}
+        self.expand = np.array(
+            [row_of.setdefault(slot, len(row_of)) for slot in root_slots], dtype=np.intp
+        )
+        self.outputs = tuple(row_of)
 
     def at(self, point: dict) -> np.ndarray:
         """Values of the roots at one point, each value checked as it is made.
@@ -1122,16 +1140,10 @@ class _Tape:
                     n = _order(self.roots)[0][p]
                     raise DomainError(_why(n, x.item(), y.item()), n)
                 regs[slot] = v
-        out = np.empty((len(self.roots), 1))
-        for j, slot in enumerate(self.outputs):
-            out[j] = regs[slot]
-        return out[:, 0]
+        return np.array([regs[slot].item() for slot in self.outputs])[self.expand]
 
-    def values(self, columns: dict, loaded=()) -> np.ndarray:
-        """Run the tape under the caller's errstate; no finiteness check.
-
-        loaded holds one row per load, each evaluated at the columns' points.
-        """
+    def _distinct(self, columns: dict, loaded) -> np.ndarray:
+        """(outputs, npoints) values of the distinct root slots, unchecked."""
         npts = len(next(iter(columns.values()))) if columns else 1
         regs = [None] * self.size
         for slot, fn, a, b in self.ops:
@@ -1145,20 +1157,34 @@ class _Tape:
                 regs[slot] = loaded[a]
             else:
                 regs[slot] = a
-        out = np.empty((len(self.roots), npts))
+        out = np.empty((len(self.outputs), npts))
         for j, slot in enumerate(self.outputs):
             out[j] = regs[slot]
         return out
 
+    def values(self, columns: dict, loaded=()) -> np.ndarray:
+        """Run the tape under the caller's errstate; no finiteness check.
+
+        loaded holds one row per entry of ``reads``, each evaluated at the
+        columns' points.
+        """
+        return self._distinct(columns, loaded)[self.expand]
+
     def run(self, columns: dict, loaded=()) -> np.ndarray:
-        """Values of the roots at the points, checked for finiteness."""
+        """Values of the roots at the points, checked for finiteness.
+
+        The check runs on the distinct rows; the error names the first root,
+        in root order, whose row has a non-finite value, which is the first
+        root of the first such distinct row.
+        """
         with np.errstate(all="ignore"):
-            out = self.values(columns, loaded)
+            out = self._distinct(columns, loaded)
         finite = np.isfinite(out)
         if not finite.all():
             bad = ~finite
-            j = int(bad.any(axis=1).argmax())
-            i = int(bad[j].argmax())
+            d = int(bad.any(axis=1).argmax())
+            j = int((self.expand == d).argmax())
+            i = int(bad[d].argmax())
             where = ", ".join(f"{c}={float(col[i]):.6g}" for c, col in columns.items())
             if len(where) > _MESSAGE_CHARS:
                 where = where[:_MESSAGE_CHARS] + _TRUNCATED
@@ -1166,7 +1192,7 @@ class _Tape:
                 f"non-finite value in block evaluation at point {i} ({where})",
                 self.roots[j],
             )
-        return out
+        return out[self.expand]
 
 
 def evaluate_block(exprs, columns: dict) -> np.ndarray:

@@ -118,6 +118,37 @@ def points_to_columns(points, coordinates) -> dict:
     return {c: np.array([float(p[c]) for p in points]) for c in coordinates}
 
 
+class _Key(tuple):
+    """A point set's coordinate tuples, as the store keys it, hashed once."""
+
+    def __new__(cls, rows):
+        self = super().__new__(cls, rows)
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self):
+        return self._hash
+
+
+class _PointSet(tuple):
+    """The caller's points as a tuple, with the bundle store's key for them,
+    hashed once, and their coordinate columns, built on first use; a public
+    call converts its points once (``CurvatureBundle._points``) and every
+    store read and tape run below it reuses both."""
+
+    def __new__(cls, points, coordinates):
+        self = super().__new__(cls, points)
+        self.coordinates = coordinates
+        # charts have n >= 2 coordinates, so itemgetter always gives tuples
+        self.key = _Key(map(operator.itemgetter(*coordinates), self))
+        return self
+
+    @cached_property
+    def columns(self) -> dict:
+        # float() of each value, as points_to_columns, in one conversion
+        return dict(zip(self.coordinates, np.array(self.key, dtype=float).T.copy()))
+
+
 @dataclass(frozen=True)
 class MetricChart:
     """A coordinate chart with a symbolic metric and a sampling box.
@@ -448,8 +479,15 @@ class CurvatureBundle:
     long as the bundle. R, G and C are read from the core block, so no
     other tape is compiled over them. A field may name, in ``_loads``, the
     fields its tape loads (``_declare_loads``): their components are loads
-    of the tape, and every run reads their rows from the store for the
-    point set being run.
+    of the tape, and every run reads the rows the tape reaches from the
+    store for the point set being run.
+
+    Each public call turns its points into one point-set record
+    (``_points``), whose store key is hashed once and whose coordinate
+    columns are built once. A field's structural support, the flat slots of
+    its components that are not the exact ZERO node, is kept in
+    ``_derived`` under the component nodes (``_support``); the checks take
+    their maxima over it.
     """
 
     def __init__(self, chart: MetricChart):
@@ -568,13 +606,24 @@ class CurvatureBundle:
             "nabla_concircular", lambda: covariant_derivative_at(self, self.concircular)
         )
 
+    def _support(self, components: np.ndarray) -> np.ndarray:
+        """Flat indices of the components that are not the exact ZERO node,
+        worked out once per bundle and kept in ``_derived`` under the
+        component nodes. A ZERO component evaluates to exactly 0.0."""
+        nodes = tuple(components.ravel())
+        return self._derive(
+            ("support", nodes), lambda: np.flatnonzero([c is not ex.ZERO for c in nodes])
+        )
+
     # -- numeric evaluation, cached for the most recent point sets -----------
 
-    def _point_key(self, points) -> tuple:
-        # charts have n >= 2 coordinates, so itemgetter always gives tuples
-        return tuple(map(operator.itemgetter(*self.chart.coordinates), points))
+    def _points(self, points) -> _PointSet:
+        """points as a point-set record of this chart, built unless it is one."""
+        if isinstance(points, _PointSet) and points.coordinates is self.chart.coordinates:
+            return points
+        return _PointSet(points, self.chart.coordinates)
 
-    def _cached(self, points, entry, compute):
+    def _cached(self, points: _PointSet, entry, compute):
         """Values stored under entry for this point set, from compute() on a miss.
 
         Using a point set makes it the most recent; a new point set evicts
@@ -582,7 +631,7 @@ class CurvatureBundle:
         numeric read goes through here, so an empty point list is refused
         here, with a GeometryError.
         """
-        key = self._point_key(points)
+        key = points.key
         if not key:
             raise GeometryError(f"chart '{self.chart.name}': the point list is empty")
         store = self._blocks.get(key)
@@ -602,29 +651,33 @@ class CurvatureBundle:
         for tf's components stands, as the tape compiled from it does."""
         self._loads.setdefault(tuple(tf.components.ravel()), sources)
 
-    def _evaluate(self, entry, fields: dict, points) -> np.ndarray:
+    def _evaluate(self, entry, fields: dict, points: _PointSet) -> np.ndarray:
         """(components, npoints) values of fields, component arrays by name,
         through the tape kept under entry; a non-finite value raises
         DomainError naming its field and component.
 
         The rows of the tape's loads are read from the store for these
-        points, so they are never another point set's.
+        points, so they are never another point set's; only the rows the
+        tape reaches (``_Tape.reads``) are passed to it.
         """
-        loads, loaded = [], []
-        for src in self._loads.get(entry, ()):
-            if isinstance(src, str):
-                comps, values = self._core_fields()[src], self.values_at(points)[src]
-            else:
-                comps, values = src.components, self.field_values(src, points)
-            loads.extend(comps.ravel())
-            # the (components, npoints) rows the source's own tape made
-            loaded.extend(values.reshape(len(points), -1).T)
+        sources = self._loads.get(entry, ())
+        comps = [self._core_fields()[s] if isinstance(s, str) else s.components for s in sources]
         tape = self._tapes.get(entry)
         if tape is None:
             exprs = [e for arr in fields.values() for e in arr.flat]
-            tape = self._tapes[entry] = ex._Tape(exprs, loads)
+            tape = self._tapes[entry] = ex._Tape(exprs, [e for arr in comps for e in arr.flat])
+        reads, loaded, start = np.array(tape.reads, dtype=np.intp), [], 0
+        for src, arr in zip(sources, comps):
+            if isinstance(src, str):
+                values = self.values_at(points)[src]
+            else:
+                values = self.field_values(src, points)
+            picked = reads[(reads >= start) & (reads < start + arr.size)] - start
+            # the (components, npoints) rows the source's own tape made
+            loaded.extend(values.reshape(len(points), -1)[:, picked].T)
+            start += arr.size
         try:
-            return tape.run(points_to_columns(points, self.chart.coordinates), loaded)
+            return tape.run(points.columns, loaded)
         except ex.DomainError as e:  # its subexpression is the first failing row
             rows = [f"{name}{list(idx) if idx else ''}"
                     for name, arr in fields.items() for idx in np.ndindex(arr.shape)]
@@ -638,6 +691,7 @@ class CurvatureBundle:
         riemann_13, riemann, ricci, scalar, gtensor, concircular; each value
         has a leading point axis.
         """
+        points = self._points(points)
         return self._cached(points, "core", lambda: self._evaluate_core(points))
 
     def _core_fields(self) -> dict:
@@ -669,6 +723,7 @@ class CurvatureBundle:
         so two structurally different fields never collide.
         """
         entry = tuple(tf.components.ravel())
+        points = self._points(points)
 
         def compute():
             rows = self._evaluate(entry, {"component": tf.components}, points)

@@ -11,6 +11,17 @@ its contraction chain included), builds its report through ``_report``;
 each cyclic sum is written once, in ``_cyclic``, and applied to the values
 and to their absolute values alike.
 
+The Bianchi sums run only over the structural support of the field they
+sum (``CurvatureBundle._support``): the flat component slots where some
+addend's node is not the exact ZERO.  The index triples of a sum come from
+its einsum specs applied to an arange of flat indices (``_cycle``), so the
+additions are those of the full sum, in the same order.  Outside the
+support every addend is 0.0 and so is the sum; the absolute values are
+>= 0 and tapes refuse non-finite values, so the per-point maximum over the
+support is the full array's bit for bit, and an empty support (a flat
+chart) gives 0 at every point.  Contractions, where leaving out terms could
+change the rounding, keep their full arrays: the curvature action below.
+
 The curvature action R(d_u, d_v) R is evaluated here numerically from the
 already-evaluated curvature arrays, on index pairs: R(X,Y).R is a
 symmetric form on 2-forms, so it is computed for u < v, w < x and y < z
@@ -28,6 +39,7 @@ stay the reference implementation the tests compare against, in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,8 +107,9 @@ class KernelReport:
 
 
 def _per_point_max(arr: np.ndarray) -> np.ndarray:
-    # collapse every axis except the leading point axis
-    return np.abs(arr).reshape(arr.shape[0], -1).max(axis=1)
+    # collapse every axis except the leading point axis; |x| >= 0, so the
+    # initial 0 changes no maximum and is the maximum of no slot at all
+    return np.abs(arr).reshape(arr.shape[0], -1).max(axis=1, initial=0.0)
 
 
 def _curvature_action(r13: np.ndarray, riemann: np.ndarray):
@@ -145,12 +158,30 @@ def _report(identity: str, bundle: CurvatureBundle, points, total, scale, tol) -
     )
 
 
-def _cyclic(arr: np.ndarray, specs: tuple) -> np.ndarray:
-    """arr plus its two cyclic permutations, given as einsum specs."""
-    first, second = specs
-    # one expression, so numpy sums the second permutation into the first
-    # sum's temporary instead of allocating another full array
-    return arr + np.einsum(first, arr) + np.einsum(second, arr)
+def _cycle(shape: tuple, specs: tuple, support=None) -> tuple:
+    """Flat index triples (i0, i1, i2) of a cyclic sum over arrays of the
+    given component shape: slot i0 of the sum adds the components at i0, i1
+    and i2. The two cyclic permutations are the einsum specs, applied to an
+    arange of flat indices. Given the support of the array summed, only the
+    slots where one of the three addends is in it are kept: at every other
+    slot each addend is 0.0, and so is the sum.
+    """
+    flat = np.arange(math.prod(shape)).reshape((1,) + shape)
+    triples = (flat.ravel(), *(np.einsum(spec, flat).ravel() for spec in specs))
+    if support is None:
+        return triples
+    hit = np.zeros(flat.size, dtype=bool)
+    hit[support] = True
+    keep = np.flatnonzero(hit[triples[0]] | hit[triples[1]] | hit[triples[2]])
+    return tuple(i[keep] for i in triples)
+
+
+def _cyclic(arr: np.ndarray, triples: tuple) -> np.ndarray:
+    """The cyclic sum of arr, flattened after its point axis, at the slots
+    of triples: the addends at i0 and i1 first, then i2's."""
+    i0, i1, i2 = triples
+    flat = arr.reshape(len(arr), -1)
+    return (flat[:, i0] + flat[:, i1]) + flat[:, i2]
 
 
 def _action_maxima(bundle: CurvatureBundle, points) -> dict:
@@ -160,7 +191,7 @@ def _action_maxima(bundle: CurvatureBundle, points) -> dict:
     def compute():
         vals = bundle.values_at(points)
         acted, acted_abs, diag = _curvature_action(vals["riemann_13"], vals["riemann"])
-        cycle = ("pWQU->pUWQ", "pQUW->pUWQ")
+        cycle = _cycle(acted.shape[1:], ("pWQU->pUWQ", "pQUW->pUWQ"))
         # at w = x the cycle's (W, Q, U) term vanishes, scale and all; the
         # other two are diag and its U, Q transpose
         walker_scale = np.maximum(
@@ -173,7 +204,7 @@ def _action_maxima(bundle: CurvatureBundle, points) -> dict:
             "semisymmetry": (_per_point_max(acted), semi_scale),
         }
 
-    return bundle._cached(points, "action", compute)
+    return bundle._cached(bundle._points(points), "action", compute)
 
 
 def check_walker_at(bundle: CurvatureBundle, points, tol: float = 1e-8) -> IdentityReport:
@@ -195,14 +226,18 @@ def check_bianchi_at(
     second: (nabla_A R)(W,X,Y,Z) + (nabla_W R)(X,A,Y,Z)
             + (nabla_X R)(A,W,Y,Z) = 0.
     """
+    points = bundle._points(points)
     if kind == "first":
+        field = bundle.riemann
         arr = bundle.values_at(points)["riemann"]
-        cycle = ("pxywz->pwxyz", "pywxz->pwxyz")
+        specs = ("pxywz->pwxyz", "pywxz->pwxyz")
     elif kind == "second":
-        arr = bundle.field_values(bundle.nabla_riemann(), points)
-        cycle = ("pwxayz->pawxyz", "pxawyz->pawxyz")
+        field = bundle.nabla_riemann()
+        arr = bundle.field_values(field, points)
+        specs = ("pwxayz->pawxyz", "pxawyz->pawxyz")
     else:
         raise GeometryError(f"kind must be 'first' or 'second', got {kind!r}")
+    cycle = _cycle(arr.shape[1:], specs, bundle._support(field.components))
     total, scale = _cyclic(arr, cycle), _cyclic(np.abs(arr), cycle)
     return _report(f"bianchi-{kind}", bundle, points, total, scale, tol)
 

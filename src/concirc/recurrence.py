@@ -33,6 +33,15 @@ their forms.  Every check, the three links of the projective-to-Einstein
 contraction chain included, reports through the pass rule of
 ``identities._report``.
 
+The fits and the extended recurrence residual compute nabla T - lambda (x) T
+(- mu (x) G) only on the slots where nabla T, T (or G) is not the exact
+ZERO node, and the magnitudes, the |R| scale and classify's global maxima
+of R, G, C and nabla R run over each field's support, as the Bianchi sums
+of ``identities`` do: at every other slot each term is 0.0, a product with
+a finite lambda is +-0 and |+-0| = 0, so each maximum is the full array's
+bit for bit.  The projective-to-Einstein chain and the mu-structure display
+are contractions and keep their full arrays.
+
 The second recurrence form is mu = (dr - r lambda) / (n(n-1)); together
 the pair (lambda, mu) turns concircular recurrence into the extended
 condition nabla R = lambda (x) R + mu (x) G, and the implication chain
@@ -250,26 +259,63 @@ def _recurrence_form(bundle: CurvatureBundle, target: str) -> TensorField:
     return bundle._derive(f"lambda_{target}", build)
 
 
-def _fit_values(bundle: CurvatureBundle, name: str, grad: TensorField, lam: TensorField, points):
+def _at_slots(values: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """(npoints, len(slots)) values of a field at the given flat component
+    slots, such as its support (``CurvatureBundle._support``)."""
+    return values.reshape(len(values), -1)[:, slots]
+
+
+def _field_max(bundle: CurvatureBundle, values: np.ndarray, field) -> np.ndarray:
+    """Per-point max |values| of a field, over its support."""
+    return _per_point_max(_at_slots(values, bundle._support(field.components)))
+
+
+def _recurrence_gap(
+    bundle: CurvatureBundle, grad: TensorField, gv: np.ndarray, terms: list
+) -> np.ndarray:
+    """Per-point max |nabla T - omega (x) S - ...| over the slots where
+    nabla T or some S is not the exact ZERO node.
+
+    gv holds nabla T's values and terms is a sequence of (omega's values,
+    S's field, S's values), subtracted in turn as ``gv - einsum(...) -
+    einsum(...)`` would. At any other slot every addend is 0.0 and omega is
+    finite, so the difference is +-0 and the maximum is the full array's.
+    """
+    hit = np.zeros((bundle.n, gv[0].size // bundle.n), dtype=bool)
+    hit.flat[bundle._support(grad.components)] = True
+    for _, field, _ in terms:
+        hit[:, bundle._support(field.components)] = True
+    slots = np.flatnonzero(hit)
+    a, s = np.divmod(slots, hit.shape[1])
+    diff = _at_slots(gv, slots)
+    for omega, _, values in terms:
+        diff = diff - omega[:, a] * _at_slots(values, s)
+    return _per_point_max(diff)
+
+
+def _fit_values(
+    bundle: CurvatureBundle, name: str, tensor: TensorField, grad: TensorField,
+    lam: TensorField, points,
+):
     """(magnitudes, admitted, residuals) of the fit of nabla T = lambda (x) T,
     T being the core block field ``name``; residuals are NaN where excluded."""
     vals = bundle.values_at(points)
     tv = vals[name]
-    magnitudes = _per_point_max(tv)
+    magnitudes = _field_max(bundle, tv, tensor)
     zmax = float(np.max(magnitudes))
     # the zero threshold is relative to the largest target magnitude, but
     # never below the chart's own curvature scale 1 + max |G|: a target that
     # is pure cancellation noise (e.g. C on a constant-curvature chart) must
     # exclude every point rather than fit the noise
-    g_scale = 1.0 + float(np.max(np.abs(vals["gtensor"])))
+    g_scale = 1.0 + float(np.max(_field_max(bundle, vals["gtensor"], bundle.gtensor)))
     admitted = magnitudes > ZERO_THRESHOLD * max(zmax, g_scale)
     residuals = np.full(len(points), np.nan)
     if np.any(admitted):
-        adm_pts = tuple(p for p, ok in zip(points, admitted) if ok)
+        adm_pts = bundle._points(p for p, ok in zip(points, admitted) if ok)
         gv = bundle.field_values(grad, adm_pts)
         lamv = bundle.field_values(lam, adm_pts)
-        diff = gv - np.einsum("pa,p...->pa...", lamv, tv[admitted])
-        residuals[admitted] = _per_point_max(diff) / (1.0 + magnitudes[admitted])
+        gap = _recurrence_gap(bundle, grad, gv, [(lamv, tensor, tv[admitted])])
+        residuals[admitted] = gap / (1.0 + magnitudes[admitted])
     return magnitudes, admitted, residuals
 
 
@@ -293,13 +339,14 @@ def fit_recurrence_form(
     reuses that fit, and the fit returned names the target asked for and
     carries its own lambda.
     """
+    points = bundle._points(points)
     bundle.values_at(points)  # an empty point list is refused before any build
     name, tensor, grad = _target_fields(bundle, target)
     lam = _recurrence_form(bundle, target)
     magnitudes, admitted, residuals = bundle._cached(
         points,
         _form_key("fit", tensor, grad),
-        lambda: _fit_values(bundle, name, grad, lam, points),
+        lambda: _fit_values(bundle, name, tensor, grad, lam, points),
     )
     if not np.any(admitted):
         raise HypothesisError(
@@ -356,15 +403,16 @@ def check_extended_recurrence(
     whose every component is the exact ZERO adds no mu (x) G term: x - 0.0
     is x, and G is finite.
     """
+    points = bundle._points(points)
     vals = bundle.values_at(points)
     rv = vals["riemann"]
-    nr = bundle.field_values(bundle.nabla_riemann(), points)
-    lamv = bundle.field_values(lam, points)
-    diff = nr - np.einsum("pa,pwxyz->pawxyz", lamv, rv)
+    grad = bundle.nabla_riemann()
+    gv = bundle.field_values(grad, points)
+    terms = [(bundle.field_values(lam, points), bundle.riemann, rv)]
     if any(c is not ex.ZERO for c in mu.components.flat):
-        muv = bundle.field_values(mu, points)
-        diff = diff - np.einsum("pa,pwxyz->pawxyz", muv, vals["gtensor"])
-    residuals = _per_point_max(diff) / (1.0 + _per_point_max(rv))
+        terms.append((bundle.field_values(mu, points), bundle.gtensor, vals["gtensor"]))
+    gap = _recurrence_gap(bundle, grad, gv, terms)
+    residuals = gap / (1.0 + _field_max(bundle, rv, bundle.riemann))
     return _report("extended-recurrence", bundle, points, residuals, np.zeros(len(points)), tol)
 
 
@@ -503,18 +551,22 @@ def classify(bundle: CurvatureBundle, points, tol: float = 1e-8) -> Classificati
     that was not already caught by recurrent contradicts the main theorem
     and is flagged, not silently reported.
     """
+    points = bundle._points(points)
     vals = bundle.values_at(points)
     n = bundle.n
     ev: dict = {}
 
-    r_max = float(np.max(np.abs(vals["riemann"])))
-    g_scale = float(np.max(np.abs(vals["gtensor"])))
+    def global_max(values, field) -> float:
+        return float(np.max(_field_max(bundle, values, field)))
+
+    r_max = global_max(vals["riemann"], bundle.riemann)
+    g_scale = global_max(vals["gtensor"], bundle.gtensor)
     ev["riemann_max"] = r_max
     if r_max <= tol * (1.0 + g_scale):
         return Classification(bundle.chart.name, "flat", ev)
 
     if n >= 3:
-        c_max = float(np.max(np.abs(vals["concircular"])))
+        c_max = global_max(vals["concircular"], bundle.concircular)
         cc_scale = r_max + float(
             np.max(np.abs(vals["scalar"])) / (n * (n - 1)) * g_scale
         )
@@ -528,7 +580,8 @@ def classify(bundle: CurvatureBundle, points, tol: float = 1e-8) -> Classificati
         if spread <= tol * (1.0 + float(np.max(np.abs(scal)))):
             return Classification(bundle.chart.name, "constant-curvature", ev)
 
-    nr_max = float(np.max(np.abs(bundle.field_values(bundle.nabla_riemann(), points))))
+    grad = bundle.nabla_riemann()
+    nr_max = global_max(bundle.field_values(grad, points), grad)
     ev["nabla_riemann_max"] = nr_max
     if nr_max <= tol * (1.0 + r_max):
         return Classification(bundle.chart.name, "locally-symmetric", ev)
@@ -572,6 +625,7 @@ def verify_theorem(bundle: CurvatureBundle, points, tol: float = 1e-8) -> Theore
     hypothesis yields a skip.
     """
     name = bundle.chart.name
+    points = bundle._points(points)
     try:
         cfit = fit_recurrence_form(bundle, "C", points, tol)
     except HypothesisError as e:
@@ -583,7 +637,7 @@ def verify_theorem(bundle: CurvatureBundle, points, tol: float = 1e-8) -> Theore
         )
         return TheoremReport(name, True, reason, cfit, None, None, None, None)
 
-    adm = cfit.admitted_points
+    adm = bundle._points(cfit.admitted_points)
     lam = cfit.lam
     mu_form = compute_mu(bundle, lam)
 

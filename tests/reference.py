@@ -21,6 +21,11 @@ so the tests can compare that route against an independent one:
     fit_mu_pointwise
         a per-point least-squares mu from the extended recurrence condition,
         against the closed form of ``recurrence.compute_mu``
+    bianchi_full, fit_values_full, extended_recurrence_full
+        the Bianchi cyclic sums, the recurrence fit and the extended
+        recurrence residual over the full component arrays, against the
+        package's routes over the structural support (the components that
+        are not the exact ZERO node)
 
 No CLI path, demo, check or benchmark workload calls them. Tests import them
 as ``from reference import ...``; pytest puts this directory on sys.path.
@@ -59,6 +64,7 @@ from concirc.geometry import (
     _fill,
     covariant_derivative_at,
 )
+from concirc.recurrence import ZERO_THRESHOLD, _recurrence_form, _target_fields
 
 __all__ = [
     "DualValue",
@@ -68,6 +74,9 @@ __all__ = [
     "exterior_derivative_one_form_at",
     "wedge_two_one_forms_at",
     "fit_mu_pointwise",
+    "bianchi_full",
+    "fit_values_full",
+    "extended_recurrence_full",
 ]
 
 
@@ -272,3 +281,57 @@ def fit_mu_pointwise(bundle: CurvatureBundle, lam: TensorField, points) -> np.nd
     num = np.einsum("pawxyz,pwxyz->pa", lhs, gv)
     den = np.einsum("pwxyz,pwxyz->p", gv, gv)
     return num / den[:, None]
+
+
+def _per_point_max(arr: np.ndarray) -> np.ndarray:
+    return np.abs(arr).reshape(arr.shape[0], -1).max(axis=1)
+
+
+def bianchi_full(bundle: CurvatureBundle, kind: str, points) -> tuple:
+    """(residuals, scales) of ``check_bianchi_at``, each cyclic sum formed
+    as the full array plus its two permutations."""
+    if kind == "first":
+        arr = bundle.values_at(points)["riemann"]
+        first, second = "pxywz->pwxyz", "pywxz->pwxyz"
+    else:
+        arr = bundle.field_values(bundle.nabla_riemann(), points)
+        first, second = "pwxayz->pawxyz", "pxawyz->pawxyz"
+    absolute = np.abs(arr)
+    total = arr + np.einsum(first, arr) + np.einsum(second, arr)
+    scale = absolute + np.einsum(first, absolute) + np.einsum(second, absolute)
+    return _per_point_max(total), _per_point_max(scale)
+
+
+def fit_values_full(bundle: CurvatureBundle, target: str, points) -> tuple:
+    """(magnitudes, admitted, residuals) of ``fit_recurrence_form``, from the
+    full arrays of T, G and nabla T - lambda (x) T."""
+    name, _, grad = _target_fields(bundle, target)
+    lam = _recurrence_form(bundle, target)
+    vals = bundle.values_at(points)
+    tv = vals[name]
+    magnitudes = _per_point_max(tv)
+    g_scale = 1.0 + float(np.max(np.abs(vals["gtensor"])))
+    admitted = magnitudes > ZERO_THRESHOLD * max(float(np.max(magnitudes)), g_scale)
+    residuals = np.full(len(points), np.nan)
+    if np.any(admitted):
+        adm_pts = tuple(p for p, ok in zip(points, admitted) if ok)
+        gv = bundle.field_values(grad, adm_pts)
+        lamv = bundle.field_values(lam, adm_pts)
+        diff = gv - np.einsum("pa,p...->pa...", lamv, tv[admitted])
+        residuals[admitted] = _per_point_max(diff) / (1.0 + magnitudes[admitted])
+    return magnitudes, admitted, residuals
+
+
+def extended_recurrence_full(
+    bundle: CurvatureBundle, lam: TensorField, mu: TensorField, points
+) -> np.ndarray:
+    """Residuals of ``check_extended_recurrence``, from the full array of
+    nabla R - lambda (x) R - mu (x) G; an all-ZERO mu adds no term."""
+    vals = bundle.values_at(points)
+    rv = vals["riemann"]
+    nr = bundle.field_values(bundle.nabla_riemann(), points)
+    diff = nr - np.einsum("pa,pwxyz->pawxyz", bundle.field_values(lam, points), rv)
+    if any(c is not ex.ZERO for c in mu.components.flat):
+        muv = bundle.field_values(mu, points)
+        diff = diff - np.einsum("pa,pwxyz->pawxyz", muv, vals["gtensor"])
+    return _per_point_max(diff) / (1.0 + _per_point_max(rv))

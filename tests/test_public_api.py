@@ -26,6 +26,9 @@ REFERENCE_ROUTES = (
     "exterior_derivative_one_form_at",
     "wedge_two_one_forms_at",
     "fit_mu_pointwise",
+    "bianchi_full",
+    "fit_values_full",
+    "extended_recurrence_full",
 )
 
 
