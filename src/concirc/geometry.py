@@ -49,6 +49,7 @@ action from values. Their symbolic routes are the tests' references, in
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections import OrderedDict
@@ -119,10 +120,10 @@ def points_to_columns(points, coordinates) -> dict:
 
 
 class _Key(tuple):
-    """A point set's coordinate tuples, as the store keys it, hashed once."""
+    """A field's interned component nodes, as the store keys it, hashed once."""
 
-    def __new__(cls, rows):
-        self = super().__new__(cls, rows)
+    def __new__(cls, nodes):
+        self = super().__new__(cls, nodes)
         self._hash = tuple.__hash__(self)
         return self
 
@@ -131,22 +132,24 @@ class _Key(tuple):
 
 
 class _PointSet(tuple):
-    """The caller's points as a tuple, with the bundle store's key for them,
-    hashed once, and their coordinate columns, built on first use; a public
-    call converts its points once (``CurvatureBundle._points``) and every
-    store read and tape run below it reuses both."""
+    """The caller's points as a tuple, with their (npoints, n) float64
+    coordinate array, converted once: its bytes are the bundle store's key
+    and its columns are what every tape run reads. A public call converts
+    its points once (``CurvatureBundle._points``) and every store read and
+    tape run below it reuses both. Keying by the bytes the tapes read, not
+    by the values, keeps -0.0 and +0.0 apart, which compare equal but can
+    give zeros of different sign."""
 
     def __new__(cls, points, coordinates):
         self = super().__new__(cls, points)
         self.coordinates = coordinates
+        n = len(coordinates)
         # charts have n >= 2 coordinates, so itemgetter always gives tuples
-        self.key = _Key(map(operator.itemgetter(*coordinates), self))
+        rows = itertools.chain.from_iterable(map(operator.itemgetter(*coordinates), self))
+        coords = np.fromiter(rows, float, len(self) * n).reshape(len(self), n)
+        self.key = coords.tobytes()
+        self.columns = dict(zip(coordinates, coords.T))
         return self
-
-    @cached_property
-    def columns(self) -> dict:
-        # float() of each value, as points_to_columns, in one conversion
-        return dict(zip(self.coordinates, np.array(self.key, dtype=float).T.copy()))
 
 
 @dataclass(frozen=True)
@@ -174,17 +177,15 @@ class MetricChart:
                 f"chart '{self.name}': metric shape {self.metric.shape} != ({n}, {n})"
             )
         simplified = _object_array((n, n))
-        declared = frozenset(self.coordinates)
-        for i in range(n):
-            for j in range(n):
-                g = simplify(ex._coerce(self.metric[i, j]))
-                loose = ex.variables(g) - declared
-                if loose:
-                    raise GeometryError(
-                        f"chart '{self.name}': metric[{i}][{j}] uses undeclared "
-                        f"variable(s) {sorted(loose)}"
-                    )
-                simplified[i, j] = g
+        for idx in np.ndindex(n, n):
+            simplified[idx] = simplify(ex._coerce(self.metric[idx]))
+        named = [(f"metric[{i}][{j}]", simplified[i, j]) for i, j in np.ndindex(n, n)]
+        for what, e in named + [(f"exclusions[{k}]", e) for k, e in enumerate(self.exclusions)]:
+            loose = ex.variables(e).difference(self.coordinates)
+            if loose:
+                raise GeometryError(
+                    f"chart '{self.name}': {what} uses undeclared variable(s) {sorted(loose)}"
+                )
         for i in range(n):
             for j in range(i + 1, n):
                 if simplified[i, j] is not simplified[j, i]:
@@ -247,7 +248,7 @@ class MetricChart:
             try:
                 with np.errstate(over="raise", divide="raise", invalid="raise"):
                     values = tape.values(columns)
-            except (FloatingPointError, KeyError):  # KeyError: a non-coordinate variable
+            except FloatingPointError:
                 values = None
             else:
                 excluded = np.any(np.abs(values[:-1]) < EXCLUSION_MARGIN, axis=0)
@@ -292,6 +293,9 @@ class TensorField:
     tags are descriptive only, and no tag decides whether a component is
     simplified. No tag is used to reduce by the first Bianchi identity,
     which the identity checks verify numerically.
+
+    ``key``, the interned component nodes as a tuple hashed once, is the
+    field's identity: the bundle keys its values, tape, loads and support by it.
     """
 
     dim: int
@@ -305,6 +309,10 @@ class TensorField:
             raise GeometryError(
                 f"tensor components shape {self.components.shape} != {expected}"
             )
+
+    @cached_property
+    def key(self) -> _Key:
+        return _Key(self.components.ravel())
 
     def evaluate(self, point: dict) -> np.ndarray:
         """Values at one point: one checked tape run over all components
@@ -474,19 +482,19 @@ class CurvatureBundle:
 
     Each evaluated root set is compiled once into an evaluation tape
     (``expressions._Tape``), kept in ``_tapes`` under the same entry as its
-    values: "core" for ``values_at`` and the component tuple for
-    ``field_values``. A new point set reruns the tape; the tapes live as
-    long as the bundle. R, G and C are read from the core block, so no
-    other tape is compiled over them. A field may name, in ``_loads``, the
-    fields its tape loads (``_declare_loads``): their components are loads
-    of the tape, and every run reads the rows the tape reaches from the
-    store for the point set being run.
+    values: "core" for ``values_at`` and the field's ``key``, its node
+    tuple, for ``field_values``. A new point set reruns the tape; the tapes
+    live as long as the bundle. ``field_values`` reads R, Ricci, G and C
+    from the core block, so no other tape is compiled over them. A field
+    may name, in ``_loads``, the fields its tape loads (``_declare_loads``):
+    their components are loads of the tape, and every run reads the rows
+    the tape reaches through ``field_values`` for the point set being run.
 
     Each public call turns its points into one point-set record
-    (``_points``), whose store key is hashed once and whose coordinate
-    columns are built once. A field's structural support, the flat slots of
-    its components that are not the exact ZERO node, is kept in
-    ``_derived`` under the component nodes (``_support``); the checks take
+    (``_points``), whose store key, the bytes of its float64 coordinates,
+    and coordinate columns are built once. A field's structural support,
+    the flat slots of its components that are not the exact ZERO node, is
+    kept in ``_derived`` under its key (``_support``); the checks take
     their maxima over it.
     """
 
@@ -581,8 +589,12 @@ class CurvatureBundle:
         self._blocks: OrderedDict = OrderedDict()
         # entry -> evaluation tape of its expressions, built on first use
         self._tapes: dict = {}
-        # field entry -> the sources its tape loads: core block names or fields
+        # field key -> the fields its tape loads
         self._loads: dict = {}
+        # field key -> the core block entry that holds its values
+        self._core = {tf.key: name for name, tf in (
+            ("riemann", self.riemann), ("ricci", self.ricci),
+            ("gtensor", self.gtensor), ("concircular", self.concircular))}
 
     @property
     def n(self) -> int:
@@ -606,13 +618,12 @@ class CurvatureBundle:
             "nabla_concircular", lambda: covariant_derivative_at(self, self.concircular)
         )
 
-    def _support(self, components: np.ndarray) -> np.ndarray:
-        """Flat indices of the components that are not the exact ZERO node,
-        worked out once per bundle and kept in ``_derived`` under the
-        component nodes. A ZERO component evaluates to exactly 0.0."""
-        nodes = tuple(components.ravel())
+    def _support(self, tf: TensorField) -> np.ndarray:
+        """Flat indices of tf's components that are not the exact ZERO node,
+        worked out once per bundle and kept in ``_derived`` under tf's key.
+        A ZERO component evaluates to exactly 0.0."""
         return self._derive(
-            ("support", nodes), lambda: np.flatnonzero([c is not ex.ZERO for c in nodes])
+            ("support", tf.key), lambda: np.flatnonzero([c is not ex.ZERO for c in tf.key])
         )
 
     # -- numeric evaluation, cached for the most recent point sets -----------
@@ -646,36 +657,32 @@ class CurvatureBundle:
         return store[entry]
 
     def _declare_loads(self, tf: TensorField, sources: tuple):
-        """Let tf's tape load the components of sources, each a core block
-        name or a field, instead of compiling them. The first declaration
-        for tf's components stands, as the tape compiled from it does."""
-        self._loads.setdefault(tuple(tf.components.ravel()), sources)
+        """Let tf's tape load the components of the fields in sources instead
+        of compiling them. The first declaration for tf's key stands, as the
+        tape compiled from it does."""
+        self._loads.setdefault(tf.key, sources)
 
     def _evaluate(self, entry, fields: dict, points: _PointSet) -> np.ndarray:
         """(components, npoints) values of fields, component arrays by name,
         through the tape kept under entry; a non-finite value raises
         DomainError naming its field and component.
 
-        The rows of the tape's loads are read from the store for these
-        points, so they are never another point set's; only the rows the
-        tape reaches (``_Tape.reads``) are passed to it.
+        The rows of the tape's loads are read through ``field_values`` for
+        these points, so they are never another point set's; only the rows
+        the tape reaches (``_Tape.reads``) are passed to it.
         """
         sources = self._loads.get(entry, ())
-        comps = [self._core_fields()[s] if isinstance(s, str) else s.components for s in sources]
         tape = self._tapes.get(entry)
         if tape is None:
             exprs = [e for arr in fields.values() for e in arr.flat]
-            tape = self._tapes[entry] = ex._Tape(exprs, [e for arr in comps for e in arr.flat])
+            tape = self._tapes[entry] = ex._Tape(exprs, [e for s in sources for e in s.key])
         reads, loaded, start = np.array(tape.reads, dtype=np.intp), [], 0
-        for src, arr in zip(sources, comps):
-            if isinstance(src, str):
-                values = self.values_at(points)[src]
-            else:
-                values = self.field_values(src, points)
-            picked = reads[(reads >= start) & (reads < start + arr.size)] - start
+        for src in sources:
+            size = len(src.key)
+            picked = reads[(reads >= start) & (reads < start + size)] - start
             # the (components, npoints) rows the source's own tape made
-            loaded.extend(values.reshape(len(points), -1)[:, picked].T)
-            start += arr.size
+            loaded.extend(self.field_values(src, points).reshape(len(points), -1)[:, picked].T)
+            start += size
         try:
             return tape.run(points.columns, loaded)
         except ex.DomainError as e:  # its subexpression is the first failing row
@@ -694,9 +701,8 @@ class CurvatureBundle:
         points = self._points(points)
         return self._cached(points, "core", lambda: self._evaluate_core(points))
 
-    def _core_fields(self) -> dict:
-        """Component arrays of the core block by name, the scalar aside."""
-        return {
+    def _evaluate_core(self, points) -> dict:
+        fields = {
             "metric": self.chart.metric,
             "inverse_metric": self.inverse_metric,
             "christoffel": self.christoffel,
@@ -705,10 +711,8 @@ class CurvatureBundle:
             "ricci": self.ricci.components,
             "gtensor": self.gtensor.components,
             "concircular": self.concircular.components,
+            "scalar": np.array(self.scalar_curvature, dtype=object),
         }
-
-    def _evaluate_core(self, points) -> dict:
-        fields = dict(self._core_fields(), scalar=np.array(self.scalar_curvature, dtype=object))
         block = self._evaluate("core", fields, points).T  # (npts, nexprs)
         out, start = {}, 0
         for name, arr in fields.items():
@@ -717,19 +721,23 @@ class CurvatureBundle:
         return out
 
     def field_values(self, tf: TensorField, points) -> np.ndarray:
-        """Numeric values of one derived field, cached per (field, point set).
+        """Numeric values of one field, cached per (field key, point set).
 
-        The cache entry is keyed on the interned component nodes themselves,
-        so two structurally different fields never collide.
+        R, Ricci, G and C are read from the core block (``values_at``); any
+        other field is run through its own tape. The key is the interned
+        component nodes themselves, so two structurally different fields
+        never collide.
         """
-        entry = tuple(tf.components.ravel())
         points = self._points(points)
+        core = self._core.get(tf.key)
+        if core is not None:
+            return self.values_at(points)[core]
 
         def compute():
-            rows = self._evaluate(entry, {"component": tf.components}, points)
+            rows = self._evaluate(tf.key, {"component": tf.components}, points)
             return rows.T.reshape((len(points),) + tf.components.shape)
 
-        return self._cached(points, entry, compute)
+        return self._cached(points, tf.key, compute)
 
 
 def curvature_bundle_at(chart: MetricChart) -> CurvatureBundle:

@@ -11,8 +11,10 @@ its contraction chain included), builds its report through ``_report``;
 each cyclic sum is written once, in ``_cyclic``, and applied to the values
 and to their absolute values alike.
 
-The Bianchi sums run only over the structural support of the field they
-sum (``CurvatureBundle._support``): the flat component slots where some
+Both Bianchi sums read their field, R or nabla R, through
+``CurvatureBundle.field_values``, which serves R from the core block, and
+run only over the structural support of that field
+(``CurvatureBundle._support``): the flat component slots where some
 addend's node is not the exact ZERO.  The index triples of a sum come from
 its einsum specs applied to an arange of flat indices (``_cycle``), so the
 additions are those of the full sum, in the same order.  Outside the
@@ -228,16 +230,13 @@ def check_bianchi_at(
     """
     points = bundle._points(points)
     if kind == "first":
-        field = bundle.riemann
-        arr = bundle.values_at(points)["riemann"]
-        specs = ("pxywz->pwxyz", "pywxz->pwxyz")
+        field, specs = bundle.riemann, ("pxywz->pwxyz", "pywxz->pwxyz")
     elif kind == "second":
-        field = bundle.nabla_riemann()
-        arr = bundle.field_values(field, points)
-        specs = ("pwxayz->pawxyz", "pxawyz->pawxyz")
+        field, specs = bundle.nabla_riemann(), ("pwxayz->pawxyz", "pxawyz->pawxyz")
     else:
         raise GeometryError(f"kind must be 'first' or 'second', got {kind!r}")
-    cycle = _cycle(arr.shape[1:], specs, bundle._support(field.components))
+    arr = bundle.field_values(field, points)
+    cycle = _cycle(arr.shape[1:], specs, bundle._support(field))
     total, scale = _cyclic(arr, cycle), _cyclic(np.abs(arr), cycle)
     return _report(f"bianchi-{kind}", bundle, points, total, scale, tol)
 

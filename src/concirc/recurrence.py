@@ -12,21 +12,21 @@ falls below a relative zero threshold are excluded from the fit (a tensor
 that is recurrent in the strict sense has no zeros).  lambda, mu and the
 forms built from them are only ever evaluated, so none is simplified, as
 nabla R and nabla C are not; where lambda is zero (R on a constant-curvature
-chart) it evaluates to rounding noise rather than to an exact zero.  R, G
-and C are read from the bundle's core block (``values_at``), never from a
-tape of their own.
+chart) it evaluates to rounding noise rather than to an exact zero.  Every
+field is read through ``CurvatureBundle.field_values``, which serves R, G
+and C from the core block, never from a tape of their own.
 
 Every symbolic form is built once per bundle and kept on it: lambda_R and
 lambda_C, mu, and nabla omega of each 1-form omega the checks test, keyed
-by the interned component nodes of the 1-forms they are built from.  d omega
+by the keys (``TensorField.key``) of the 1-forms they are built from.  d omega
 and mu ^ lambda are formed from values, d omega as the antisymmetric part of
 nabla omega; the symbolic d omega and mu ^ lambda, and a per-point
 least-squares mu that cross-checks compute_mu, are the tests' references in
 ``tests/reference.py``.
-lambda's tape loads the rows of T from the core block and of nabla T from
-``field_values``, both for the point set being run, so it compiles only
-the quotient above them.  A fit's numbers are kept in the bundle's
-per-point-set store under the interned nodes of T and nabla T, so
+lambda's tape loads the fields T and nabla T, whose rows it reads through
+``field_values`` for the point set being run, so it compiles only the
+quotient above them.  A fit's numbers are kept in the bundle's
+per-point-set store under the keys of T and nabla T, so
 verify_theorem reuses the C-fit of classify, and its R-fit where C is R
 node for node.  verify_theorem calls those public functions, so it shares
 their forms.  Every check, the three links of the projective-to-Einstein
@@ -39,8 +39,10 @@ ZERO node, and the magnitudes, the |R| scale and classify's global maxima
 of R, G, C and nabla R run over each field's support, as the Bianchi sums
 of ``identities`` do: at every other slot each term is 0.0, a product with
 a finite lambda is +-0 and |+-0| = 0, so each maximum is the full array's
-bit for bit.  The projective-to-Einstein chain and the mu-structure display
-are contractions and keep their full arrays.
+bit for bit.  Each of these helpers takes fields, never their values, and
+reads a field's values and its support from the field itself.  The
+projective-to-Einstein chain and the mu-structure display are contractions
+and keep their full arrays.
 
 The second recurrence form is mu = (dr - r lambda) / (n(n-1)); together
 the pair (lambda, mu) turns concircular recurrence into the extended
@@ -214,30 +216,29 @@ class TheoremReport:
 
 
 def _target_fields(bundle: CurvatureBundle, target: str):
-    """(core block name, symbolic field, its covariant derivative) of a target."""
+    """(symbolic field, its covariant derivative) of a target."""
     if target == "R":
-        return "riemann", bundle.riemann, bundle.nabla_riemann()
+        return bundle.riemann, bundle.nabla_riemann()
     if target == "C":
-        return "concircular", bundle.concircular, bundle.nabla_concircular()
+        return bundle.concircular, bundle.nabla_concircular()
     raise GeometryError(f"target must be 'R' or 'C', got {target!r}")
 
 
 def _form_key(name: str, *forms: TensorField) -> tuple:
-    """Bundle key of a form built from the given fields: their interned
-    component nodes, as ``CurvatureBundle.field_values`` keys its entries."""
-    return (name,) + tuple(tuple(f.components.ravel()) for f in forms)
+    """Bundle key of a form built from the given fields: their keys, as
+    ``CurvatureBundle.field_values`` keys its entries."""
+    return (name,) + tuple(f.key for f in forms)
 
 
 def _recurrence_form(bundle: CurvatureBundle, target: str) -> TensorField:
     """lambda_a = <nabla_a T, T> / <T, T>, built once per bundle and target.
 
-    Its tape loads T's rows from the core block and nabla T's from
-    ``field_values``, for the point set being run, instead of compiling
-    them again.
+    Its tape loads T's and nabla T's rows through ``field_values``, for
+    the point set being run, instead of compiling them again.
     """
 
     def build():
-        name, tensor, grad = _target_fields(bundle, target)
+        tensor, grad = _target_fields(bundle, target)
         comp = tensor.components
         gcomp = grad.components
         den = ex.esum(ex.mul(comp[idx], comp[idx]) for idx in np.ndindex(*comp.shape))
@@ -253,7 +254,7 @@ def _recurrence_form(bundle: CurvatureBundle, target: str) -> TensorField:
             )
             lam_comps[a] = ex.div(num, den)
         lam = TensorField(bundle.n, 1, lam_comps, symmetry="none")
-        bundle._declare_loads(lam, (name, grad))
+        bundle._declare_loads(lam, (tensor, grad))
         return lam
 
     return bundle._derive(f"lambda_{target}", build)
@@ -265,56 +266,53 @@ def _at_slots(values: np.ndarray, slots: np.ndarray) -> np.ndarray:
     return values.reshape(len(values), -1)[:, slots]
 
 
-def _field_max(bundle: CurvatureBundle, values: np.ndarray, field) -> np.ndarray:
-    """Per-point max |values| of a field, over its support."""
-    return _per_point_max(_at_slots(values, bundle._support(field.components)))
+def _field_max(bundle: CurvatureBundle, field: TensorField, points) -> np.ndarray:
+    """Per-point max |field| at the points, over the field's support."""
+    values = bundle.field_values(field, points)
+    return _per_point_max(_at_slots(values, bundle._support(field)))
 
 
-def _recurrence_gap(
-    bundle: CurvatureBundle, grad: TensorField, gv: np.ndarray, terms: list
-) -> np.ndarray:
-    """Per-point max |nabla T - omega (x) S - ...| over the slots where
-    nabla T or some S is not the exact ZERO node.
+def _recurrence_gap(bundle: CurvatureBundle, grad: TensorField, points, terms: list) -> np.ndarray:
+    """Per-point max |nabla T - omega (x) S - ...| at the points, over the
+    slots where nabla T or some S is not the exact ZERO node.
 
-    gv holds nabla T's values and terms is a sequence of (omega's values,
-    S's field, S's values), subtracted in turn as ``gv - einsum(...) -
-    einsum(...)`` would. At any other slot every addend is 0.0 and omega is
-    finite, so the difference is +-0 and the maximum is the full array's.
+    terms is a sequence of (omega, S) fields, subtracted in turn as
+    ``gv - einsum(...) - einsum(...)`` would. At any other slot every
+    addend is 0.0 and omega is finite, so the difference is +-0 and the
+    maximum is the full array's.
     """
+    gv = bundle.field_values(grad, points)
     hit = np.zeros((bundle.n, gv[0].size // bundle.n), dtype=bool)
-    hit.flat[bundle._support(grad.components)] = True
-    for _, field, _ in terms:
-        hit[:, bundle._support(field.components)] = True
+    hit.flat[bundle._support(grad)] = True
+    for _, field in terms:
+        hit[:, bundle._support(field)] = True
     slots = np.flatnonzero(hit)
     a, s = np.divmod(slots, hit.shape[1])
     diff = _at_slots(gv, slots)
-    for omega, _, values in terms:
-        diff = diff - omega[:, a] * _at_slots(values, s)
+    for omega, field in terms:
+        values = bundle.field_values(field, points)
+        diff = diff - bundle.field_values(omega, points)[:, a] * _at_slots(values, s)
     return _per_point_max(diff)
 
 
 def _fit_values(
-    bundle: CurvatureBundle, name: str, tensor: TensorField, grad: TensorField,
-    lam: TensorField, points,
+    bundle: CurvatureBundle, tensor: TensorField, grad: TensorField, lam: TensorField, points
 ):
-    """(magnitudes, admitted, residuals) of the fit of nabla T = lambda (x) T,
-    T being the core block field ``name``; residuals are NaN where excluded."""
-    vals = bundle.values_at(points)
-    tv = vals[name]
-    magnitudes = _field_max(bundle, tv, tensor)
+    """(magnitudes, admitted, residuals) of the fit of nabla T = lambda (x) T;
+    residuals are NaN where excluded. T's values at the admitted points come
+    from their own core block, which lambda's loads evaluate anyway."""
+    magnitudes = _field_max(bundle, tensor, points)
     zmax = float(np.max(magnitudes))
     # the zero threshold is relative to the largest target magnitude, but
     # never below the chart's own curvature scale 1 + max |G|: a target that
     # is pure cancellation noise (e.g. C on a constant-curvature chart) must
     # exclude every point rather than fit the noise
-    g_scale = 1.0 + float(np.max(_field_max(bundle, vals["gtensor"], bundle.gtensor)))
+    g_scale = 1.0 + float(np.max(_field_max(bundle, bundle.gtensor, points)))
     admitted = magnitudes > ZERO_THRESHOLD * max(zmax, g_scale)
     residuals = np.full(len(points), np.nan)
     if np.any(admitted):
         adm_pts = bundle._points(p for p, ok in zip(points, admitted) if ok)
-        gv = bundle.field_values(grad, adm_pts)
-        lamv = bundle.field_values(lam, adm_pts)
-        gap = _recurrence_gap(bundle, grad, gv, [(lamv, tensor, tv[admitted])])
+        gap = _recurrence_gap(bundle, grad, adm_pts, [(lam, tensor)])
         residuals[admitted] = gap / (1.0 + magnitudes[admitted])
     return magnitudes, admitted, residuals
 
@@ -341,12 +339,12 @@ def fit_recurrence_form(
     """
     points = bundle._points(points)
     bundle.values_at(points)  # an empty point list is refused before any build
-    name, tensor, grad = _target_fields(bundle, target)
+    tensor, grad = _target_fields(bundle, target)
     lam = _recurrence_form(bundle, target)
     magnitudes, admitted, residuals = bundle._cached(
         points,
         _form_key("fit", tensor, grad),
-        lambda: _fit_values(bundle, name, tensor, grad, lam, points),
+        lambda: _fit_values(bundle, tensor, grad, lam, points),
     )
     if not np.any(admitted):
         raise HypothesisError(
@@ -404,15 +402,11 @@ def check_extended_recurrence(
     is x, and G is finite.
     """
     points = bundle._points(points)
-    vals = bundle.values_at(points)
-    rv = vals["riemann"]
-    grad = bundle.nabla_riemann()
-    gv = bundle.field_values(grad, points)
-    terms = [(bundle.field_values(lam, points), bundle.riemann, rv)]
+    scale = 1.0 + _field_max(bundle, bundle.riemann, points)
+    terms = [(lam, bundle.riemann)]
     if any(c is not ex.ZERO for c in mu.components.flat):
-        terms.append((bundle.field_values(mu, points), bundle.gtensor, vals["gtensor"]))
-    gap = _recurrence_gap(bundle, grad, gv, terms)
-    residuals = gap / (1.0 + _field_max(bundle, rv, bundle.riemann))
+        terms.append((mu, bundle.gtensor))
+    residuals = _recurrence_gap(bundle, bundle.nabla_riemann(), points, terms) / scale
     return _report("extended-recurrence", bundle, points, residuals, np.zeros(len(points)), tol)
 
 
@@ -556,17 +550,17 @@ def classify(bundle: CurvatureBundle, points, tol: float = 1e-8) -> Classificati
     n = bundle.n
     ev: dict = {}
 
-    def global_max(values, field) -> float:
-        return float(np.max(_field_max(bundle, values, field)))
+    def global_max(field) -> float:
+        return float(np.max(_field_max(bundle, field, points)))
 
-    r_max = global_max(vals["riemann"], bundle.riemann)
-    g_scale = global_max(vals["gtensor"], bundle.gtensor)
+    r_max = global_max(bundle.riemann)
+    g_scale = global_max(bundle.gtensor)
     ev["riemann_max"] = r_max
     if r_max <= tol * (1.0 + g_scale):
         return Classification(bundle.chart.name, "flat", ev)
 
     if n >= 3:
-        c_max = global_max(vals["concircular"], bundle.concircular)
+        c_max = global_max(bundle.concircular)
         cc_scale = r_max + float(
             np.max(np.abs(vals["scalar"])) / (n * (n - 1)) * g_scale
         )
@@ -580,8 +574,7 @@ def classify(bundle: CurvatureBundle, points, tol: float = 1e-8) -> Classificati
         if spread <= tol * (1.0 + float(np.max(np.abs(scal)))):
             return Classification(bundle.chart.name, "constant-curvature", ev)
 
-    grad = bundle.nabla_riemann()
-    nr_max = global_max(bundle.field_values(grad, points), grad)
+    nr_max = global_max(bundle.nabla_riemann())
     ev["nabla_riemann_max"] = nr_max
     if nr_max <= tol * (1.0 + r_max):
         return Classification(bundle.chart.name, "locally-symmetric", ev)

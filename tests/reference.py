@@ -305,10 +305,10 @@ def bianchi_full(bundle: CurvatureBundle, kind: str, points) -> tuple:
 def fit_values_full(bundle: CurvatureBundle, target: str, points) -> tuple:
     """(magnitudes, admitted, residuals) of ``fit_recurrence_form``, from the
     full arrays of T, G and nabla T - lambda (x) T."""
-    name, _, grad = _target_fields(bundle, target)
+    tensor, grad = _target_fields(bundle, target)
     lam = _recurrence_form(bundle, target)
     vals = bundle.values_at(points)
-    tv = vals[name]
+    tv = bundle.field_values(tensor, points)
     magnitudes = _per_point_max(tv)
     g_scale = 1.0 + float(np.max(np.abs(vals["gtensor"])))
     admitted = magnitudes > ZERO_THRESHOLD * max(float(np.max(magnitudes)), g_scale)

@@ -107,6 +107,18 @@ def test_chart_rejects_undeclared_variable():
     assert "undeclared" in str(err.value)
 
 
+def test_chart_rejects_an_exclusion_with_an_undeclared_variable():
+    refused = r"exclusions\[1\] uses undeclared variable\(s\) \['w'\]"
+    with pytest.raises(GeometryError, match=refused):
+        MetricChart(
+            "bad",
+            ("x", "y"),
+            _obj([[ex.ONE, ex.ZERO], [ex.ZERO, ex.ONE]]),
+            {"x": (0, 1), "y": (0, 1)},
+            (ex.var("x"), ex.sub(ex.var("w"), ex.var("y"))),
+        )
+
+
 def test_chart_rejects_bad_domains():
     with pytest.raises(GeometryError):
         _chart("bad", ("x", "y"), [["1", "0"], ["0", "1"]], {"x": (0, 1)})
@@ -583,13 +595,32 @@ def test_point_set_store_is_bounded_and_history_free():
     assert len(b._blocks) <= 2
 
 
+@pytest.mark.parametrize("first_x", [-0.0, 0.0])
+def test_a_point_set_at_minus_zero_is_not_the_one_at_plus_zero(first_x):
+    # -0.0 == +0.0, but perturbed_flat's Christoffel symbols carry the sign
+    # of x's zero, so the two point sets must not share a store entry
+    chart = get_builtin("perturbed_flat").chart
+    first, second = ({"x": x, "y": 0.3, "z": -0.4} for x in (first_x, -first_x))
+
+    def results(b, p):
+        return {**b.values_at([p]), "nabla_riemann": b.field_values(b.nabla_riemann(), [p])}
+
+    b = curvature_bundle_at(chart)
+    for p in (first, second):
+        got, want = results(b, p), results(curvature_bundle_at(chart), p)
+        assert [k for k in want if got[k].tobytes() != want[k].tobytes()] == []
+
+
 def test_field_values_cache_distinguishes_fields():
     b = curvature_bundle_at(sphere2())
     pts = b.chart.sample_points(42, 4)
-    v1 = b.field_values(b.riemann, pts)
-    v2 = b.field_values(b.gtensor, pts)
-    # sphere has R = G so values agree, but they must come from separate entries
-    np.testing.assert_allclose(v1, v2, rtol=0, atol=1e-12)
+    # the unit sphere has R = G node for node: one key, so one entry serves both
+    assert b.riemann.key == b.gtensor.key
+    assert b.field_values(b.riemann, pts) is b.field_values(b.gtensor, pts)
+    # other nodes are another key, with values of their own
+    twice = np.array([ex.mul(ex.const(2), c) for c in b.riemann.key], dtype=object)
+    twice = TensorField(2, 4, twice.reshape(b.riemann.components.shape))
+    np.testing.assert_array_equal(b.field_values(twice, pts), 2 * b.field_values(b.riemann, pts))
     z = TensorField(2, 4, np.full((2, 2, 2, 2), ex.ZERO, dtype=object))
     np.testing.assert_allclose(b.field_values(z, pts), 0.0, rtol=0, atol=0)
 
@@ -644,7 +675,7 @@ def _nabla_riemann_tape(chart):
     b = curvature_bundle_at(chart)
     nr = b.nabla_riemann()
     b.field_values(nr, chart.sample_points(0, 3))
-    return b._tapes[tuple(nr.components.ravel())]
+    return b._tapes[nr.key]
 
 
 def test_nabla_riemann_tape_reuses_slots():

@@ -5,17 +5,25 @@ earlier nodes, so subtrees are shared the way tensor components share them.
 Canonical form includes build order: a sum or a product of the same nodes
 simplifies to one node whatever order it was built in.
 The same DAGs check the printer against the parser and `differentiate`
-against the forward-mode `evaluate_dual`.
+against the forward-mode `evaluate_dual`, and seeded ones check that the
+simplified forms do not depend on the hash seed or on process history.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 import concirc.expressions as ex  # noqa: E402
 from reference import evaluate_dual  # noqa: E402
@@ -170,3 +178,43 @@ def test_differentiate_agrees_with_dual_numbers(steps):
                 name,
                 point,
             )
+
+
+_HASH_SEED_SCRIPT = """
+import json, sys
+from fractions import Fraction
+if sys.argv[1] == "warm":
+    from concirc.catalog import builtin_names, get_builtin
+    from concirc.geometry import curvature_bundle_at
+    for name in builtin_names():
+        curvature_bundle_at(get_builtin(name).chart)
+import concirc.expressions as ex
+from test_simplify_properties import ATOMS, _build_dag
+for steps in json.loads(sys.stdin.read()):
+    nodes = _build_dag([(op, i, j, power, Fraction(*q)) for op, i, j, power, q in steps])
+    print(" ; ".join(ex.to_string(ex.simplify(node)) for node in nodes[len(ATOMS):]))
+"""
+
+
+def test_simplified_dags_do_not_depend_on_hash_seed_or_history():
+    # shared DAGs, not printed trees: each is built node by node in the
+    # process that simplifies it, after the builtin bundles in the warm one
+    rng = np.random.default_rng(37)
+    ops = ("add", "sub", "mul", "pow", "neg", "scale")
+    dags = [
+        [(ops[rng.integers(6)], int(rng.integers(64)), int(rng.integers(64)),
+          int(rng.integers(-2, 4)), (int(rng.integers(-12, 13)), int(rng.integers(1, 7))))
+         for _ in range(12)]
+        for _ in range(40)
+    ]
+    src = str(Path(ex.__file__).resolve().parents[1])
+    path = os.pathsep.join((src, str(Path(__file__).resolve().parent)))
+    outputs = []
+    for hash_seed, history in (("0", "cold"), ("1", "warm")):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", _HASH_SEED_SCRIPT, history],
+                              input=json.dumps(dags), capture_output=True, text=True,
+                              env=env, check=True)
+        outputs.append(proc.stdout.splitlines())
+    assert len(outputs[0]) == len(dags)
+    assert outputs[0] == outputs[1]

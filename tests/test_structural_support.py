@@ -135,14 +135,14 @@ def test_classify_maxima_match_the_full_arrays(case):
 )
 def test_the_builtins_cover_empty_sparse_and_dense_supports(name, size):
     b = curvature_bundle_at(get_builtin(name).chart)
-    assert b._support(b.nabla_riemann().components).size == size
+    assert b._support(b.nabla_riemann()).size == size
 
 
 def test_the_narrow_chart_has_its_largest_c_outside_r_support():
     b = curvature_bundle_at(_narrow_x4())
     pts = b.chart.sample_points(42, 20)
     c = np.abs(b.values_at(pts)["concircular"]).reshape(len(pts), -1)
-    assert np.unravel_index(c.argmax(), c.shape)[1] not in b._support(b.riemann.components)
+    assert np.unravel_index(c.argmax(), c.shape)[1] not in b._support(b.riemann)
 
 
 @pytest.mark.parametrize("seed", range(4))
