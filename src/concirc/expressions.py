@@ -1050,8 +1050,10 @@ class _Tape:
     Only the loads some entry reaches are read: ``reads`` lists their
     indices in ``loads``, ascending, and a load entry's a is its position in
     ``reads``. Roots often share a node (every ZERO component is one), so a
-    block run fills one row per distinct root slot (``outputs``) and expands
-    them to one row per root with the integer index ``expand``.
+    block run fills one row per distinct root slot (``outputs``): root i's
+    values are row ``expand[i]``. `run` returns those distinct rows, which
+    is what the bundle's store keeps; `values` and `evaluate_block` expand
+    them to one row per root.
     """
 
     __slots__ = ("roots", "loads", "reads", "size", "ops", "outputs", "expand")
@@ -1171,11 +1173,12 @@ class _Tape:
         return self._distinct(columns, loaded)[self.expand]
 
     def run(self, columns: dict, loaded=()) -> np.ndarray:
-        """Values of the roots at the points, checked for finiteness.
+        """(outputs, npoints) distinct rows of the roots at the points,
+        checked for finiteness; root i's values are row ``expand[i]``.
 
-        The check runs on the distinct rows; the error names the first root,
-        in root order, whose row has a non-finite value, which is the first
-        root of the first such distinct row.
+        The error names the first root, in root order, whose row has a
+        non-finite value, which is the first root of the first such
+        distinct row.
         """
         with np.errstate(all="ignore"):
             out = self._distinct(columns, loaded)
@@ -1192,7 +1195,7 @@ class _Tape:
                 f"non-finite value in block evaluation at point {i} ({where})",
                 self.roots[j],
             )
-        return out[self.expand]
+        return out
 
 
 def evaluate_block(exprs, columns: dict) -> np.ndarray:
@@ -1207,4 +1210,5 @@ def evaluate_block(exprs, columns: dict) -> np.ndarray:
     the first root that has one and the first point where it does; use
     `evaluate` to pinpoint the subexpression.
     """
-    return _Tape(exprs).run(columns)
+    tape = _Tape(exprs)
+    return tape.run(columns)[tape.expand]

@@ -53,6 +53,7 @@ import itertools
 import math
 import operator
 from collections import OrderedDict
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -72,7 +73,6 @@ __all__ = [
     "curvature_bundle_at",
     "covariant_derivative_at",
     "metric_determinant",
-    "points_to_columns",
 ]
 
 EXCLUSION_MARGIN = 1e-3
@@ -114,11 +114,6 @@ def _object_array(shape) -> np.ndarray:
     return np.empty(shape, dtype=object)
 
 
-def points_to_columns(points, coordinates) -> dict:
-    """Turn a list of point dicts into coordinate-name -> column-array."""
-    return {c: np.array([float(p[c]) for p in points]) for c in coordinates}
-
-
 class _Key(tuple):
     """A field's interned component nodes, as the store keys it, hashed once."""
 
@@ -134,22 +129,77 @@ class _Key(tuple):
 class _PointSet(tuple):
     """The caller's points as a tuple, with their (npoints, n) float64
     coordinate array, converted once: its bytes are the bundle store's key
-    and its columns are what every tape run reads. A public call converts
-    its points once (``CurvatureBundle._points``) and every store read and
-    tape run below it reuses both. Keying by the bytes the tapes read, not
-    by the values, keeps -0.0 and +0.0 apart, which compare equal but can
-    give zeros of different sign."""
+    and its columns are what every tape run reads. ``sample_points``
+    returns one, and a public call given a plain list converts it once
+    (``CurvatureBundle._points``); every store read and tape run below
+    reuses both. Keying by the bytes the tapes read, not by the values,
+    keeps -0.0 and +0.0 apart, which compare equal but can give zeros of
+    different sign.
 
-    def __new__(cls, points, coordinates):
+    A record compares equal to a list or a tuple of the same points, as
+    the list ``sample_points`` used to return did. ``subset`` makes the
+    record of some of its points once per mask, so a fit's admitted points
+    are one record however often they are read.
+    """
+
+    def __new__(cls, points, coordinates, coords=None):
         self = super().__new__(cls, points)
         self.coordinates = coordinates
-        n = len(coordinates)
-        # charts have n >= 2 coordinates, so itemgetter always gives tuples
-        rows = itertools.chain.from_iterable(map(operator.itemgetter(*coordinates), self))
-        coords = np.fromiter(rows, float, len(self) * n).reshape(len(self), n)
+        if coords is None:
+            n = len(coordinates)
+            # charts have n >= 2 coordinates, so itemgetter always gives tuples
+            rows = itertools.chain.from_iterable(map(operator.itemgetter(*coordinates), self))
+            coords = np.fromiter(rows, float, len(self) * n).reshape(len(self), n)
         self.key = coords.tobytes()
         self.columns = dict(zip(coordinates, coords.T))
+        self._coords = coords
+        self._subsets = {}
         return self
+
+    def __eq__(self, other):
+        return tuple.__eq__(self, tuple(other) if isinstance(other, list) else other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def subset(self, mask: np.ndarray) -> "_PointSet":
+        """The points where the boolean mask is set, as a record: this one
+        when it keeps them all, else one made once per mask."""
+        if mask.all():
+            return self
+        key = mask.tobytes()
+        if key not in self._subsets:
+            self._subsets[key] = _PointSet(
+                itertools.compress(self, mask), self.coordinates, self._coords[mask]
+            )
+        return self._subsets[key]
+
+
+class _CoreBlock(Mapping):
+    """``values_at``'s result: the core tape's distinct rows, (rows,
+    npoints), and per field the index of each component's row. Reading a
+    field makes its full (npoints, *shape) array from them, each time;
+    only the distinct rows are kept."""
+
+    def __init__(self, rows: np.ndarray, layout: dict):
+        self.rows = rows
+        self._layout = layout  # name -> (row index per component, shape)
+
+    def __getitem__(self, name) -> np.ndarray:
+        index, shape = self._layout[name]
+        return _expand(self.rows, index, shape)
+
+    def __iter__(self):
+        return iter(self._layout)
+
+    def __len__(self) -> int:
+        return len(self._layout)
+
+
+def _expand(rows: np.ndarray, index: np.ndarray, shape: tuple) -> np.ndarray:
+    """Full (npoints, *shape) values of the components whose distinct rows
+    index picks, laid out as the tape's expanded rows were."""
+    return rows[index].T.reshape((rows.shape[1],) + shape)
 
 
 @dataclass(frozen=True)
@@ -211,8 +261,9 @@ class MetricChart:
     def n(self) -> int:
         return len(self.coordinates)
 
-    def sample_points(self, seed, count: int) -> list:
-        """Draw `count` admitted points, uniform over the box.
+    def sample_points(self, seed, count: int) -> _PointSet:
+        """Draw `count` admitted points, uniform over the box, as one
+        point-set record (a tuple of point dicts that equals the list of them).
 
         Points within EXCLUSION_MARGIN of an exclusion locus are rejected and
         redrawn; an admitted point with |det g| <= DEGENERACY_FLOOR raises
@@ -265,7 +316,7 @@ class MetricChart:
                 if abs(d) <= DEGENERACY_FLOOR:
                     raise SingularMetricError(self.name, p, d)
                 points.append(p)
-        return points
+        return _PointSet(points, self.coordinates)
 
     @cached_property
     def _sampling_tape(self):
@@ -295,7 +346,8 @@ class TensorField:
     which the identity checks verify numerically.
 
     ``key``, the interned component nodes as a tuple hashed once, is the
-    field's identity: the bundle keys its values, tape, loads and support by it.
+    field's identity: the bundle keys its values, tape, loads and support by
+    it. A field's values are read through ``CurvatureBundle.field_values``.
     """
 
     dim: int
@@ -313,23 +365,6 @@ class TensorField:
     @cached_property
     def key(self) -> _Key:
         return _Key(self.components.ravel())
-
-    def evaluate(self, point: dict) -> np.ndarray:
-        """Values at one point: one checked tape run over all components
-        (`expressions._Tape.at`), so shared subexpressions are read once and
-        a DomainError names the first non-finite subexpression."""
-        return ex._Tape(self.components.ravel()).at(point).reshape(self.components.shape)
-
-    def evaluate_block(self, points) -> np.ndarray:
-        """Evaluate at many points at once; returns shape (npoints, dim^rank...)."""
-        points = list(points)
-        if not points:
-            return np.zeros((0,) + self.components.shape)
-        # all point coordinates, not just the ones appearing in components,
-        # so constant fields still broadcast to the right number of rows
-        columns = points_to_columns(points, sorted(points[0]))
-        rows = ex.evaluate_block(list(self.components.ravel()), columns)
-        return rows.T.reshape((len(points),) + self.components.shape)
 
 
 def metric_determinant(g: np.ndarray) -> Expr:
@@ -474,7 +509,7 @@ class CurvatureBundle:
 
     Numeric results are kept per point set (``_cached``), and this store is
     the one place where results that several checks share live: the core
-    block of ``values_at``, each ``field_values`` result, and the per-point
+    block of ``values_at``, each field's values, and the per-point
     reductions and fits that ``identities`` and ``recurrence`` keep there.
     Only the two most recently used point sets are kept; evaluation is
     deterministic, so a point set evicted and asked for again gets the same
@@ -484,18 +519,27 @@ class CurvatureBundle:
     (``expressions._Tape``), kept in ``_tapes`` under the same entry as its
     values: "core" for ``values_at`` and the field's ``key``, its node
     tuple, for ``field_values``. A new point set reruns the tape; the tapes
-    live as long as the bundle. ``field_values`` reads R, Ricci, G and C
-    from the core block, so no other tape is compiled over them. A field
-    may name, in ``_loads``, the fields its tape loads (``_declare_loads``):
-    their components are loads of the tape, and every run reads the rows
-    the tape reaches through ``field_values`` for the point set being run.
+    live as long as the bundle. The store keeps what a run returns, the
+    tape's distinct rows, never one row per component: on a sparse field
+    most components share the ZERO row. ``field_values`` gathers the
+    components a reader asks for through the tape's ``expand`` index,
+    either all of them as the full (npoints, *shape) array that
+    contractions and callers read, or the slots a check reads (a support,
+    a cyclic sum's addends); ``values_at`` makes a core field's full array
+    when it is read. ``field_values`` reads R, Ricci, G and C from the core
+    block, so no other tape is compiled over them. A field may name, in
+    ``_loads``, the fields its tape loads (``_declare_loads``): their
+    components are loads of the tape, and every run reads the rows the
+    tape reaches through ``field_values`` for the point set being run.
 
-    Each public call turns its points into one point-set record
-    (``_points``), whose store key, the bytes of its float64 coordinates,
-    and coordinate columns are built once. A field's structural support,
-    the flat slots of its components that are not the exact ZERO node, is
-    kept in ``_derived`` under its key (``_support``); the checks take
-    their maxima over it.
+    A point list is one point-set record (``_PointSet``), whose store key,
+    the bytes of its float64 coordinates, and coordinate columns are built
+    once: ``MetricChart.sample_points`` returns one, a public call given a
+    plain list converts it once (``_points``), and a fit's admitted points
+    are one record, kept by the record they were taken from. A field's
+    structural support, the flat slots of its components that are not the
+    exact ZERO node, is kept in ``_derived`` under its key (``_support``);
+    the checks take their maxima over it.
     """
 
     def __init__(self, chart: MetricChart):
@@ -663,9 +707,10 @@ class CurvatureBundle:
         self._loads.setdefault(tf.key, sources)
 
     def _evaluate(self, entry, fields: dict, points: _PointSet) -> np.ndarray:
-        """(components, npoints) values of fields, component arrays by name,
-        through the tape kept under entry; a non-finite value raises
-        DomainError naming its field and component.
+        """(distinct rows, npoints) values of fields, component arrays by
+        name, through the tape kept under entry, whose ``expand`` gives each
+        component's row; a non-finite value raises DomainError naming its
+        field and component.
 
         The rows of the tape's loads are read through ``field_values`` for
         these points, so they are never another point set's; only the rows
@@ -680,8 +725,7 @@ class CurvatureBundle:
         for src in sources:
             size = len(src.key)
             picked = reads[(reads >= start) & (reads < start + size)] - start
-            # the (components, npoints) rows the source's own tape made
-            loaded.extend(self.field_values(src, points).reshape(len(points), -1)[:, picked].T)
+            loaded.extend(self.field_values(src, points, picked).T)
             start += size
         try:
             return tape.run(points.columns, loaded)
@@ -691,17 +735,18 @@ class CurvatureBundle:
             e.args = (f"{rows[tape.roots.index(e.subexpression)]}: {e}",)
             raise
 
-    def values_at(self, points) -> dict:
+    def values_at(self, points) -> Mapping:
         """Numeric component arrays of the core fields at the given points.
 
-        Returns a dict with keys metric, inverse_metric, christoffel,
+        Returns a mapping with keys metric, inverse_metric, christoffel,
         riemann_13, riemann, ricci, scalar, gtensor, concircular; each value
-        has a leading point axis.
+        has a leading point axis and is made from the core tape's distinct
+        rows when it is read (``_CoreBlock``).
         """
         points = self._points(points)
         return self._cached(points, "core", lambda: self._evaluate_core(points))
 
-    def _evaluate_core(self, points) -> dict:
+    def _evaluate_core(self, points) -> _CoreBlock:
         fields = {
             "metric": self.chart.metric,
             "inverse_metric": self.inverse_metric,
@@ -713,31 +758,36 @@ class CurvatureBundle:
             "concircular": self.concircular.components,
             "scalar": np.array(self.scalar_curvature, dtype=object),
         }
-        block = self._evaluate("core", fields, points).T  # (npts, nexprs)
-        out, start = {}, 0
+        rows = self._evaluate("core", fields, points)
+        expand, layout, start = self._tapes["core"].expand, {}, 0
         for name, arr in fields.items():
-            out[name] = block[:, start : start + arr.size].reshape((len(points),) + arr.shape)
+            layout[name] = (expand[start : start + arr.size], arr.shape)
             start += arr.size
-        return out
+        return _CoreBlock(rows, layout)
 
-    def field_values(self, tf: TensorField, points) -> np.ndarray:
-        """Numeric values of one field, cached per (field key, point set).
+    def field_values(self, tf: TensorField, points, slots=None) -> np.ndarray:
+        """Numeric values of one field, (npoints, *shape), or with slots,
+        (npoints, len(slots)) values at those flat component slots.
 
-        R, Ricci, G and C are read from the core block (``values_at``); any
-        other field is run through its own tape. The key is the interned
-        component nodes themselves, so two structurally different fields
-        never collide.
+        The store keeps a field's distinct rows per (field key, point set),
+        and each read gathers the components it asks for through the tape's
+        ``expand`` index. R, Ricci, G and C are read from the core
+        block (``values_at``); any other field is run through its own tape.
+        The key is the interned component nodes themselves, so two
+        structurally different fields never collide.
         """
         points = self._points(points)
         core = self._core.get(tf.key)
         if core is not None:
-            return self.values_at(points)[core]
-
-        def compute():
-            rows = self._evaluate(tf.key, {"component": tf.components}, points)
-            return rows.T.reshape((len(points),) + tf.components.shape)
-
-        return self._cached(points, tf.key, compute)
+            block = self.values_at(points)
+            rows, index = block.rows, block._layout[core][0]
+        else:
+            rows = self._cached(points, tf.key, lambda: self._evaluate(
+                tf.key, {"component": tf.components}, points))
+            index = self._tapes[tf.key].expand
+        if slots is None:
+            return _expand(rows, index, tf.components.shape)
+        return rows[index[slots]].T
 
 
 def curvature_bundle_at(chart: MetricChart) -> CurvatureBundle:

@@ -17,7 +17,8 @@ run only over the structural support of that field
 (``CurvatureBundle._support``): the flat component slots where some
 addend's node is not the exact ZERO.  The index triples of a sum come from
 its einsum specs applied to an arange of flat indices (``_cycle``), so the
-additions are those of the full sum, in the same order.  Outside the
+additions are those of the full sum, in the same order, and only the
+addends' slots are gathered from the field's stored distinct rows.  Outside the
 support every addend is 0.0 and so is the sum; the absolute values are
 >= 0 and tapes refuse non-finite values, so the per-point maximum over the
 support is the full array's bit for bit, and an empty support (a flat
@@ -235,9 +236,12 @@ def check_bianchi_at(
         field, specs = bundle.nabla_riemann(), ("pwxayz->pawxyz", "pxawyz->pawxyz")
     else:
         raise GeometryError(f"kind must be 'first' or 'second', got {kind!r}")
-    arr = bundle.field_values(field, points)
-    cycle = _cycle(arr.shape[1:], specs, bundle._support(field))
-    total, scale = _cyclic(arr, cycle), _cyclic(np.abs(arr), cycle)
+    cycle = _cycle(field.components.shape, specs, bundle._support(field))
+    # the three addends' slots, read side by side: addend t of sum slot s
+    # is column t * len(support slots) + s
+    arr = bundle.field_values(field, points, np.concatenate(cycle))
+    gathered = np.arange(arr.shape[1]).reshape(3, -1)
+    total, scale = _cyclic(arr, gathered), _cyclic(np.abs(arr), gathered)
     return _report(f"bianchi-{kind}", bundle, points, total, scale, tol)
 
 

@@ -40,7 +40,8 @@ of R, G, C and nabla R run over each field's support, as the Bianchi sums
 of ``identities`` do: at every other slot each term is 0.0, a product with
 a finite lambda is +-0 and |+-0| = 0, so each maximum is the full array's
 bit for bit.  Each of these helpers takes fields, never their values, and
-reads a field's values and its support from the field itself.  The
+reads a field's support from the field itself and its values at those
+slots only (``CurvatureBundle.field_values`` with slots).  The
 projective-to-Einstein chain and the mu-structure display are contractions
 and keep their full arrays.
 
@@ -107,9 +108,11 @@ def zero_one_form(n: int) -> TensorField:
 class RecurrenceFit:
     """Least-squares recurrence form for one target tensor.
 
-    residuals is aligned with points and holds NaN at excluded points;
-    magnitudes is the per-point max absolute target component. passes is
-    residual <= tol at admitted points and False at excluded ones.
+    points is the point-set record the fit ran on (``geometry._PointSet``,
+    a tuple of point dicts); residuals is aligned with it and holds NaN at
+    excluded points; magnitudes is the per-point max absolute target
+    component. passes is residual <= tol at admitted points and False at
+    excluded ones.
     """
 
     target: str
@@ -123,7 +126,9 @@ class RecurrenceFit:
 
     @property
     def admitted_points(self) -> tuple:
-        return tuple(p for p, ok in zip(self.points, self.admitted) if ok)
+        """The admitted points, as the one record of them that ``points``
+        (a point-set record) keeps."""
+        return self.points.subset(self.admitted)
 
     @property
     def excluded_count(self) -> int:
@@ -260,16 +265,9 @@ def _recurrence_form(bundle: CurvatureBundle, target: str) -> TensorField:
     return bundle._derive(f"lambda_{target}", build)
 
 
-def _at_slots(values: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """(npoints, len(slots)) values of a field at the given flat component
-    slots, such as its support (``CurvatureBundle._support``)."""
-    return values.reshape(len(values), -1)[:, slots]
-
-
 def _field_max(bundle: CurvatureBundle, field: TensorField, points) -> np.ndarray:
     """Per-point max |field| at the points, over the field's support."""
-    values = bundle.field_values(field, points)
-    return _per_point_max(_at_slots(values, bundle._support(field)))
+    return _per_point_max(bundle.field_values(field, points, bundle._support(field)))
 
 
 def _recurrence_gap(bundle: CurvatureBundle, grad: TensorField, points, terms: list) -> np.ndarray:
@@ -281,17 +279,15 @@ def _recurrence_gap(bundle: CurvatureBundle, grad: TensorField, points, terms: l
     addend is 0.0 and omega is finite, so the difference is +-0 and the
     maximum is the full array's.
     """
-    gv = bundle.field_values(grad, points)
-    hit = np.zeros((bundle.n, gv[0].size // bundle.n), dtype=bool)
+    hit = np.zeros((bundle.n, grad.components[0].size), dtype=bool)
     hit.flat[bundle._support(grad)] = True
     for _, field in terms:
         hit[:, bundle._support(field)] = True
     slots = np.flatnonzero(hit)
     a, s = np.divmod(slots, hit.shape[1])
-    diff = _at_slots(gv, slots)
+    diff = bundle.field_values(grad, points, slots)
     for omega, field in terms:
-        values = bundle.field_values(field, points)
-        diff = diff - bundle.field_values(omega, points)[:, a] * _at_slots(values, s)
+        diff = diff - bundle.field_values(omega, points)[:, a] * bundle.field_values(field, points, s)
     return _per_point_max(diff)
 
 
@@ -300,7 +296,8 @@ def _fit_values(
 ):
     """(magnitudes, admitted, residuals) of the fit of nabla T = lambda (x) T;
     residuals are NaN where excluded. T's values at the admitted points come
-    from their own core block, which lambda's loads evaluate anyway."""
+    from their own core block, which lambda's loads evaluate anyway; the
+    admitted points are one record, kept by the point set's record."""
     magnitudes = _field_max(bundle, tensor, points)
     zmax = float(np.max(magnitudes))
     # the zero threshold is relative to the largest target magnitude, but
@@ -311,8 +308,7 @@ def _fit_values(
     admitted = magnitudes > ZERO_THRESHOLD * max(zmax, g_scale)
     residuals = np.full(len(points), np.nan)
     if np.any(admitted):
-        adm_pts = bundle._points(p for p, ok in zip(points, admitted) if ok)
-        gap = _recurrence_gap(bundle, grad, adm_pts, [(lam, tensor)])
+        gap = _recurrence_gap(bundle, grad, points.subset(admitted), [(lam, tensor)])
         residuals[admitted] = gap / (1.0 + magnitudes[admitted])
     return magnitudes, admitted, residuals
 
@@ -355,7 +351,7 @@ def fit_recurrence_form(
         target=target,
         chart=bundle.chart.name,
         lam=lam,
-        points=tuple(points),
+        points=points,
         magnitudes=magnitudes,
         admitted=admitted,
         residuals=residuals,
@@ -630,7 +626,7 @@ def verify_theorem(bundle: CurvatureBundle, points, tol: float = 1e-8) -> Theore
         )
         return TheoremReport(name, True, reason, cfit, None, None, None, None)
 
-    adm = bundle._points(cfit.admitted_points)
+    adm = cfit.admitted_points
     lam = cfit.lam
     mu_form = compute_mu(bundle, lam)
 

@@ -26,6 +26,9 @@ so the tests can compare that route against an independent one:
         recurrence residual over the full component arrays, against the
         package's routes over the structural support (the components that
         are not the exact ZERO node)
+    field_at, field_block
+        a field's values at one point and at many, by its own unloaded tape
+        outside any bundle store, against ``CurvatureBundle.field_values``
 
 No CLI path, demo, check or benchmark workload calls them. Tests import them
 as ``from reference import ...``; pytest puts this directory on sys.path.
@@ -77,6 +80,8 @@ __all__ = [
     "bianchi_full",
     "fit_values_full",
     "extended_recurrence_full",
+    "field_at",
+    "field_block",
 ]
 
 
@@ -335,3 +340,20 @@ def extended_recurrence_full(
         muv = bundle.field_values(mu, points)
         diff = diff - np.einsum("pa,pwxyz->pawxyz", muv, vals["gtensor"])
     return _per_point_max(diff) / (1.0 + _per_point_max(rv))
+
+
+def field_at(tf: TensorField, point: dict) -> np.ndarray:
+    """Values of a field at one point: one checked tape run over all its
+    components (``expressions._Tape.at``), so a DomainError names the first
+    non-finite subexpression."""
+    return ex._Tape(tf.components.ravel()).at(point).reshape(tf.components.shape)
+
+
+def field_block(tf: TensorField, points) -> np.ndarray:
+    """(npoints, *shape) values of a field by one tape of its own
+    components, with no loads and no store; every coordinate of the points
+    is a column, so a constant field still has one row per point."""
+    points = list(points)
+    columns = {c: np.array([float(p[c]) for p in points]) for c in sorted(points[0])}
+    rows = ex.evaluate_block(list(tf.components.ravel()), columns)
+    return rows.T.reshape((len(points),) + tf.components.shape)

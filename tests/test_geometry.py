@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import concirc.expressions as ex
+from concirc import geometry
 from concirc.catalog import get_builtin, random_perturbed_flat
 from concirc.geometry import (
     CurvatureBundle,
@@ -25,6 +26,8 @@ from reference import (
     curvature_action_at,
     curvature_action_from_second_derivative,
     exterior_derivative_one_form_at,
+    field_at,
+    field_block,
     wedge_two_one_forms_at,
 )
 
@@ -273,7 +276,7 @@ def test_gtensor_of_flat_metric_is_constant_curvature_model():
         {"x": (0.0, 1.0), "y": (0.0, 1.0)},
     )
     b = curvature_bundle_at(c)
-    g = b.gtensor.evaluate({"x": 0.3, "y": 0.4})
+    g = field_at(b.gtensor, {"x": 0.3, "y": 0.4})
     expected = np.einsum("jk,il->ijkl", np.eye(2), np.eye(2)) - np.einsum(
         "ik,jl->ijkl", np.eye(2), np.eye(2)
     )
@@ -431,7 +434,7 @@ def test_covariant_derivative_hand_formula():
     )
     grad = covariant_derivative_at(b, w)
     p = {"theta": 0.9, "phi": 0.4}
-    wv = w.evaluate(p)
+    wv = field_at(w, p)
     gam = np.array(
         [[[ex.evaluate(b.christoffel[k, i, j], p) for j in range(2)] for i in range(2)] for k in range(2)]
     )
@@ -439,7 +442,7 @@ def test_covariant_derivative_hand_formula():
         [[ex.evaluate(ex.differentiate(w.components[i], coords[a]), p) for i in range(2)] for a in range(2)]
     )
     expected = dw - np.einsum("mai,m->ai", gam, wv)
-    np.testing.assert_allclose(grad.evaluate(p), expected, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(field_at(grad, p), expected, rtol=0, atol=1e-14)
 
 
 def test_second_covariant_derivative_shape_and_flat_case():
@@ -455,7 +458,7 @@ def test_second_covariant_derivative_shape_and_flat_case():
     assert second.rank == 3
     # flat chart: nabla^2 = plain second partials, symmetric in (a, b)
     p = {"x": 0.7, "y": 0.3}
-    v = second.evaluate(p)
+    v = field_at(second, p)
     np.testing.assert_allclose(v, np.einsum("abi->bai", v), rtol=0, atol=1e-14)
     np.testing.assert_allclose(v[0, 0, 0], 2 * 0.3, rtol=1e-14)
 
@@ -522,7 +525,7 @@ def test_exterior_derivative_half_normalization():
     b = curvature_bundle_at(c)
     omega = TensorField(2, 1, np.array([ex.ZERO, ex.var("x")], dtype=object))
     d = exterior_derivative_one_form_at(b, omega)
-    v = d.evaluate({"x": 0.2, "y": 0.9})
+    v = field_at(d, {"x": 0.2, "y": 0.9})
     np.testing.assert_allclose(v, [[0.0, 0.5], [-0.5, 0.0]], rtol=0, atol=0)
 
 
@@ -539,11 +542,11 @@ def test_wedge_antisymmetry_and_value():
     mu = TensorField(2, 1, np.array([x, ex.ZERO], dtype=object))
     lam = TensorField(2, 1, np.array([ex.ZERO, y], dtype=object))
     w = wedge_two_one_forms_at(mu, lam)
-    v = w.evaluate({"x": 3.0, "y": 5.0})
+    v = field_at(w, {"x": 3.0, "y": 5.0})
     # (mu ^ lam)(d_x, d_y) = (mu_x lam_y - mu_y lam_x) / 2
     np.testing.assert_allclose(v, [[0.0, 7.5], [-7.5, 0.0]], rtol=0, atol=0)
     wr = wedge_two_one_forms_at(lam, mu)
-    np.testing.assert_allclose(wr.evaluate({"x": 3.0, "y": 5.0}), -v, rtol=0, atol=0)
+    np.testing.assert_allclose(field_at(wr, {"x": 3.0, "y": 5.0}), -v, rtol=0, atol=0)
 
 
 # -- evaluation plumbing --------------------------------------------------------
@@ -553,17 +556,66 @@ def test_constant_field_block_evaluation_broadcasts():
     comps = np.empty((3,), dtype=object)
     comps[:] = ex.ONE
     f = TensorField(3, 1, comps)
-    pts = [{"x": 0.1, "y": 0.2, "z": 0.3}, {"x": 0.4, "y": 0.5, "z": 0.6}]
-    block = f.evaluate_block(pts)
+    b = curvature_bundle_at(get_builtin("flat_euclidean_3").chart)
+    x, y, z = b.chart.coordinates
+    pts = [{x: 0.1, y: 0.2, z: 0.3}, {x: 0.4, y: 0.5, z: 0.6}]
+    block = b.field_values(f, pts)
     assert block.shape == (2, 3)
     np.testing.assert_allclose(block, 1.0, rtol=0, atol=0)
-    assert f.evaluate_block([]).shape == (0, 3)
+    with pytest.raises(GeometryError, match="point list is empty"):
+        b.field_values(f, [])
 
 
 def test_values_at_caches_per_point_set():
     b = curvature_bundle_at(sphere2())
     pts = b.chart.sample_points(42, 4)
     assert b.values_at(pts) is b.values_at(pts)
+
+
+@pytest.mark.parametrize("name", ["ppwave_recurrent", "perturbed_flat", "sphere_3"])
+def test_a_check_run_makes_one_record_per_point_list_and_keeps_distinct_rows(name, monkeypatch):
+    made = []
+    real = geometry._PointSet.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(None)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(geometry._PointSet, "__new__", staticmethod(counting))
+    b = curvature_bundle_at(get_builtin(name).chart)
+    pts = b.chart.sample_points(1, 200)
+    classify(b, pts)
+    verify_theorem(b, pts)
+    (store,) = b._blocks.values()
+    subsets = {v[1].tobytes() for k, v in store.items()
+               if isinstance(k, tuple) and k[0] == "fit" and v[1].any() and not v[1].all()}
+    assert len(made) == 1 + len(subsets)
+    # every stored field is its tape's distinct rows, never one row per root
+    for entry, value in store.items():
+        if entry in b._tapes:
+            rows = value.rows if entry == "core" else value
+            assert rows.shape == (len(b._tapes[entry].outputs), len(pts))
+    if name == "ppwave_recurrent":
+        tape = b._tapes[b.nabla_riemann().key]
+        assert len(tape.outputs) == 3 < len(tape.roots) == 1024
+
+
+def test_a_point_set_record_equals_its_list_and_keeps_one_record_per_subset():
+    chart = get_builtin("perturbed_flat").chart
+    pts = chart.sample_points(3, 6)
+    listed = list(pts)
+    assert pts == listed and listed == pts and not pts != listed
+    assert pts == tuple(listed) and tuple(pts) == tuple(listed)
+    assert pts != listed[:5] and pts != chart.sample_points(4, 6)
+    mask = np.array([True, False, True, True, False, True])
+    kept = pts.subset(mask)
+    assert kept is pts.subset(mask.copy())
+    assert pts.subset(np.ones(6, dtype=bool)) is pts
+    assert kept == [p for p, ok in zip(listed, mask) if ok]
+    fresh = geometry._PointSet(kept, chart.coordinates)
+    assert kept.key == fresh.key
+    for c in chart.coordinates:
+        assert kept.columns[c].tobytes() == fresh.columns[c].tobytes()
 
 
 def _point_set_results(b, pts):
@@ -616,7 +668,7 @@ def test_field_values_cache_distinguishes_fields():
     pts = b.chart.sample_points(42, 4)
     # the unit sphere has R = G node for node: one key, so one entry serves both
     assert b.riemann.key == b.gtensor.key
-    assert b.field_values(b.riemann, pts) is b.field_values(b.gtensor, pts)
+    assert b.field_values(b.riemann, pts).tobytes() == b.field_values(b.gtensor, pts).tobytes()
     # other nodes are another key, with values of their own
     twice = np.array([ex.mul(ex.const(2), c) for c in b.riemann.key], dtype=object)
     twice = TensorField(2, 4, twice.reshape(b.riemann.components.shape))
@@ -834,7 +886,7 @@ def test_an_empty_point_list_is_refused_by_every_numeric_read():
             assert type(err.value) is GeometryError, (name, what)
 
 
-def test_tensor_field_evaluate_is_its_block_row_on_every_builtin():
+def test_a_one_point_tape_run_is_its_field_values_row_on_every_builtin():
     from concirc.catalog import builtin_names
     from concirc.recurrence import _recurrence_form
 
@@ -846,6 +898,6 @@ def test_tensor_field_evaluate_is_its_block_row_on_every_builtin():
             fields.append(_recurrence_form(b, "R"))
         pts = b.chart.sample_points(3, 3)
         for tf in fields:
-            block = tf.evaluate_block(pts)
+            block = b.field_values(tf, pts)
             for i, p in enumerate(pts):
-                np.testing.assert_array_equal(tf.evaluate(p), block[i], err_msg=name)
+                np.testing.assert_array_equal(field_at(tf, p), block[i], err_msg=name)

@@ -29,6 +29,8 @@ REFERENCE_ROUTES = (
     "bianchi_full",
     "fit_values_full",
     "extended_recurrence_full",
+    "field_at",
+    "field_block",
 )
 
 

@@ -39,6 +39,7 @@ from concirc.recurrence import (
 )
 from reference import (
     exterior_derivative_one_form_at,
+    field_block,
     fit_mu_pointwise,
     wedge_two_one_forms_at,
 )
@@ -388,9 +389,9 @@ def _reference_mu_structure(bundle, lam, mu, points, tol=1e-8):
         exterior_derivative_one_form_at(bundle, mu).components
         + wedge_two_one_forms_at(mu, lam).components,
     )
-    fv = form.evaluate_block(points)
-    gmv = np.abs(geometry.covariant_derivative_at(bundle, mu).evaluate_block(points))
-    muv, lamv = np.abs(mu.evaluate_block(points)), np.abs(lam.evaluate_block(points))
+    fv = field_block(form, points)
+    gmv = np.abs(field_block(geometry.covariant_derivative_at(bundle, mu), points))
+    muv, lamv = np.abs(field_block(mu, points)), np.abs(field_block(lam, points))
     scale1 = 0.5 * (gmv + np.einsum("pij->pji", gmv)) + 0.5 * (
         np.einsum("pi,pj->pij", muv, lamv) + np.einsum("pj,pi->pij", muv, lamv)
     )
@@ -775,7 +776,7 @@ def test_lambda_through_loads_is_its_unloaded_tape_bit_for_bit(seed):
     for target in ("R", "C"):
         lam = _recurrence_form(b, target)
         got = b.field_values(lam, pts)
-        np.testing.assert_array_equal(got, lam.evaluate_block(pts))
+        np.testing.assert_array_equal(got, field_block(lam, pts))
         tape = b._tapes[lam.key]
         assert tape.loads
         assert len(tape.ops) < len(ex._Tape(lam.components.ravel()).ops)
@@ -816,7 +817,7 @@ def test_loaded_rows_come_from_the_point_set_being_run(monkeypatch):
             fresh.field_values(fresh.nabla_concircular(), pts).reshape(len(pts), -1),
         ], axis=1).T
         np.testing.assert_array_equal(np.array(loaded), every_load[reads])
-    np.testing.assert_array_equal(again, lam.evaluate_block(point_sets[0]))
+    np.testing.assert_array_equal(again, field_block(lam, point_sets[0]))
 
 
 @pytest.mark.parametrize("target", ["R", "C"])
