@@ -40,7 +40,13 @@ det g^2 of g_ef Gamma^e_ki Gamma^f_mj; riemann_13 is R with its last index
 raised. riemann_13 and every other covariant derivative (nabla R,
 nabla C, nabla^2 R, nabla of a 1-form) are only ever evaluated or summed
 into a simplified field, so they are kept as built: shared DAGs that cost
-less to build and to evaluate than their simplified forms. No exterior
+less to build and to evaluate than their simplified forms. nabla C is not
+differentiated at all: nabla g = 0 makes G parallel and d_a r the trace
+g^jk g^mi (nabla_a R)_ijkm, so
+nabla C = nabla R - (dr / (n(n-1))) (x) G, and its tape loads the rows of
+nabla R, G and g^-1 already evaluated for the same points. Numeric values
+are stored as each tape's distinct rows, and every point list is one
+point-set record (see ``CurvatureBundle``). No exterior
 derivative, wedge or curvature-action field is built here: ``recurrence``
 reads d of a 1-form from nabla's values and ``identities`` computes the
 action from values. Their symbolic routes are the tests' references, in
@@ -338,11 +344,11 @@ class TensorField:
     slots: antisymmetric within each of the pairs (i1, i2) and (i3, i4) and
     symmetric under swapping the pairs. covariant_derivative_at reads that
     tag: it builds one component per orbit of those four slots, fills the
-    rest by sign and keeps the tag on its result, so nabla R, nabla C and
-    nabla^2 R are reduced too. For any other tag it builds every component
-    and tags the result "none". The other
-    tags are descriptive only, and no tag decides whether a component is
-    simplified. No tag is used to reduce by the first Bianchi identity,
+    rest by sign and keeps the tag on its result, so nabla R and nabla^2 R
+    are reduced too (nabla C, built from nabla R, is reduced the same way).
+    For any other tag it builds every component and tags the result "none".
+    The other tags are descriptive only, and no tag decides whether a
+    component is simplified. No tag is used to reduce by the first Bianchi identity,
     which the identity checks verify numerically.
 
     ``key``, the interned component nodes as a tuple hashed once, is the
@@ -505,7 +511,9 @@ class CurvatureBundle:
     nabla R and nabla C are built on first use, reduced the same way but
     left unsimplified, and kept in ``_derived`` ("nabla_riemann",
     "nabla_concircular"), where ``recurrence`` keeps the forms it builds,
-    each built once.
+    each built once. nabla R is the covariant derivative of R; nabla C is
+    nabla R - (dr / (n(n-1))) (x) G, read off nabla R's rows
+    (``_build_nabla_concircular``), not a second derivative tape.
 
     Numeric results are kept per point set (``_cached``), and this store is
     the one place where results that several checks share live: the core
@@ -627,6 +635,8 @@ class CurvatureBundle:
             _curvature_slot,
         )
         self.concircular = TensorField(n, 4, conc, symmetry="riemann-like")
+        # g^-1 as a field, so that a tape can load it from the core block
+        self._inverse = TensorField(n, 2, self.inverse_metric, symmetry="symmetric-2")
 
         self._derived: dict = {}
         # point key -> {entry: values}, least recently used first
@@ -637,8 +647,9 @@ class CurvatureBundle:
         self._loads: dict = {}
         # field key -> the core block entry that holds its values
         self._core = {tf.key: name for name, tf in (
-            ("riemann", self.riemann), ("ricci", self.ricci),
-            ("gtensor", self.gtensor), ("concircular", self.concircular))}
+            ("inverse_metric", self._inverse), ("riemann", self.riemann),
+            ("ricci", self.ricci), ("gtensor", self.gtensor),
+            ("concircular", self.concircular))}
 
     @property
     def n(self) -> int:
@@ -658,9 +669,43 @@ class CurvatureBundle:
         )
 
     def nabla_concircular(self) -> TensorField:
-        return self._derive(
-            "nabla_concircular", lambda: covariant_derivative_at(self, self.concircular)
+        return self._derive("nabla_concircular", self._build_nabla_concircular)
+
+    def _build_nabla_concircular(self) -> TensorField:
+        """nabla C from nabla R's rows: nabla g = 0 makes G parallel and
+        d_a r = g^jk g^mi (nabla_a R)_ijkm, so
+        (nabla C)_a = (nabla R)_a - (d_a r / (n(n-1))) G.
+
+        Built once per orbit of the last four slots, unsimplified; its tape
+        loads nabla R, G and g^-1. Where C is ZERO node for node, so is
+        nabla C; where r is the ZERO node, C is R and nabla C is nabla R
+        itself, which no load of its own key may stand for.
+        """
+        n = self.n
+        if all(c is ex.ZERO for c in self.concircular.key):
+            zero = _object_array((n,) * 5)
+            zero[:] = ex.ZERO
+            return TensorField(n, 5, zero, symmetry="riemann-like")
+        nabla_r = self.nabla_riemann()
+        if self.scalar_curvature is ex.ZERO:
+            return nabla_r
+        ginv, nr, gt = self.inverse_metric, nabla_r.components, self.gtensor.components
+        denom = ex.const(n * (n - 1))
+        rate = [
+            ex.div(ex.esum(
+                ex.mul(ex.mul(ginv[j, k], ginv[m, i]), nr[a, i, j, k, m])
+                for i, j, k, m in np.ndindex(n, n, n, n)
+            ), denom)
+            for a in range(n)
+        ]
+        out = _fill(
+            (n,) * 5,
+            lambda idx: ex.sub(nr[idx], ex.mul(rate[idx[0]], gt[idx[1:]])),
+            _curvature_slot,
         )
+        field = TensorField(n, 5, out, symmetry="riemann-like")
+        self._declare_loads(field, (nabla_r, self.gtensor, self._inverse))
+        return field
 
     def _support(self, tf: TensorField) -> np.ndarray:
         """Flat indices of tf's components that are not the exact ZERO node,
@@ -771,7 +816,7 @@ class CurvatureBundle:
 
         The store keeps a field's distinct rows per (field key, point set),
         and each read gathers the components it asks for through the tape's
-        ``expand`` index. R, Ricci, G and C are read from the core
+        ``expand`` index. g^-1, R, Ricci, G and C are read from the core
         block (``values_at``); any other field is run through its own tape.
         The key is the interned component nodes themselves, so two
         structurally different fields never collide.
