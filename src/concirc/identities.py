@@ -4,9 +4,11 @@ Every check shares one pass rule: at each sample point the identity's
 residual (max absolute component of the contraction that should vanish)
 is compared against ``tol * (1 + scale)``, where the scale is the same
 contraction evaluated with every addend replaced by its absolute value.
-That makes the tolerance relative to the amount of cancellation actually
-demanded, so charts with wildly different curvature magnitudes are judged
-uniformly.  Every check, here and in ``recurrence`` (the three links of
+Where the scale is well above 1 that makes the tolerance relative to the
+amount of cancellation actually demanded; where it is below 1 the ``1 +``
+dominates and the rule is an absolute bound of about ``tol``, so a chart
+whose curvature is small everywhere is held to a looser relative standard
+than one of unit curvature.  Every check, here and in ``recurrence`` (the three links of
 its contraction chain included), builds its report through ``_report``;
 each cyclic sum is written once, in ``_cyclic``, and applied to the values
 and to their absolute values alike.

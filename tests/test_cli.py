@@ -27,6 +27,18 @@ def run_json(capsys, argv):
 # -- basics ----------------------------------------------------------------------
 
 
+def test_a_component_past_the_node_limit_exits_2_with_one_error_line(capsys, monkeypatch):
+    from concirc import geometry
+
+    monkeypatch.setattr(geometry, "COMPONENT_NODE_LIMIT", 3)
+    rc = run(["classify", "--builtin", "sphere_2", "--samples", "2"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("concirc: error: simplification blow-up in christoffel[")
+
+
+
 def test_list_builtins(capsys):
     assert run(["list-builtins"]) == 0
     out = capsys.readouterr().out

@@ -12,9 +12,11 @@ from concirc.geometry import (
     CurvatureBundle,
     GeometryError,
     MetricChart,
+    ResourceLimitError,
     SingularMetricError,
     TensorField,
     _curvature_slot,
+    _symmetric_pair,
     christoffel_at,
     covariant_derivative_at,
     curvature_bundle_at,
@@ -564,6 +566,35 @@ def test_constant_field_block_evaluation_broadcasts():
     np.testing.assert_allclose(block, 1.0, rtol=0, atol=0)
     with pytest.raises(GeometryError, match="point list is empty"):
         b.field_values(f, [])
+
+
+def _first_past(components, rep, limit):
+    """Index of the first orbit representative, in build order, whose
+    simplified component has more than limit distinct nodes."""
+    return next(idx for idx in np.ndindex(*components.shape)
+                if rep(idx) == (idx, 1) and ex.node_count(components[idx]) > limit)
+
+
+@pytest.mark.parametrize("name, what", [
+    ("sphere_2", "christoffel"), ("perturbed_flat", "christoffel"), ("perturbed_flat", "riemann"),
+])
+def test_a_component_past_the_node_limit_raises_naming_it(name, what, monkeypatch):
+    chart = get_builtin(name).chart
+    built = curvature_bundle_at(chart)
+    # a limit below the largest Christoffel symbol stops the build there;
+    # one at it lets every symbol through and stops at the first larger R
+    big = max(ex.node_count(e) for e in built.christoffel.ravel())
+    if what == "christoffel":
+        limit, index = big - 1, _first_past(built.christoffel, _symmetric_pair, big - 1)
+    else:
+        limit, index = big, _first_past(built.riemann.components, _curvature_slot, big)
+    monkeypatch.setattr(geometry, "COMPONENT_NODE_LIMIT", limit)
+    with pytest.raises(ResourceLimitError) as err:
+        curvature_bundle_at(chart)
+    assert (err.value.what, err.value.index) == (what, index)
+    assert str(err.value) == (
+        f"simplification blow-up in {what}{list(index)}: {limit + 1}+ distinct nodes"
+    )
 
 
 def test_values_at_caches_per_point_set():
