@@ -201,6 +201,10 @@ class _CoreBlock(Mapping):
     def __len__(self) -> int:
         return len(self._layout)
 
+    def part(self, start: int, stop: int) -> "_CoreBlock":
+        """The same fields at the points start:stop, sharing these rows."""
+        return _CoreBlock(self.rows[:, start:stop], self._layout)
+
 
 def _expand(rows: np.ndarray, index: np.ndarray, shape: tuple) -> np.ndarray:
     """Full (npoints, *shape) values of the components whose distinct rows
@@ -288,6 +292,7 @@ class MetricChart:
         tape = self._sampling_tape
         lo, hi = np.array([self.domain[c] for c in self.coordinates], dtype=float).T
         points = []
+        kept = [np.empty((0, self.n))]  # the admitted rows of each round
         attempts = 0
         while len(points) < count:
             draws = min(count - len(points), 1000 * count - attempts)
@@ -309,6 +314,7 @@ class MetricChart:
                 values = None
             else:
                 excluded = np.any(np.abs(values[:-1]) < EXCLUSION_MARGIN, axis=0)
+            taken = []
             for k, p in enumerate(batch):
                 if values is None:
                     *exclusions, det = self._scalar_tapes
@@ -322,7 +328,9 @@ class MetricChart:
                 if abs(d) <= DEGENERACY_FLOOR:
                     raise SingularMetricError(self.name, p, d)
                 points.append(p)
-        return _PointSet(points, self.coordinates)
+                taken.append(k)
+            kept.append(drawn[taken])
+        return _PointSet(points, self.coordinates, np.concatenate(kept))
 
     @cached_property
     def _sampling_tape(self):
@@ -714,6 +722,24 @@ class CurvatureBundle:
         return self._derive(
             ("support", tf.key), lambda: np.flatnonzero([c is not ex.ZERO for c in tf.key])
         )
+
+    def _one_per_node(self, reads: list) -> np.ndarray:
+        """Positions that keep one of each distinct combination of nodes read.
+
+        reads is a list of (field, flat slots) pairs whose slot arrays have
+        one length. Slots holding one node are one tape row, so positions
+        whose slots hold the same nodes read the same values, and a
+        per-point maximum over the kept positions is the maximum over all.
+        """
+        def first_slots(tf):  # each slot -> the first slot of its node
+            def build():
+                first: dict = {}
+                return np.array([first.setdefault(id(c), k) for k, c in enumerate(tf.key)],
+                                dtype=np.intp)
+            return self._derive(("first slots", tf.key), build)
+
+        nodes = np.stack([first_slots(tf)[slots] for tf, slots in reads])
+        return np.unique(nodes, axis=1, return_index=True)[1]
 
     # -- numeric evaluation, cached for the most recent point sets -----------
 

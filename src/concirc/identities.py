@@ -19,12 +19,15 @@ run only over the structural support of that field
 (``CurvatureBundle._support``): the flat component slots where some
 addend's node is not the exact ZERO.  The index triples of a sum come from
 its einsum specs applied to an arange of flat indices (``_cycle``), so the
-additions are those of the full sum, in the same order, and only the
-addends' slots are gathered from the field's stored distinct rows.  Outside the
-support every addend is 0.0 and so is the sum; the absolute values are
->= 0 and tapes refuse non-finite values, so the per-point maximum over the
-support is the full array's bit for bit, and an empty support (a flat
-chart) gives 0 at every point.  Contractions, where leaving out terms could
+additions are those of the full sum, in the same order.  Of those triples
+one per distinct triple of nodes is kept, worked out once per bundle
+(``CurvatureBundle._one_per_node``): slots of one node are one tape row,
+so such triples add the same values.  Only the kept addends' slots are
+gathered from the field's stored distinct rows.  Outside the support every
+addend is 0.0 and so is the sum; the absolute values are >= 0 and tapes
+refuse non-finite values, so the per-point maximum over the kept triples
+is the full array's bit for bit, and an empty support (a flat chart)
+gives 0 at every point.  Contractions, where leaving out terms could
 change the rounding, keep their full arrays: the curvature action below.
 
 The curvature action R(d_u, d_v) R is evaluated here numerically from the
@@ -34,9 +37,12 @@ only, every other slot being a mirror or an exact zero.  Walker's cyclic
 sum is then a cyclic transpose of that pair array.  The scale keeps every
 slot of the full contraction: where w = x the action cancels term by term
 but its absolute-value contraction does not, so that diagonal is returned
-alongside.  The action is computed once per point set: the bundle's store
-keeps only the per-point maxima that Walker and semisymmetry report, the
-residual and scale of each, never the action arrays themselves.  The
+alongside.  The action is computed once per point set, over blocks of
+``_ACTION_POINTS`` points: every step is per point, so the maxima are
+those of one action over all the points, while the pair arrays, points x
+N^2 n^2 values, stay bounded.  The bundle's store keeps only the
+per-point maxima that Walker and semisymmetry report, the residual and
+scale of each, never the action arrays themselves.  The
 symbolic routes, by the derivation property and by the Ricci identity,
 stay the reference implementation the tests compare against, in
 ``tests/reference.py``.
@@ -46,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,6 +71,10 @@ __all__ = [
 
 KERNEL_RANK_THRESHOLD = 1e-10
 ZERO_TENSOR_FLOOR = 1e-10
+# points per block of the curvature action: its arrays hold points x N^2 n^2
+# values (N = n(n-1)/2 index pairs), and every step is per point, so forming
+# it block by block bounds a Walker check's memory whatever the point count
+_ACTION_POINTS = 32
 
 
 class HypothesisError(GeometryError):
@@ -117,16 +128,23 @@ def _per_point_max(arr: np.ndarray) -> np.ndarray:
     return np.abs(arr).reshape(arr.shape[0], -1).max(axis=1, initial=0.0)
 
 
+@lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple:
+    """The index pairs (i < j) of n indices, as np.triu_indices(n, 1) gives
+    them; made once per n, as the action asks for them per block."""
+    return np.triu_indices(n, 1)
+
+
 def _curvature_action(r13: np.ndarray, riemann: np.ndarray):
     """R(d_u, d_v) R on index pairs, with its cancellation scale.
 
-    With pairs P = (i < j) from np.triu_indices, returns (A, A_abs, diag):
+    With pairs P = (i < j) from ``_pairs``, returns (A, A_abs, diag):
     A[p, U, W, Q] = (R(d_u,d_v) R)(d_w,d_x,d_y,d_z) for U = (u,v),
     W = (w,x) and Q = (y,z) in P; A_abs the same contraction of absolute
     values; diag[p, U, Q, w] that absolute-value contraction at w = x,
     where the action itself cancels term by term.
     """
-    i, j = np.triu_indices(r13.shape[1], 1)
+    i, j = _pairs(r13.shape[1])
     # a[p, U, w, m] is R(d_u, d_v) as a matrix; t[p, m, x, Q] is R(., ., d_y, d_z)
     a, t = r13[:, i, j], riemann[..., i, j]
     # the hook of R(d_u, d_v) into the first slot, at every (w, x)
@@ -181,22 +199,33 @@ def _cycle(shape: tuple, specs: tuple, support=None) -> tuple:
     return tuple(i[keep] for i in triples)
 
 
+def _cycle_reads(bundle: CurvatureBundle, field, specs: tuple) -> tuple:
+    """The index triples of field's cyclic sum over its support (``_cycle``),
+    one per distinct triple of nodes: such triples add the same values."""
+    cycle = _cycle(field.components.shape, specs, bundle._support(field))
+    keep = bundle._one_per_node([(field, i) for i in cycle])
+    return tuple(i[keep] for i in cycle)
+
+
 def _cyclic(arr: np.ndarray, triples: tuple) -> np.ndarray:
     """The cyclic sum of arr, flattened after its point axis, at the slots
-    of triples: the addends at i0 and i1 first, then i2's."""
+    of triples (three index arrays or slices): the addends at i0 and i1
+    first, then i2's."""
     i0, i1, i2 = triples
     flat = arr.reshape(len(arr), -1)
-    return (flat[:, i0] + flat[:, i1]) + flat[:, i2]
+    total = flat[:, i0] + flat[:, i1]
+    total += flat[:, i2]
+    return total
 
 
 def _action_maxima(bundle: CurvatureBundle, points) -> dict:
     """Per-point (residual, scale) of Walker and of semisymmetry, from one
-    curvature action per point set, kept in the bundle's store."""
+    curvature action per point set, kept in the bundle's store. The action
+    is formed over blocks of _ACTION_POINTS points; each value is a
+    per-point one, so the maxima are those of one action over all points."""
 
-    def compute():
-        vals = bundle.values_at(points)
+    def maxima(vals, cycle):
         acted, acted_abs, diag = _curvature_action(vals["riemann_13"], vals["riemann"])
-        cycle = _cycle(acted.shape[1:], ("pWQU->pUWQ", "pQUW->pUWQ"))
         # at w = x the cycle's (W, Q, U) term vanishes, scale and all; the
         # other two are diag and its U, Q transpose
         walker_scale = np.maximum(
@@ -204,10 +233,16 @@ def _action_maxima(bundle: CurvatureBundle, points) -> dict:
             _per_point_max(diag + diag.swapaxes(1, 2)),
         )
         semi_scale = np.maximum(_per_point_max(acted_abs), _per_point_max(diag))
-        return {
-            "walker": (_per_point_max(_cyclic(acted, cycle)), walker_scale),
-            "semisymmetry": (_per_point_max(acted), semi_scale),
-        }
+        return (_per_point_max(_cyclic(acted, cycle)), walker_scale,
+                _per_point_max(acted), semi_scale)
+
+    def compute():
+        block = bundle.values_at(points)
+        cycle = _cycle((len(_pairs(bundle.n)[0]),) * 3, ("pWQU->pUWQ", "pQUW->pUWQ"))
+        parts = [maxima(block.part(start, start + _ACTION_POINTS), cycle)
+                 for start in range(0, len(points), _ACTION_POINTS)]
+        walker, walker_scale, semi, semi_scale = map(np.concatenate, zip(*parts))
+        return {"walker": (walker, walker_scale), "semisymmetry": (semi, semi_scale)}
 
     return bundle._cached(bundle._points(points), "action", compute)
 
@@ -238,12 +273,15 @@ def check_bianchi_at(
         field, specs = bundle.nabla_riemann(), ("pwxayz->pawxyz", "pxawyz->pawxyz")
     else:
         raise GeometryError(f"kind must be 'first' or 'second', got {kind!r}")
-    cycle = _cycle(field.components.shape, specs, bundle._support(field))
+    cycle = bundle._derive(("cycle", field.key, specs), lambda: _cycle_reads(bundle, field, specs))
     # the three addends' slots, read side by side: addend t of sum slot s
-    # is column t * len(support slots) + s
+    # is column t * len(slots) + s
     arr = bundle.field_values(field, points, np.concatenate(cycle))
-    gathered = np.arange(arr.shape[1]).reshape(3, -1)
-    total, scale = _cyclic(arr, gathered), _cyclic(np.abs(arr), gathered)
+    k = len(cycle[0])
+    gathered = (slice(0, k), slice(k, 2 * k), slice(2 * k, 3 * k))
+    total = _cyclic(arr, gathered)
+    # arr is this call's own gather, so its absolute values may replace it
+    scale = _cyclic(np.abs(arr, out=arr), gathered)
     return _report(f"bianchi-{kind}", bundle, points, total, scale, tol)
 
 

@@ -41,7 +41,10 @@ of ``identities`` do: at every other slot each term is 0.0, a product with
 a finite lambda is +-0 and |+-0| = 0, so each maximum is the full array's
 bit for bit.  Each of these helpers takes fields, never their values, and
 reads a field's support from the field itself and its values at those
-slots only (``CurvatureBundle.field_values`` with slots).  The
+slots only (``CurvatureBundle.field_values`` with slots), one slot (or
+combination of slots) per distinct combination of nodes, worked out once
+per bundle (``CurvatureBundle._one_per_node``): slots of one node read
+one tape row, so the maximum is unchanged.  The
 projective-to-Einstein chain and the mu-structure display are contractions
 and keep their full arrays.
 
@@ -69,6 +72,7 @@ from .identities import (
     HypothesisError,
     IdentityReport,
     _curvature_action,
+    _pairs,
     _per_point_max,
     _report,
     check_semisymmetry_at,
@@ -266,8 +270,15 @@ def _recurrence_form(bundle: CurvatureBundle, target: str) -> TensorField:
 
 
 def _field_max(bundle: CurvatureBundle, field: TensorField, points) -> np.ndarray:
-    """Per-point max |field| at the points, over the field's support."""
-    return _per_point_max(bundle.field_values(field, points, bundle._support(field)))
+    """Per-point max |field| at the points, over the field's support, read
+    at one slot per distinct node."""
+
+    def slots():
+        support = bundle._support(field)
+        return support[bundle._one_per_node([(field, support)])]
+
+    return _per_point_max(bundle.field_values(field, points, bundle._derive(
+        ("max slots", field.key), slots)))
 
 
 def _recurrence_gap(bundle: CurvatureBundle, grad: TensorField, points, terms: list) -> np.ndarray:
@@ -279,16 +290,27 @@ def _recurrence_gap(bundle: CurvatureBundle, grad: TensorField, points, terms: l
     addend is 0.0 and omega is finite, so the difference is +-0 and the
     maximum is the full array's.
     """
+    key = ("gap", grad.key) + tuple((omega.key, field.key) for omega, field in terms)
+    slots, a, s = bundle._derive(key, lambda: _gap_reads(bundle, grad, terms))
+    diff = bundle.field_values(grad, points, slots)
+    for omega, field in terms:
+        diff = diff - bundle.field_values(omega, points, a) * bundle.field_values(field, points, s)
+    return _per_point_max(diff)
+
+
+def _gap_reads(bundle: CurvatureBundle, grad: TensorField, terms: list) -> tuple:
+    """(slots of nabla T, derivative index a, slots of S) that
+    ``_recurrence_gap`` reads: the slots where nabla T or some S is not the
+    exact ZERO node, one per distinct combination of the nodes read."""
     hit = np.zeros((bundle.n, grad.components[0].size), dtype=bool)
     hit.flat[bundle._support(grad)] = True
     for _, field in terms:
         hit[:, bundle._support(field)] = True
     slots = np.flatnonzero(hit)
     a, s = np.divmod(slots, hit.shape[1])
-    diff = bundle.field_values(grad, points, slots)
-    for omega, field in terms:
-        diff = diff - bundle.field_values(omega, points)[:, a] * bundle.field_values(field, points, s)
-    return _per_point_max(diff)
+    reads = [(grad, slots)] + [r for omega, field in terms for r in ((omega, a), (field, s))]
+    keep = bundle._one_per_node(reads)
+    return slots[keep], a[keep], s[keep]
 
 
 def _fit_values(
@@ -458,7 +480,7 @@ def check_mu_structure(
     vals = bundle.values_at(points)
     acted, acted_abs, diag = _curvature_action(vals["riemann_13"], vals["riemann"])
     # on index pairs: the 2-form's N values and G's N x N pair matrix
-    i, j = np.triu_indices(bundle.n, 1)
+    i, j = _pairs(bundle.n)
     form, gram = fv[:, i, j], vals["gtensor"][:, i, j][..., i, j]
     rhs = 2.0 * np.einsum("pU,pWQ->pUWQ", form, gram)
     rhs_abs = 2.0 * np.einsum("pU,pWQ->pUWQ", np.abs(form), np.abs(gram))

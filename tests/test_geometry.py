@@ -635,6 +635,8 @@ def test_a_point_set_record_equals_its_list_and_keeps_one_record_per_subset():
     chart = get_builtin("perturbed_flat").chart
     pts = chart.sample_points(3, 6)
     listed = list(pts)
+    # sample_points keeps its draws' rows; converting the dicts gives the same bytes
+    assert geometry._PointSet(listed, chart.coordinates).key == pts.key
     assert pts == listed and listed == pts and not pts != listed
     assert pts == tuple(listed) and tuple(pts) == tuple(listed)
     assert pts != listed[:5] and pts != chart.sample_points(4, 6)

@@ -10,6 +10,7 @@ from concirc.geometry import GeometryError, curvature_bundle_at
 from concirc.identities import (
     HypothesisError,
     IdentityReport,
+    _ACTION_POINTS,
     _curvature_action,
     _per_point_max,
     check_bianchi_at,
@@ -108,51 +109,56 @@ def _on_pairs(arr):
 @pytest.mark.parametrize("name", ["ppwave_recurrent", "perturbed_flat", "sphere_3"])
 def test_check_arrays_match_the_sums_written_out(name):
     # each check's residuals and scales, recomputed from the evaluated fields
-    # with every cyclic sum spelled out, agree bit for bit
+    # with every cyclic sum spelled out, agree bit for bit; past
+    # _ACTION_POINTS points the action is formed block by block, and one
+    # action over all the points must still give the same maxima
     b = bundle_for(name)
-    pts = b.chart.sample_points(17, 6)
-    v = b.values_at(pts)
-    acted, acted_abs, diag = _curvature_action(v["riemann_13"], v["riemann"])
-    rv, ra = v["riemann"], np.abs(v["riemann"])
-    nr = b.field_values(b.nabla_riemann(), pts)
-    na = np.abs(nr)
-    expected = {
-        "walker": (
-            check_walker_at(b, pts),
-            acted
-            + np.einsum("pWQU->pUWQ", acted)
-            + np.einsum("pQUW->pUWQ", acted),
-            np.maximum(
-                _max_over_components(
-                    acted_abs
-                    + np.einsum("pWQU->pUWQ", acted_abs)
-                    + np.einsum("pQUW->pUWQ", acted_abs)
+    for count in (6, 2 * _ACTION_POINTS + 6):
+        pts = b.chart.sample_points(17, count)
+        v = b.values_at(pts)
+        acted, acted_abs, diag = _curvature_action(v["riemann_13"], v["riemann"])
+        rv, ra = v["riemann"], np.abs(v["riemann"])
+        nr = b.field_values(b.nabla_riemann(), pts)
+        na = np.abs(nr)
+        expected = {
+            "walker": (
+                check_walker_at(b, pts),
+                acted
+                + np.einsum("pWQU->pUWQ", acted)
+                + np.einsum("pQUW->pUWQ", acted),
+                np.maximum(
+                    _max_over_components(
+                        acted_abs
+                        + np.einsum("pWQU->pUWQ", acted_abs)
+                        + np.einsum("pQUW->pUWQ", acted_abs)
+                    ),
+                    _max_over_components(diag + np.einsum("pQUw->pUQw", diag)),
                 ),
-                _max_over_components(diag + np.einsum("pQUw->pUQw", diag)),
             ),
-        ),
-        "bianchi-first": (
-            check_bianchi_at(b, "first", pts),
-            rv + np.einsum("pxywz->pwxyz", rv) + np.einsum("pywxz->pwxyz", rv),
-            ra + np.einsum("pxywz->pwxyz", ra) + np.einsum("pywxz->pwxyz", ra),
-        ),
-        "bianchi-second": (
-            check_bianchi_at(b, "second", pts),
-            nr + np.einsum("pwxayz->pawxyz", nr) + np.einsum("pxawyz->pawxyz", nr),
-            na + np.einsum("pwxayz->pawxyz", na) + np.einsum("pxawyz->pawxyz", na),
-        ),
-        "semisymmetry": (
-            check_semisymmetry_at(b, pts),
-            acted,
-            np.maximum(_max_over_components(acted_abs), _max_over_components(diag)),
-        ),
-    }
-    for identity, (rep, total, scale) in expected.items():
-        assert rep.identity == identity
-        assert rep.points == tuple(pts)
-        # a (npoints,) scale is already the per-point maximum, and passes through
-        np.testing.assert_array_equal(rep.residuals, _max_over_components(total), err_msg=identity)
-        np.testing.assert_array_equal(rep.scales, _max_over_components(scale), err_msg=identity)
+            "bianchi-first": (
+                check_bianchi_at(b, "first", pts),
+                rv + np.einsum("pxywz->pwxyz", rv) + np.einsum("pywxz->pwxyz", rv),
+                ra + np.einsum("pxywz->pwxyz", ra) + np.einsum("pywxz->pwxyz", ra),
+            ),
+            "bianchi-second": (
+                check_bianchi_at(b, "second", pts),
+                nr + np.einsum("pwxayz->pawxyz", nr) + np.einsum("pxawyz->pawxyz", nr),
+                na + np.einsum("pwxayz->pawxyz", na) + np.einsum("pxawyz->pawxyz", na),
+            ),
+            "semisymmetry": (
+                check_semisymmetry_at(b, pts),
+                acted,
+                np.maximum(_max_over_components(acted_abs), _max_over_components(diag)),
+            ),
+        }
+        for identity, (rep, total, scale) in expected.items():
+            assert rep.identity == identity
+            assert rep.points == tuple(pts)
+            # a (npoints,) scale is already the per-point maximum, and passes through
+            np.testing.assert_array_equal(
+                rep.residuals, _max_over_components(total), err_msg=identity
+            )
+            np.testing.assert_array_equal(rep.scales, _max_over_components(scale), err_msg=identity)
 
 
 def test_action_arrays_match_symbolic_route():
