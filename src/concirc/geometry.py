@@ -189,21 +189,21 @@ class _CoreBlock(Mapping):
 
     def __init__(self, rows: np.ndarray, layout: dict):
         self.rows = rows
-        self._layout = layout  # name -> (row index per component, shape)
+        self.layout = layout  # name -> (row index per component, shape)
 
     def __getitem__(self, name) -> np.ndarray:
-        index, shape = self._layout[name]
+        index, shape = self.layout[name]
         return _expand(self.rows, index, shape)
 
     def __iter__(self):
-        return iter(self._layout)
+        return iter(self.layout)
 
     def __len__(self) -> int:
-        return len(self._layout)
+        return len(self.layout)
 
     def part(self, start: int, stop: int) -> "_CoreBlock":
         """The same fields at the points start:stop, sharing these rows."""
-        return _CoreBlock(self.rows[:, start:stop], self._layout)
+        return _CoreBlock(self.rows[:, start:stop], self.layout)
 
 
 def _expand(rows: np.ndarray, index: np.ndarray, shape: tuple) -> np.ndarray:
@@ -356,8 +356,8 @@ class TensorField:
     are reduced too (nabla C, built from nabla R, is reduced the same way).
     For any other tag it builds every component and tags the result "none".
     The other tags are descriptive only, and no tag decides whether a
-    component is simplified. No tag is used to reduce by the first Bianchi identity,
-    which the identity checks verify numerically.
+    component is simplified. No tag is used to reduce by the first Bianchi
+    identity, which the identity checks verify numerically.
 
     ``key``, the interned component nodes as a tuple hashed once, is the
     field's identity: the bundle keys its values, tape, loads and support by
@@ -542,8 +542,8 @@ class CurvatureBundle:
     either all of them as the full (npoints, *shape) array that
     contractions and callers read, or the slots a check reads (a support,
     a cyclic sum's addends); ``values_at`` makes a core field's full array
-    when it is read. ``field_values`` reads R, Ricci, G and C from the core
-    block, so no other tape is compiled over them. A field may name, in
+    when it is read. ``field_values`` reads g^-1, R, Ricci, G and C from
+    the core block, so no other tape is compiled over them. A field may name, in
     ``_loads``, the fields its tape loads (``_declare_loads``): their
     components are loads of the tape, and every run reads the rows the
     tape reaches through ``field_values`` for the point set being run.
@@ -699,6 +699,7 @@ class CurvatureBundle:
             return nabla_r
         ginv, nr, gt = self.inverse_metric, nabla_r.components, self.gtensor.components
         denom = ex.const(n * (n - 1))
+        # rate[a] = d_a r / (n(n-1)), the factor of G in (nabla C)_a
         rate = [
             ex.div(ex.esum(
                 ex.mul(ex.mul(ginv[j, k], ginv[m, i]), nr[a, i, j, k, m])
@@ -723,6 +724,17 @@ class CurvatureBundle:
             ("support", tf.key), lambda: np.flatnonzero([c is not ex.ZERO for c in tf.key])
         )
 
+    def _first_slots(self, tf: TensorField) -> np.ndarray:
+        """Each flat slot of tf mapped to the first slot holding its node,
+        worked out once per bundle and kept in ``_derived``."""
+
+        def build():
+            first: dict = {}
+            return np.array([first.setdefault(id(c), k) for k, c in enumerate(tf.key)],
+                            dtype=np.intp)
+
+        return self._derive(("first slots", tf.key), build)
+
     def _one_per_node(self, reads: list) -> np.ndarray:
         """Positions that keep one of each distinct combination of nodes read.
 
@@ -731,14 +743,7 @@ class CurvatureBundle:
         whose slots hold the same nodes read the same values, and a
         per-point maximum over the kept positions is the maximum over all.
         """
-        def first_slots(tf):  # each slot -> the first slot of its node
-            def build():
-                first: dict = {}
-                return np.array([first.setdefault(id(c), k) for k, c in enumerate(tf.key)],
-                                dtype=np.intp)
-            return self._derive(("first slots", tf.key), build)
-
-        nodes = np.stack([first_slots(tf)[slots] for tf, slots in reads])
+        nodes = np.stack([self._first_slots(tf)[slots] for tf, slots in reads])
         return np.unique(nodes, axis=1, return_index=True)[1]
 
     # -- numeric evaluation, cached for the most recent point sets -----------
@@ -851,7 +856,7 @@ class CurvatureBundle:
         core = self._core.get(tf.key)
         if core is not None:
             block = self.values_at(points)
-            rows, index = block.rows, block._layout[core][0]
+            rows, index = block.rows, block.layout[core][0]
         else:
             rows = self._cached(points, tf.key, lambda: self._evaluate(
                 tf.key, {"component": tf.components}, points))

@@ -8,10 +8,10 @@ Where the scale is well above 1 that makes the tolerance relative to the
 amount of cancellation actually demanded; where it is below 1 the ``1 +``
 dominates and the rule is an absolute bound of about ``tol``, so a chart
 whose curvature is small everywhere is held to a looser relative standard
-than one of unit curvature.  Every check, here and in ``recurrence`` (the three links of
-its contraction chain included), builds its report through ``_report``;
-each cyclic sum is written once, in ``_cyclic``, and applied to the values
-and to their absolute values alike.
+than one of unit curvature.  Every check, here and in ``recurrence`` (the
+three links of its contraction chain included), builds its report through
+``_report``; each cyclic sum is written once, in ``_cyclic``, and applied
+to the values and to their absolute values alike.
 
 Both Bianchi sums read their field, R or nabla R, through
 ``CurvatureBundle.field_values``, which serves R from the core block, and
@@ -131,8 +131,12 @@ def _per_point_max(arr: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _pairs(n: int) -> tuple:
     """The index pairs (i < j) of n indices, as np.triu_indices(n, 1) gives
-    them; made once per n, as the action asks for them per block."""
-    return np.triu_indices(n, 1)
+    them; made once per n, as the action asks for them per block, and
+    read-only, as every caller shares them."""
+    pairs = np.triu_indices(n, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
 
 
 def _curvature_action(r13: np.ndarray, riemann: np.ndarray):
@@ -274,8 +278,8 @@ def check_bianchi_at(
     else:
         raise GeometryError(f"kind must be 'first' or 'second', got {kind!r}")
     cycle = bundle._derive(("cycle", field.key, specs), lambda: _cycle_reads(bundle, field, specs))
-    # the three addends' slots, read side by side: addend t of sum slot s
-    # is column t * len(slots) + s
+    # the three addends' slots, read side by side: addend t of kept triple s
+    # is column t * k + s
     arr = bundle.field_values(field, points, np.concatenate(cycle))
     k = len(cycle[0])
     gathered = (slice(0, k), slice(k, 2 * k), slice(2 * k, 3 * k))

@@ -288,13 +288,15 @@ def _recurrence_gap(bundle: CurvatureBundle, grad: TensorField, points, terms: l
     terms is a sequence of (omega, S) fields, subtracted in turn as
     ``gv - einsum(...) - einsum(...)`` would. At any other slot every
     addend is 0.0 and omega is finite, so the difference is +-0 and the
-    maximum is the full array's.
+    maximum is the full array's; of the slots kept, one per distinct
+    combination of the nodes read is evaluated (``_gap_reads``).
     """
     key = ("gap", grad.key) + tuple((omega.key, field.key) for omega, field in terms)
     slots, a, s = bundle._derive(key, lambda: _gap_reads(bundle, grad, terms))
     diff = bundle.field_values(grad, points, slots)
     for omega, field in terms:
-        diff = diff - bundle.field_values(omega, points, a) * bundle.field_values(field, points, s)
+        product = bundle.field_values(omega, points, a) * bundle.field_values(field, points, s)
+        diff = diff - product
     return _per_point_max(diff)
 
 
