@@ -38,9 +38,9 @@ sum is then a cyclic transpose of that pair array.  The scale keeps every
 slot of the full contraction: where w = x the action cancels term by term
 but its absolute-value contraction does not, so that diagonal is returned
 alongside.  The action is computed once per point set, over blocks of
-``_ACTION_POINTS`` points: every step is per point, so the maxima are
-those of one action over all the points, while the pair arrays, points x
-N^2 n^2 values, stay bounded.  The bundle's store keeps only the
+points whose largest array holds at most ``_ACTION_VALUES`` values: every
+step is per point, so the maxima are those of one action over all the
+points, while the pair arrays, points x N^2 n^2 values, stay bounded.  The bundle's store keeps only the
 per-point maxima that Walker and semisymmetry report, the residual and
 scale of each, never the action arrays themselves.  The
 symbolic routes, by the derivation property and by the Ricci identity,
@@ -71,10 +71,11 @@ __all__ = [
 
 KERNEL_RANK_THRESHOLD = 1e-10
 ZERO_TENSOR_FLOOR = 1e-10
-# points per block of the curvature action: its arrays hold points x N^2 n^2
-# values (N = n(n-1)/2 index pairs), and every step is per point, so forming
-# it block by block bounds a Walker check's memory whatever the point count
-_ACTION_POINTS = 32
+# values in the largest array of one block of the curvature action, the
+# hooks of points x N n n N values (N = n(n-1)/2 index pairs); every step is
+# per point, so forming it block by block bounds a Walker check's memory
+# whatever the point count
+_ACTION_VALUES = 1 << 14
 
 
 class HypothesisError(GeometryError):
@@ -225,8 +226,9 @@ def _cyclic(arr: np.ndarray, triples: tuple) -> np.ndarray:
 def _action_maxima(bundle: CurvatureBundle, points) -> dict:
     """Per-point (residual, scale) of Walker and of semisymmetry, from one
     curvature action per point set, kept in the bundle's store. The action
-    is formed over blocks of _ACTION_POINTS points; each value is a
-    per-point one, so the maxima are those of one action over all points."""
+    is formed over blocks of points whose hooks hold at most _ACTION_VALUES
+    values; each value is a per-point one, so the maxima are those of one
+    action over all points."""
 
     def maxima(vals, cycle):
         acted, acted_abs, diag = _curvature_action(vals["riemann_13"], vals["riemann"])
@@ -242,9 +244,11 @@ def _action_maxima(bundle: CurvatureBundle, points) -> dict:
 
     def compute():
         block = bundle.values_at(points)
-        cycle = _cycle((len(_pairs(bundle.n)[0]),) * 3, ("pWQU->pUWQ", "pQUW->pUWQ"))
-        parts = [maxima(block.part(start, start + _ACTION_POINTS), cycle)
-                 for start in range(0, len(points), _ACTION_POINTS)]
+        n, pairs = bundle.n, len(_pairs(bundle.n)[0])
+        cycle = _cycle((pairs,) * 3, ("pWQU->pUWQ", "pQUW->pUWQ"))
+        size = max(1, _ACTION_VALUES // (pairs * n * n * pairs))
+        parts = [maxima(block.part(start, start + size), cycle)
+                 for start in range(0, len(points), size)]
         walker, walker_scale, semi, semi_scale = map(np.concatenate, zip(*parts))
         return {"walker": (walker, walker_scale), "semisymmetry": (semi, semi_scale)}
 
