@@ -743,8 +743,11 @@ class CurvatureBundle:
         whose slots hold the same nodes read the same values, and a
         per-point maximum over the kept positions is the maximum over all.
         """
-        nodes = np.stack([self._first_slots(tf)[slots] for tf, slots in reads])
-        return np.unique(nodes, axis=1, return_index=True)[1]
+        nodes = zip(*(self._first_slots(tf)[slots].tolist() for tf, slots in reads))
+        first: dict = {}
+        for position, combination in enumerate(nodes):
+            first.setdefault(combination, position)
+        return np.fromiter(first.values(), np.intp, len(first))
 
     # -- numeric evaluation, cached for the most recent point sets -----------
 
