@@ -45,12 +45,13 @@ differentiated at all: nabla g = 0 makes G parallel and d_a r the trace
 g^jk g^mi (nabla_a R)_ijkm, so
 nabla C = nabla R - (dr / (n(n-1))) (x) G, and its tape loads the rows of
 nabla R, G and g^-1 already evaluated for the same points. Numeric values
-are stored as each tape's distinct rows, and every point list is one
-point-set record (see ``CurvatureBundle``). No exterior
-derivative, wedge or curvature-action field is built here: ``recurrence``
-reads d of a 1-form from nabla's values and ``identities`` computes the
-action from values. Their symbolic routes are the tests' references, in
-``tests/reference.py``.
+are stored as each tape's distinct rows, every point list is one
+point-set record (see ``CurvatureBundle``), and a check reads one slot per
+distinct combination of nodes (``CurvatureBundle._one_per_node``). No
+exterior derivative, wedge or curvature-action field is built here:
+``recurrence`` reads d of a 1-form from nabla's values and ``identities``
+computes the action from values. Their symbolic routes are the tests'
+references, in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -360,8 +361,8 @@ class TensorField:
     identity, which the identity checks verify numerically.
 
     ``key``, the interned component nodes as a tuple hashed once, is the
-    field's identity: the bundle keys its values, tape, loads and support by
-    it. A field's values are read through ``CurvatureBundle.field_values``.
+    field's identity: the bundle keys its values, tape, loads and read plans
+    by it. A field's values are read through ``CurvatureBundle.field_values``.
     """
 
     dim: int
@@ -540,11 +541,12 @@ class CurvatureBundle:
     most components share the ZERO row. ``field_values`` gathers the
     components a reader asks for through the tape's ``expand`` index,
     either all of them as the full (npoints, *shape) array that
-    contractions and callers read, or the slots a check reads (a support,
-    a cyclic sum's addends); ``values_at`` makes a core field's full array
-    when it is read. ``field_values`` reads g^-1, R, Ricci, G and C from
-    the core block, so no other tape is compiled over them. A field may name, in
-    ``_loads``, the fields its tape loads (``_declare_loads``): their
+    contractions and callers read, or the slots a check reads, one per
+    distinct combination of nodes (``_one_per_node``); ``values_at`` makes
+    a core field's full array when it is read. ``field_values`` reads g^-1,
+    R, Ricci, G and C from the core block, so no other tape is compiled over
+    them. A field may name, in ``_loads``, the fields its tape loads
+    (``_declare_loads``): their
     components are loads of the tape, and every run reads the rows the
     tape reaches through ``field_values`` for the point set being run.
 
@@ -552,10 +554,7 @@ class CurvatureBundle:
     the bytes of its float64 coordinates, and coordinate columns are built
     once: ``MetricChart.sample_points`` returns one, a public call given a
     plain list converts it once (``_points``), and a fit's admitted points
-    are one record, kept by the record they were taken from. A field's
-    structural support, the flat slots of its components that are not the
-    exact ZERO node, is kept in ``_derived`` under its key (``_support``);
-    the checks take their maxima over it.
+    are one record, kept by the record they were taken from.
     """
 
     def __init__(self, chart: MetricChart):
@@ -716,34 +715,23 @@ class CurvatureBundle:
         self._declare_loads(field, (nabla_r, self.gtensor, self._inverse))
         return field
 
-    def _support(self, tf: TensorField) -> np.ndarray:
-        """Flat indices of tf's components that are not the exact ZERO node,
-        worked out once per bundle and kept in ``_derived`` under tf's key.
-        A ZERO component evaluates to exactly 0.0."""
-        return self._derive(
-            ("support", tf.key), lambda: np.flatnonzero([c is not ex.ZERO for c in tf.key])
-        )
-
-    def _first_slots(self, tf: TensorField) -> np.ndarray:
-        """Each flat slot of tf mapped to the first slot holding its node,
-        worked out once per bundle and kept in ``_derived``."""
-
-        def build():
-            first: dict = {}
-            return np.array([first.setdefault(id(c), k) for k, c in enumerate(tf.key)],
-                            dtype=np.intp)
-
-        return self._derive(("first slots", tf.key), build)
-
     def _one_per_node(self, reads: list) -> np.ndarray:
         """Positions that keep one of each distinct combination of nodes read.
 
+        This is the one read plan of the checks over a field's components:
+        the Bianchi sums, the recurrence gaps and the per-point maxima.
         reads is a list of (field, flat slots) pairs whose slot arrays have
-        one length. Slots holding one node are one tape row, so positions
-        whose slots hold the same nodes read the same values, and a
-        per-point maximum over the kept positions is the maximum over all.
+        one length; position p reads the node at slots[p] of each field.
+        Nodes are interned, so identity is structural equality and the nodes
+        themselves key the combinations. Slots holding one node are one tape
+        row, so positions with the same nodes read the same values, and a
+        per-point maximum of absolute values over the kept positions is the
+        one over all of them. Plans run over every slot: where each node
+        read is ZERO, or ZERO times a factor such as lambda_a, the value is
+        +-0 (tapes refuse non-finite values), so those positions keep one
+        combination per distinct factor and move no maximum.
         """
-        nodes = zip(*(self._first_slots(tf)[slots].tolist() for tf, slots in reads))
+        nodes = zip(*([tf.key[s] for s in slots.tolist()] for tf, slots in reads))
         first: dict = {}
         for position, combination in enumerate(nodes):
             first.setdefault(combination, position)

@@ -14,21 +14,15 @@ three links of its contraction chain included), builds its report through
 to the values and to their absolute values alike.
 
 Both Bianchi sums read their field, R or nabla R, through
-``CurvatureBundle.field_values``, which serves R from the core block, and
-run only over the structural support of that field
-(``CurvatureBundle._support``): the flat component slots where some
-addend's node is not the exact ZERO.  The index triples of a sum come from
-its einsum specs applied to an arange of flat indices (``_cycle``), so the
-additions are those of the full sum, in the same order.  Of those triples
-one per distinct triple of nodes is kept, worked out once per bundle
-(``CurvatureBundle._one_per_node``): slots of one node are one tape row,
-so such triples add the same values.  Only the kept addends' slots are
-gathered from the field's stored distinct rows.  Outside the support every
-addend is 0.0 and so is the sum; the absolute values are >= 0 and tapes
-refuse non-finite values, so the per-point maximum over the kept triples
-is the full array's bit for bit, and an empty support (a flat chart)
-gives 0 at every point.  Contractions, where leaving out terms could
-change the rounding, keep their full arrays: the curvature action below.
+``CurvatureBundle.field_values``, which serves R from the core block.  The
+index triples of a sum come from its einsum specs applied to an arange of
+flat indices (``_cycle``), so the additions are those of the full sum, in
+the same order.  Of those triples one per distinct triple of nodes is
+kept, worked out once per bundle (``CurvatureBundle._one_per_node``, which
+says why the per-point maximum is then the full array's bit for bit), and
+only the kept addends' slots are gathered from the field's stored
+distinct rows.  Contractions, where leaving out terms could change the
+rounding, keep their full arrays: the curvature action below.
 
 The curvature action R(d_u, d_v) R is evaluated here numerically from the
 already-evaluated curvature arrays, on index pairs: R(X,Y).R is a
@@ -40,12 +34,12 @@ but its absolute-value contraction does not, so that diagonal is returned
 alongside.  The action is computed once per point set, over blocks of
 points whose largest array holds at most ``_ACTION_VALUES`` values: every
 step is per point, so the maxima are those of one action over all the
-points, while the pair arrays, points x N^2 n^2 values, stay bounded.  The bundle's store keeps only the
-per-point maxima that Walker and semisymmetry report, the residual and
-scale of each, never the action arrays themselves.  The
-symbolic routes, by the derivation property and by the Ricci identity,
-stay the reference implementation the tests compare against, in
-``tests/reference.py``.
+points, while the pair arrays, points x N^2 n^2 values, stay bounded.  The
+bundle's store keeps only the per-point maxima that Walker and
+semisymmetry report, the residual and scale of each, never the action
+arrays themselves.  The symbolic routes, by the derivation property and by
+the Ricci identity, stay the reference implementation the tests compare
+against, in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -186,28 +180,20 @@ def _report(identity: str, bundle: CurvatureBundle, points, total, scale, tol) -
     )
 
 
-def _cycle(shape: tuple, specs: tuple, support=None) -> tuple:
+def _cycle(shape: tuple, specs: tuple) -> tuple:
     """Flat index triples (i0, i1, i2) of a cyclic sum over arrays of the
     given component shape: slot i0 of the sum adds the components at i0, i1
     and i2. The two cyclic permutations are the einsum specs, applied to an
-    arange of flat indices. Given the support of the array summed, only the
-    slots where one of the three addends is in it are kept: at every other
-    slot each addend is 0.0, and so is the sum.
+    arange of flat indices.
     """
     flat = np.arange(math.prod(shape)).reshape((1,) + shape)
-    triples = (flat.ravel(), *(np.einsum(spec, flat).ravel() for spec in specs))
-    if support is None:
-        return triples
-    hit = np.zeros(flat.size, dtype=bool)
-    hit[support] = True
-    keep = np.flatnonzero(hit[triples[0]] | hit[triples[1]] | hit[triples[2]])
-    return tuple(i[keep] for i in triples)
+    return (flat.ravel(), *(np.einsum(spec, flat).ravel() for spec in specs))
 
 
 def _cycle_reads(bundle: CurvatureBundle, field, specs: tuple) -> tuple:
-    """The index triples of field's cyclic sum over its support (``_cycle``),
-    one per distinct triple of nodes: such triples add the same values."""
-    cycle = _cycle(field.components.shape, specs, bundle._support(field))
+    """The index triples of field's cyclic sum (``_cycle``), one per
+    distinct triple of nodes: such triples add the same values."""
+    cycle = _cycle(field.components.shape, specs)
     keep = bundle._one_per_node([(field, i) for i in cycle])
     return tuple(i[keep] for i in cycle)
 

@@ -33,20 +33,14 @@ their forms.  Every check, the three links of the projective-to-Einstein
 contraction chain included, reports through the pass rule of
 ``identities._report``.
 
-The fits and the extended recurrence residual compute nabla T - lambda (x) T
-(- mu (x) G) only on the slots where nabla T, T (or G) is not the exact
-ZERO node, and the magnitudes, the |R| scale and classify's global maxima
-of R, G, C and nabla R run over each field's support, as the Bianchi sums
-of ``identities`` do: at every other slot each term is 0.0, a product with
-a finite lambda is +-0 and |+-0| = 0, so each maximum is the full array's
-bit for bit.  Each of these helpers takes fields, never their values, and
-reads a field's support from the field itself and its values at those
-slots only (``CurvatureBundle.field_values`` with slots), one slot (or
-combination of slots) per distinct combination of nodes, worked out once
-per bundle (``CurvatureBundle._one_per_node``): slots of one node read
-one tape row, so the maximum is unchanged.  The
-projective-to-Einstein chain and the mu-structure display are contractions
-and keep their full arrays.
+The fits, the extended recurrence residual, the magnitudes, the |R| scale
+and classify's global maxima of R, G, C and nabla R take fields, never
+their values, and read each field through ``CurvatureBundle.field_values``
+at one slot (or combination of slots) per distinct combination of the
+nodes read, worked out once per bundle (``CurvatureBundle._one_per_node``,
+which says why each maximum is then the full array's bit for bit).  The
+projective-to-Einstein chain and the mu-structure display are
+contractions and keep their full arrays.
 
 The second recurrence form is mu = (dr - r lambda) / (n(n-1)); together
 the pair (lambda, mu) turns concircular recurrence into the extended
@@ -270,26 +264,19 @@ def _recurrence_form(bundle: CurvatureBundle, target: str) -> TensorField:
 
 
 def _field_max(bundle: CurvatureBundle, field: TensorField, points) -> np.ndarray:
-    """Per-point max |field| at the points, over the field's support, read
-    at one slot per distinct node."""
-
-    def slots():
-        support = bundle._support(field)
-        return support[bundle._one_per_node([(field, support)])]
-
-    return _per_point_max(bundle.field_values(field, points, bundle._derive(
-        ("max slots", field.key), slots)))
+    """Per-point max |field| at the points, read at one slot per distinct
+    node."""
+    slots = bundle._derive(("max slots", field.key), lambda: bundle._one_per_node(
+        [(field, np.arange(field.components.size))]))
+    return _per_point_max(bundle.field_values(field, points, slots))
 
 
 def _recurrence_gap(bundle: CurvatureBundle, grad: TensorField, points, terms: list) -> np.ndarray:
-    """Per-point max |nabla T - omega (x) S - ...| at the points, over the
-    slots where nabla T or some S is not the exact ZERO node.
+    """Per-point max |nabla T - omega (x) S - ...| at the points.
 
     terms is a sequence of (omega, S) fields, subtracted in turn as
-    ``gv - einsum(...) - einsum(...)`` would. At any other slot every
-    addend is 0.0 and omega is finite, so the difference is +-0 and the
-    maximum is the full array's; of the slots kept, one per distinct
-    combination of the nodes read is evaluated (``_gap_reads``).
+    ``gv - einsum(...) - einsum(...)`` would, at one slot per distinct
+    combination of the nodes read (``_gap_reads``).
     """
     key = ("gap", grad.key) + tuple((omega.key, field.key) for omega, field in terms)
     slots, a, s = bundle._derive(key, lambda: _gap_reads(bundle, grad, terms))
@@ -302,17 +289,14 @@ def _recurrence_gap(bundle: CurvatureBundle, grad: TensorField, points, terms: l
 
 def _gap_reads(bundle: CurvatureBundle, grad: TensorField, terms: list) -> tuple:
     """(slots of nabla T, derivative index a, slots of S) that
-    ``_recurrence_gap`` reads: the slots where nabla T or some S is not the
-    exact ZERO node, one per distinct combination of the nodes read."""
-    hit = np.zeros((bundle.n, grad.components[0].size), dtype=bool)
-    hit.flat[bundle._support(grad)] = True
-    for _, field in terms:
-        hit[:, bundle._support(field)] = True
-    slots = np.flatnonzero(hit)
-    a, s = np.divmod(slots, hit.shape[1])
+    ``_recurrence_gap`` reads: one of nabla T's slots per distinct
+    combination of the nodes read."""
+    size = grad.components[0].size
+    slots = np.arange(grad.components.size)
+    a, s = np.divmod(slots, size)
     reads = [(grad, slots)] + [r for omega, field in terms for r in ((omega, a), (field, s))]
     keep = bundle._one_per_node(reads)
-    return slots[keep], a[keep], s[keep]
+    return keep, a[keep], s[keep]
 
 
 def _fit_values(

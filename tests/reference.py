@@ -24,8 +24,11 @@ so the tests can compare that route against an independent one:
     bianchi_full, fit_values_full, extended_recurrence_full
         the Bianchi cyclic sums, the recurrence fit and the extended
         recurrence residual over the full component arrays, against the
-        package's routes over the structural support (the components that
-        are not the exact ZERO node)
+        package's routes, which read one slot per distinct combination of
+        nodes (``CurvatureBundle._one_per_node``)
+    support
+        the flat slots of a field that are not the exact ZERO node, which
+        the tests use to name where a field is structurally non-zero
     field_at, field_block
         a field's values at one point and at many, by its own unloaded tape
         outside any bundle store, against ``CurvatureBundle.field_values``
@@ -80,6 +83,7 @@ __all__ = [
     "bianchi_full",
     "fit_values_full",
     "extended_recurrence_full",
+    "support",
     "field_at",
     "field_block",
 ]
@@ -340,6 +344,11 @@ def extended_recurrence_full(
         muv = bundle.field_values(mu, points)
         diff = diff - np.einsum("pa,pwxyz->pawxyz", muv, vals["gtensor"])
     return _per_point_max(diff) / (1.0 + _per_point_max(rv))
+
+
+def support(tf: TensorField) -> np.ndarray:
+    """Flat indices of tf's components that are not the exact ZERO node."""
+    return np.flatnonzero([c is not ex.ZERO for c in tf.key])
 
 
 def field_at(tf: TensorField, point: dict) -> np.ndarray:

@@ -1,12 +1,12 @@
-"""The checks over their structural support read as over the full arrays.
+"""The checks read as over the full arrays.
 
 The Bianchi sums, the recurrence fits, the extended recurrence residual and
-the global maxima of ``classify`` run only over the component slots where
-some input is not the exact ZERO node; everywhere else every addend is 0.0.
-Each must equal, byte for byte, the same formula over the full arrays
-(``tests/reference.py``): on every builtin (the flat ones have an empty
-support), on random charts and on the theorem's witness family, where mu
-is not ZERO.
+the global maxima of ``classify`` read one slot per distinct combination of
+nodes (``CurvatureBundle._one_per_node``, which says why that leaves every
+maximum unchanged). Each must equal, byte for byte, the same formula over
+the full arrays (``tests/reference.py``): on every builtin (the flat ones
+are ZERO node for node), on random charts and on the theorem's witness
+family, where mu is not ZERO.
 """
 
 import numpy as np
@@ -15,7 +15,7 @@ import pytest
 import concirc.expressions as ex
 from concirc.catalog import builtin_names, get_builtin, random_perturbed_flat
 from concirc.geometry import TensorField, curvature_bundle_at
-from concirc.identities import HypothesisError, _cycle, _cyclic, check_bianchi_at
+from concirc.identities import HypothesisError, check_bianchi_at
 from concirc.recurrence import (
     check_extended_recurrence,
     classify,
@@ -23,7 +23,7 @@ from concirc.recurrence import (
     fit_recurrence_form,
     zero_one_form,
 )
-from reference import bianchi_full, extended_recurrence_full, fit_values_full
+from reference import bianchi_full, extended_recurrence_full, fit_values_full, support
 from test_theorem_witness import WITNESSES, _witness
 from test_theorem_witness import _chart as _witness_chart
 
@@ -135,28 +135,11 @@ def test_classify_maxima_match_the_full_arrays(case):
 )
 def test_the_builtins_cover_empty_sparse_and_dense_supports(name, size):
     b = curvature_bundle_at(get_builtin(name).chart)
-    assert b._support(b.nabla_riemann()).size == size
+    assert support(b.nabla_riemann()).size == size
 
 
 def test_the_narrow_chart_has_its_largest_c_outside_r_support():
     b = curvature_bundle_at(_narrow_x4())
     pts = b.chart.sample_points(42, 20)
     c = np.abs(b.values_at(pts)["concircular"]).reshape(len(pts), -1)
-    assert np.unravel_index(c.argmax(), c.shape)[1] not in b._support(b.riemann)
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_a_cyclic_sum_over_a_support_is_the_full_sum(seed):
-    # random values that do not satisfy the identity, on a random support,
-    # so every kept slot can decide the maximum
-    rng = np.random.default_rng(seed)
-    shape = (3, 3, 3, 3)
-    support = np.flatnonzero(rng.random(81) < 0.1)
-    arr = np.zeros((5, 81))
-    arr[:, support] = rng.standard_normal((5, len(support)))
-    arr = arr.reshape((5,) + shape)
-    specs = ("pxywz->pwxyz", "pywxz->pwxyz")
-    full = (arr + np.einsum(specs[0], arr) + np.einsum(specs[1], arr)).reshape(5, -1)
-    cycle = _cycle(shape, specs, support)
-    _same(_cyclic(arr.reshape(5, -1), cycle), full[:, cycle[0]])
-    assert not full[:, np.setdiff1d(np.arange(81), cycle[0])].any()
+    assert np.unravel_index(c.argmax(), c.shape)[1] not in support(b.riemann)
