@@ -110,7 +110,8 @@ class RecurrenceFit:
     a tuple of point dicts); residuals is aligned with it and holds NaN at
     excluded points; magnitudes is the per-point max absolute target
     component. passes is residual <= tol at admitted points and False at
-    excluded ones.
+    excluded ones; recurrent, every point admitted and passing, is the
+    hypothesis that classify and verify_theorem both decide by.
     """
 
     target: str
@@ -144,6 +145,10 @@ class RecurrenceFit:
     @property
     def passed(self) -> bool:
         return bool(np.any(self.admitted) and np.all(self.passes[self.admitted]))
+
+    @property
+    def recurrent(self) -> bool:
+        return bool(np.all(self.passes))
 
     def __str__(self) -> str:
         verdict = "pass" if self.passed else "FAIL"
@@ -587,7 +592,7 @@ def classify(bundle: CurvatureBundle, points, tol: float = 1e-8) -> Classificati
         rfit = fit_recurrence_form(bundle, "R", points, tol)
         ev["riemann_fit_residual"] = rfit.max_residual
         ev["riemann_fit_excluded"] = rfit.excluded_count
-        if rfit.passed and bool(np.all(rfit.admitted)):
+        if rfit.recurrent:
             return Classification(bundle.chart.name, "recurrent", ev)
     except HypothesisError:
         ev["riemann_fit_residual"] = float("nan")
@@ -596,7 +601,7 @@ def classify(bundle: CurvatureBundle, points, tol: float = 1e-8) -> Classificati
         cfit = fit_recurrence_form(bundle, "C", points, tol)
         ev["concircular_fit_residual"] = cfit.max_residual
         ev["concircular_fit_excluded"] = cfit.excluded_count
-        if cfit.passed and bool(np.all(cfit.admitted)):
+        if cfit.recurrent:
             # forbidden by the main theorem: concircular recurrence without
             # plain recurrence; surfaced as a violation, not a verdict
             return Classification(
@@ -614,8 +619,9 @@ def classify(bundle: CurvatureBundle, points, tol: float = 1e-8) -> Classificati
 def verify_theorem(bundle: CurvatureBundle, points, tol: float = 1e-8) -> TheoremReport:
     """Check the implication chain on a chart satisfying the hypothesis.
 
-    Hypothesis: the concircular tensor is recurrent (C-fit passes at the
-    admitted points).  Conclusion, checked at those points: mu vanishes,
+    Hypothesis: the concircular tensor is recurrent (the C-fit admits and
+    passes every point, ``RecurrenceFit.recurrent``, as in classify).
+    Conclusion, checked at the same points: mu vanishes,
     nabla R = lambda (x) R with the same lambda, d lambda = 0, and the
     curvature action on R vanishes (semisymmetry).  mu = 0 and d lambda = 0
     are held to FORM_TOL, the rest to tol.  A chart that fails the
@@ -627,32 +633,37 @@ def verify_theorem(bundle: CurvatureBundle, points, tol: float = 1e-8) -> Theore
         cfit = fit_recurrence_form(bundle, "C", points, tol)
     except HypothesisError as e:
         return TheoremReport(name, True, str(e), None, None, None, None, None)
-    if not cfit.passed:
-        reason = (
-            f"concircular recurrence fit residual {cfit.max_residual:.3e} "
-            f"exceeds {tol:.1e}; hypothesis not met"
-        )
+    if not cfit.recurrent:
+        if cfit.passed:
+            reason = (
+                f"concircular recurrence fit admits {int(np.sum(cfit.admitted))} "
+                f"of {len(points)} points; hypothesis not met"
+            )
+        else:
+            reason = (
+                f"concircular recurrence fit residual {cfit.max_residual:.3e} "
+                f"exceeds {tol:.1e}; hypothesis not met"
+            )
         return TheoremReport(name, True, reason, cfit, None, None, None, None)
 
-    adm = cfit.admitted_points
     lam = cfit.lam
     mu_form = compute_mu(bundle, lam)
 
     n = bundle.n
-    muv = bundle.field_values(mu_form.mu, adm)
-    drv = bundle.field_values(mu_form.dscalar, adm)
-    lamv = bundle.field_values(lam, adm)
-    rv = bundle.values_at(adm)["scalar"]
+    muv = bundle.field_values(mu_form.mu, points)
+    drv = bundle.field_values(mu_form.dscalar, points)
+    lamv = bundle.field_values(lam, points)
+    rv = bundle.values_at(points)["scalar"]
     mu_scale = (
         _per_point_max(drv) + np.abs(rv) * _per_point_max(lamv)
     ) / (n * (n - 1))
-    mu_check = _report("mu-vanishes", bundle, adm, muv, mu_scale, FORM_TOL)
+    mu_check = _report("mu-vanishes", bundle, points, muv, mu_scale, FORM_TOL)
 
     recurrence_check = check_extended_recurrence(
-        bundle, lam, zero_one_form(n), adm, tol
+        bundle, lam, zero_one_form(n), points, tol
     )
-    closed_check = check_lambda_closed(bundle, lam, adm)
-    semi_check = check_semisymmetry_at(bundle, adm, tol)
+    closed_check = check_lambda_closed(bundle, lam, points)
+    semi_check = check_semisymmetry_at(bundle, points, tol)
     return TheoremReport(
         chart=name,
         skipped=False,

@@ -1,14 +1,17 @@
 """Recurrence fitting, the derived 1-forms, classification, theorem checks."""
 
 import dataclasses
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import concirc.expressions as ex
 from concirc import geometry, identities, recurrence
-from concirc.catalog import get_builtin
+from concirc.catalog import get_builtin, random_perturbed_flat
+from concirc.cli import run
 from concirc.geometry import (
     GeometryError,
     MetricChart,
@@ -845,3 +848,39 @@ def test_extended_recurrence_with_an_exact_zero_mu_adds_no_term():
     short = check_extended_recurrence(b, lam, zero, pts)
     assert zero.key not in b._tapes  # no tape for mu
     np.testing.assert_array_equal(short.residuals, full.residuals)
+
+
+# charts whose C-fit passes on the few points it admits and excludes the
+# rest (seed, epsilon, points admitted of 20): classify reads "generic"
+WEAK_CHARTS = [(3, Fraction(1, 50_000_000), 3), (4, Fraction(3, 100_000_000), 1)]
+
+
+@pytest.mark.parametrize("seed, epsilon, admits", WEAK_CHARTS)
+def test_a_c_fit_that_excludes_points_meets_no_hypothesis(seed, epsilon, admits):
+    b = curvature_bundle_at(random_perturbed_flat(seed, dim=3, epsilon=epsilon))
+    pts = b.chart.sample_points(42, 20)
+    fit = fit_recurrence_form(b, "C", pts)
+    assert fit.passed and not fit.recurrent and int(fit.admitted.sum()) == admits
+    assert classify(b, pts).verdict == "generic"
+    rep = verify_theorem(b, pts)
+    assert rep.skipped and rep.passed
+    assert f"admits {admits} of 20 points" in rep.reason
+
+
+def test_the_cli_skips_the_theorem_on_a_weak_metric_file(capsys, tmp_path):
+    seed, epsilon, _ = WEAK_CHARTS[0]
+    chart = random_perturbed_flat(seed, dim=3, epsilon=epsilon)
+    n = chart.n
+    spec = {
+        "name": chart.name,
+        "dim": n,
+        "coordinates": list(chart.coordinates),
+        "metric": [[ex.to_string(chart.metric[i, j]) for j in range(n)] for i in range(n)],
+        "domain": {c: list(chart.domain[c]) for c in chart.coordinates},
+    }
+    path = tmp_path / "weak.json"
+    path.write_text(json.dumps(spec))
+    assert run(["verify-theorem", "--metric", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["classification"] == "generic"
+    assert doc["summary"] == {"all_pass": True, "skipped": 20}

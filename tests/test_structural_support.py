@@ -15,8 +15,12 @@ import pytest
 import concirc.expressions as ex
 from concirc.catalog import builtin_names, get_builtin, random_perturbed_flat
 from concirc.geometry import TensorField, curvature_bundle_at
-from concirc.identities import HypothesisError, check_bianchi_at
+from concirc.identities import HypothesisError, _cycle, check_bianchi_at
 from concirc.recurrence import (
+    _field_max,
+    _gap_reads,
+    _recurrence_form,
+    _target_fields,
     check_extended_recurrence,
     classify,
     compute_mu,
@@ -143,3 +147,44 @@ def test_the_narrow_chart_has_its_largest_c_outside_r_support():
     pts = b.chart.sample_points(42, 20)
     c = np.abs(b.values_at(pts)["concircular"]).reshape(len(pts), -1)
     assert np.unravel_index(c.argmax(), c.shape)[1] not in support(b.riemann)
+
+
+def _read_plans(b, pts):
+    """(reads over every position, kept positions) of each read plan the
+    checks make on b: the maxima of R, G, C and nabla R, both Bianchi
+    cycles, and the R- and C-fit gaps where the target is not ZERO."""
+    plans = []
+    for field in (b.riemann, b.gtensor, b.concircular, b.nabla_riemann()):
+        _field_max(b, field, pts)
+        every = np.arange(field.components.size)
+        plans.append(([(field, every)], b._derived[("max slots", field.key)]))
+    for kind, field in (("first", b.riemann), ("second", b.nabla_riemann())):
+        check_bianchi_at(b, kind, pts)
+        (_, _, specs), kept = next((key, value) for key, value in b._derived.items()
+                                   if key[:2] == ("cycle", field.key))
+        cycle = _cycle(field.components.shape, specs)
+        plans.append(([(field, i) for i in cycle], kept[0]))
+    for target in ("R", "C"):
+        tensor, grad = _target_fields(b, target)
+        try:
+            lam = _recurrence_form(b, target)
+        except HypothesisError:  # the target is ZERO node for node
+            continue
+        every = np.arange(grad.components.size)
+        a, s = np.divmod(every, tensor.components.size)
+        kept = _gap_reads(b, grad, [(lam, tensor)])[0]
+        plans.append(([(grad, every), (lam, a), (tensor, s)], kept))
+    return plans
+
+
+@pytest.mark.parametrize("label", [f"builtin:{name}" for name in builtin_names()]
+                         + [f"random:{seed}" for seed in range(3)])
+def test_each_read_plan_keeps_one_position_per_node_combination(label):
+    b = curvature_bundle_at(_chart(label))
+    plans = _read_plans(b, b.chart.sample_points(42, 20))
+    assert len(plans) >= 6
+    for reads, kept in plans:
+        combinations = list(zip(*([tf.key[i] for i in slots.tolist()] for tf, slots in reads)))
+        read = [combinations[p] for p in kept.tolist()]
+        assert len(set(read)) == len(read)  # no two kept positions read the same nodes
+        assert set(read) == set(combinations)  # and every combination is read
