@@ -5,8 +5,11 @@ trees are the same Python object, so `is` comparison, dict lookups and
 per-node caches are all O(1), and shared subtrees are stored once no matter
 how often they recur in a tensor component. Construction goes through the
 factory helpers (`add`, `mul`, ..., or operator overloading), which fold
-constant-only subtrees exactly; constants are `fractions.Fraction` throughout,
-so no precision is lost at parse time or during folding.
+constant-only subtrees exactly. A constant's payload is an `int` when it is
+integral and a `fractions.Fraction` otherwise, one canonical type per value,
+so no precision is lost at parse time or during folding, and the integral
+coefficients and exponents that `simplify` mostly handles cost plain integer
+arithmetic.
 
 Grammar accepted by `parse`:
 
@@ -139,7 +142,7 @@ class Expr:
     __slots__ = ("kind", "payload", "args", "_key", "_str", "_simplified", "_diff")
 
     kind: str
-    payload: object  # Fraction for constants, str for variables, else None
+    payload: object  # int or Fraction for constants, str for variables, else None
     args: tuple
     _key: tuple  # structural sort key: (kind, payload key, *child keys)
 
@@ -181,12 +184,13 @@ class Expr:
 
 
 # Interning table. Keys identify nodes structurally: children are already
-# interned, so their ids pin them down. Structural equality == identity.
+# interned, so their ids pin them down, and the kind fixes how many follow.
+# Structural equality == identity.
 _INTERN: dict[tuple, Expr] = {}
 
 
 def _node(kind: str, payload, args: tuple) -> Expr:
-    key = (kind, payload, tuple(id(a) for a in args))
+    key = (kind, payload, *map(id, args))
     hit = _INTERN.get(key)
     if hit is None:
         hit = object.__new__(Expr)
@@ -210,13 +214,21 @@ def _node(kind: str, payload, args: tuple) -> Expr:
 
 
 def const(value) -> Expr:
-    """Exact rational constant. Floats are converted exactly (dyadic rationals)."""
-    if isinstance(value, Expr):
-        if value.kind != _CONST:
-            raise ExpressionError(f"not a constant: {value}")
-        return value
-    q = value if isinstance(value, Fraction) else Fraction(value)
-    return _node(_CONST, q, ())
+    """Exact rational constant: an int payload when integral, else a Fraction.
+
+    Floats are converted exactly (dyadic rationals); bools and numpy
+    numbers go through Fraction like them.
+    """
+    if type(value) is not int:
+        if isinstance(value, Expr):
+            if value.kind != _CONST:
+                raise ExpressionError(f"not a constant: {value}")
+            return value
+        if not isinstance(value, Fraction):
+            value = Fraction(value)
+        if value.denominator == 1:
+            value = int(value.numerator)
+    return _node(_CONST, value, ())
 
 
 ZERO = const(0)
@@ -237,13 +249,12 @@ def _coerce(x) -> Expr:
     raise ExpressionError(f"cannot use {type(x).__name__} as an expression")
 
 
-def _is_const(e: Expr) -> bool:
-    return e.kind == _CONST
-
-
 def add(a, b) -> Expr:
-    a, b = _coerce(a), _coerce(b)
-    if _is_const(a) and _is_const(b):
+    if type(a) is not Expr:
+        a = _coerce(a)
+    if type(b) is not Expr:
+        b = _coerce(b)
+    if a.kind == _CONST and b.kind == _CONST:
         return const(a.payload + b.payload)
     if a is ZERO:
         return b
@@ -253,8 +264,11 @@ def add(a, b) -> Expr:
 
 
 def sub(a, b) -> Expr:
-    a, b = _coerce(a), _coerce(b)
-    if _is_const(a) and _is_const(b):
+    if type(a) is not Expr:
+        a = _coerce(a)
+    if type(b) is not Expr:
+        b = _coerce(b)
+    if a.kind == _CONST and b.kind == _CONST:
         return const(a.payload - b.payload)
     if a is b:
         return ZERO
@@ -266,8 +280,11 @@ def sub(a, b) -> Expr:
 
 
 def mul(a, b) -> Expr:
-    a, b = _coerce(a), _coerce(b)
-    if _is_const(a) and _is_const(b):
+    if type(a) is not Expr:
+        a = _coerce(a)
+    if type(b) is not Expr:
+        b = _coerce(b)
+    if a.kind == _CONST and b.kind == _CONST:
         return const(a.payload * b.payload)
     if a is ZERO or b is ZERO:
         return ZERO
@@ -279,37 +296,46 @@ def mul(a, b) -> Expr:
 
 
 def div(a, b) -> Expr:
-    a, b = _coerce(a), _coerce(b)
-    if _is_const(b) and b.payload != 0:
-        if _is_const(a):
-            return const(a.payload / b.payload)
+    if type(a) is not Expr:
+        a = _coerce(a)
+    if type(b) is not Expr:
+        b = _coerce(b)
+    if b.kind == _CONST and b is not ZERO:
+        if a.kind == _CONST:
+            return const(Fraction(a.payload, b.payload))  # int / int is a float
         if b is ONE:
             return a
-    if a is ZERO and not (_is_const(b) and b.payload == 0):
+    if a is ZERO and b is not ZERO:
         return ZERO
     return _node(_DIV, None, (a, b))
 
 
 def pow_(a, b) -> Expr:
-    a, b = _coerce(a), _coerce(b)
-    if _is_const(b):
+    if type(a) is not Expr:
+        a = _coerce(a)
+    if type(b) is not Expr:
+        b = _coerce(b)
+    if b.kind == _CONST:
         q = b.payload
         if q == 1:
             return a
         if q == 0:
             return ONE  # 0^0 == 1 by the evaluation convention below
-        if _is_const(a) and q.denominator == 1:
+        if a.kind == _CONST and type(q) is int:
             base = a.payload
-            if base != 0 or q > 0:
-                return const(base ** q.numerator)
-    if _is_const(a) and a.payload == 1:
+            if q > 0:
+                return const(base ** q)
+            if base != 0:
+                return const(Fraction(base) ** q)  # int ** -k is a float
+    if a is ONE:
         return ONE
     return _node(_POW, None, (a, b))
 
 
 def neg(a) -> Expr:
-    a = _coerce(a)
-    if _is_const(a):
+    if type(a) is not Expr:
+        a = _coerce(a)
+    if a.kind == _CONST:
         return const(-a.payload)
     if a.kind == _NEG:
         return a.args[0]
@@ -519,7 +545,7 @@ _CAT_SUM = "sum"
 
 def _category(e: Expr) -> str:
     if e.kind == _CONST:
-        q: Fraction = e.payload
+        q: int | Fraction = e.payload
         if q.denominator != 1:
             return _CAT_FRAC
         return _ATOM if q >= 0 else _CAT_NEG
@@ -575,7 +601,7 @@ def _layout(e: Expr) -> list:
     """One node's printed form as strings and child nodes, in print order."""
     k = e.kind
     if k == _CONST:
-        q: Fraction = e.payload
+        q: int | Fraction = e.payload
         return [str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"]
     if k == _VAR:
         return [e.payload]
@@ -655,7 +681,7 @@ def _differentiate_node(e: Expr, name: str) -> Expr:
         if k == _DIV:
             return div(sub(mul(du, v), mul(u, dv)), pow_(v, 2))
         if k == _POW:
-            if _is_const(v):
+            if v.kind == _CONST:
                 p = v.payload
                 return mul(mul(const(p), pow_(u, const(p - 1))), du)
             return mul(e, add(mul(dv, ln(u)), div(mul(v, du), u)))
@@ -737,15 +763,18 @@ def _same(e: Expr) -> Expr:
     return e
 
 
-def _decompose_term(t: Expr, operand=_same) -> tuple[Fraction, dict[Expr, Fraction]]:
+def _decompose_term(
+    t: Expr, operand=_same
+) -> tuple[int | Fraction, dict[Expr, int | Fraction]]:
     """Write a non-sum term as coeff * prod(base^expo).
 
     The */ and negation chain is flattened; every other node is passed
     through operand first, and a result that is itself such a chain is
     flattened in turn. Pass `simplify` to flatten an unsimplified product.
+    The coefficient and exponents are exact rationals, ints while integral.
     """
-    coeff = Fraction(1)
-    factors: dict[Expr, Fraction] = {}
+    coeff = 1
+    factors: dict[Expr, int | Fraction] = {}
     stack = [(t, False)]
     while stack:
         node, invert = stack.pop()
@@ -765,21 +794,21 @@ def _decompose_term(t: Expr, operand=_same) -> tuple[Fraction, dict[Expr, Fracti
             q = node.payload
             if invert:
                 if q == 0:
-                    factors[node] = factors.get(node, Fraction(0)) - 1
+                    factors[node] = factors.get(node, 0) - 1
                 else:
-                    coeff /= q
+                    coeff = Fraction(coeff, q)  # int / int is a float
             else:
                 coeff *= q
         elif k == _POW and node.args[1].kind == _CONST:
             expo = node.args[1].payload
             base = node.args[0]
-            factors[base] = factors.get(base, Fraction(0)) + (-expo if invert else expo)
+            factors[base] = factors.get(base, 0) + (-expo if invert else expo)
         else:
-            factors[node] = factors.get(node, Fraction(0)) + (-1 if invert else 1)
+            factors[node] = factors.get(node, 0) + (-1 if invert else 1)
     return coeff, factors
 
 
-def _rebuild_product(coeff: Fraction, factors: dict[Expr, Fraction]) -> Expr:
+def _rebuild_product(coeff: int | Fraction, factors: dict[Expr, int | Fraction]) -> Expr:
     """Canonical product: sign(coeff) * [coeff] * sorted factors / sorted den."""
     if coeff == 0:
         return ZERO
@@ -845,25 +874,25 @@ def _simplify_sum(e: Expr) -> Expr:
     # so raw is already in source order)
 
     # group terms by their (canonical) denominator part
-    groups: dict[Expr, list[tuple[Fraction, dict, dict]]] = {}
+    groups: dict[Expr, list[tuple[int | Fraction, dict, dict]]] = {}
     for sign, t in raw:
         c, fs = _decompose_term(t)
         num = {b: q for b, q in fs.items() if q > 0}
-        den_key = _rebuild_product(Fraction(1), {b: -q for b, q in fs.items() if q < 0})
+        den_key = _rebuild_product(1, {b: -q for b, q in fs.items() if q < 0})
         groups.setdefault(den_key, []).append((sign * c, num, fs))
 
-    const_acc = Fraction(0)
-    collected: dict[Expr, Fraction] = {}
+    const_acc = 0
+    collected: dict[Expr, int | Fraction] = {}
 
-    def take(coeff: Fraction, factors: dict[Expr, Fraction]):
+    def take(coeff: int | Fraction, factors: dict[Expr, int | Fraction]):
         nonlocal const_acc
         if coeff == 0:
             return
-        key = _rebuild_product(Fraction(1), factors)
+        key = _rebuild_product(1, factors)
         if key.kind == _CONST:
             const_acc += coeff * key.payload
         else:
-            collected[key] = collected.get(key, Fraction(0)) + coeff
+            collected[key] = collected.get(key, 0) + coeff
 
     for den_key, entries in groups.items():
         if den_key is ONE or len(entries) == 1:
@@ -876,8 +905,8 @@ def _simplify_sum(e: Expr) -> Expr:
                 dc, dfs = _decompose_term(den_key)
                 merged = dict(num)
                 for b, q in dfs.items():
-                    merged[b] = merged.get(b, Fraction(0)) - q
-                take(c / dc, merged)
+                    merged[b] = merged.get(b, 0) - q
+                take(Fraction(c, dc), merged)
             continue
         # several terms over one identical denominator: combine numerators
         num_sum = ZERO
@@ -887,7 +916,7 @@ def _simplify_sum(e: Expr) -> Expr:
         combined = simplify(div(num_sum, den_key))
         if combined.kind in (_ADD, _SUB):
             # numerator stayed a sum; keep the fraction as one opaque term
-            collected[combined] = collected.get(combined, Fraction(0)) + 1
+            collected[combined] = collected.get(combined, 0) + 1
         else:
             c, fs = _decompose_term(combined)
             take(c, fs)

@@ -74,6 +74,45 @@ def test_constant_folding_is_exact():
     assert ex.parse("2^10", COORDS) is ex.const(1024)
 
 
+def test_a_constant_payload_is_an_int_when_integral_and_a_fraction_otherwise():
+    assert type(ex.const(2).payload) is int
+    assert ex.const(Fraction(6, 3)) is ex.const(2)
+    assert ex.const(2.0) is ex.const(2)
+    assert ex.const(True) is ex.ONE
+    assert type(ex.const(np.int64(-4)).payload) is int
+    assert type(ex.const(0.5).payload) is Fraction
+
+
+def test_no_float_leaks_through_division_or_a_negative_power():
+    third = ex.div(ex.const(1), ex.const(3)).payload
+    assert type(third) is Fraction and third == Fraction(1, 3)
+    quarter = ex.pow_(ex.const(2), ex.const(-2)).payload
+    assert type(quarter) is Fraction and quarter == Fraction(1, 4)
+    # 3 ** -2 as a float is not a dyadic rational, so it would not convert back
+    assert ex.pow_(ex.const(3), ex.const(-2)) is ex.const(Fraction(1, 9))
+    x = ex.var("x")
+    third_x = ex.simplify(x / 3)
+    assert third_x is ex.mul(ex.const(Fraction(1, 3)), x)
+    assert type(third_x.args[0].payload) is Fraction
+    two_x = ex.simplify(ex.parse("6*x/3", COORDS))
+    assert two_x is ex.mul(ex.const(2), x)
+    assert type(two_x.args[0].payload) is int
+
+
+def test_every_interned_constant_has_its_canonical_payload():
+    from concirc.catalog import builtin_names, random_perturbed_flat
+    charts = [get_builtin(name).chart for name in builtin_names()]
+    for chart in charts + [random_perturbed_flat(seed) for seed in range(3)]:
+        b = curvature_bundle_at(chart)
+        b.nabla_riemann()
+        b.nabla_concircular()
+    payloads = [n.payload for n in list(ex._INTERN.values()) if n.kind == "const"]
+    assert any(type(q) is Fraction for q in payloads)
+    for q in payloads:
+        assert type(q) in (int, Fraction), repr(q)
+        assert (type(q) is int) == (q.denominator == 1), repr(q)
+
+
 def test_identity_folds():
     x = ex.var("x")
     assert ex.add(x, ex.ZERO) is x
