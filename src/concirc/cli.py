@@ -8,6 +8,9 @@ Subcommands
     verify-theorem  the concircular-recurrence implication chain
     list-builtins   published builtin chart names
 
+A verify-theorem report's summary also says why the theorem was skipped
+(``skip_reason``, null when it was not).
+
 Exit codes: 0 all checks passed or were skipped, 1 at least one check
 failed, 2 bad input or configuration.
 """
@@ -246,6 +249,8 @@ def _run_chart_command(args) -> int:
             entries[i]["mu_norm"] = float(rep.mu_check.residuals[k])
 
     doc = _assemble(chart, args, tol, points, entries, verdict.verdict)
+    if args.command == "verify-theorem":
+        doc["summary"]["skip_reason"] = rep.reason
     return _emit(doc, args)
 
 

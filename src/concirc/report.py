@@ -104,5 +104,7 @@ def render_text(doc: dict) -> str:
         f"summary: all_pass={str(summary['all_pass']).lower()} "
         f"skipped={summary['skipped']}"
     )
+    if summary.get("skip_reason") is not None:
+        lines.append(f"skip reason: {summary['skip_reason']}")
     lines.append(f"note: {doc['caveat']}")
     return "\n".join(lines) + "\n"

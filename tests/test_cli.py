@@ -13,6 +13,7 @@ import pytest
 from concirc.catalog import builtin_names
 from concirc.cli import run
 from concirc.report import CAVEAT
+from test_recurrence import weak_metric_file
 
 DOC_KEYS = ["metric", "dim", "seed", "tolerance", "points", "classification", "summary", "caveat"]
 POINT_KEYS = ["coords", "scalar_curvature", "checks", "lambda", "mu_norm"]
@@ -163,8 +164,44 @@ def test_verify_theorem_ppwave(capsys):
 def test_verify_theorem_skip_path(capsys):
     rc, doc, _ = run_json(capsys, ["verify-theorem", "--builtin", "sphere_3", "--samples", "4"])
     assert rc == 0
-    assert doc["summary"] == {"all_pass": True, "skipped": 4}
+    assert doc["summary"] == {
+        "all_pass": True,
+        "skipped": 4,
+        "skip_reason": "target C is numerically zero at every sample point of sphere_3; "
+        "no recurrence form exists",
+    }
     assert all(p["checks"] == [] for p in doc["points"])
+
+
+@pytest.mark.parametrize("source, reason", [
+    ("weak", "concircular recurrence fit admits 3 of 20 points; hypothesis not met"),
+    ("minkowski_4", "target C vanishes identically on minkowski_4; no recurrence form exists"),
+    ("ppwave_recurrent", None),
+])
+def test_verify_theorem_says_why_it_skipped(capsys, tmp_path, source, reason):
+    if source == "weak":
+        argv = ["verify-theorem", "--metric", weak_metric_file(tmp_path)]
+    else:
+        argv = ["verify-theorem", "--builtin", source]
+    rc, doc, _ = run_json(capsys, argv)
+    assert rc == 0
+    assert doc["summary"]["skip_reason"] == reason
+    assert doc["summary"]["skipped"] == (0 if reason is None else 20)
+    assert run(argv + ["--text"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    reason_lines = [line for line in lines if line.startswith("skip reason:")]
+    assert reason_lines == ([] if reason is None else [f"skip reason: {reason}"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--builtin", "minkowski_4"],
+    ["fit", "--builtin", "minkowski_4", "--target", "C"],
+])
+def test_only_verify_theorem_reports_a_skip_reason(capsys, argv):
+    _, doc, _ = run_json(capsys, argv + ["--samples", "3"])
+    assert list(doc["summary"]) == ["all_pass", "skipped"]
+    assert run(argv + ["--samples", "3", "--text"]) == 0
+    assert "skip reason" not in capsys.readouterr().out
 
 
 def test_compute_default_and_explicit_point(capsys):

@@ -867,7 +867,8 @@ def test_a_c_fit_that_excludes_points_meets_no_hypothesis(seed, epsilon, admits)
     assert f"admits {admits} of 20 points" in rep.reason
 
 
-def test_the_cli_skips_the_theorem_on_a_weak_metric_file(capsys, tmp_path):
+def weak_metric_file(tmp_path) -> str:
+    """The first weak chart written as a metric file; its C-fit admits 3 of 20 points."""
     seed, epsilon, _ = WEAK_CHARTS[0]
     chart = random_perturbed_flat(seed, dim=3, epsilon=epsilon)
     n = chart.n
@@ -880,7 +881,15 @@ def test_the_cli_skips_the_theorem_on_a_weak_metric_file(capsys, tmp_path):
     }
     path = tmp_path / "weak.json"
     path.write_text(json.dumps(spec))
-    assert run(["verify-theorem", "--metric", str(path)]) == 0
+    return str(path)
+
+
+def test_the_cli_skips_the_theorem_on_a_weak_metric_file(capsys, tmp_path):
+    assert run(["verify-theorem", "--metric", weak_metric_file(tmp_path)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["classification"] == "generic"
-    assert doc["summary"] == {"all_pass": True, "skipped": 20}
+    assert doc["summary"] == {
+        "all_pass": True,
+        "skipped": 20,
+        "skip_reason": "concircular recurrence fit admits 3 of 20 points; hypothesis not met",
+    }
