@@ -227,10 +227,14 @@ def _run_chart_command(args) -> int:
             fit = fit_recurrence_form(bundle, args.target, points, tol)
         except HypothesisError:
             fit = None
-        for _, i in _admitted(bundle, fit, entries):
-            entries[i]["checks"] = [
-                _check_entry(f"fit-{args.target}", fit.residuals[i], 0.0, fit.passes[i])
-            ]
+        if fit is not None:
+            _admitted(bundle, fit, entries)
+            # every point is checked, an excluded one failing with a null
+            # residual, so the summary passes exactly when the fit is recurrent
+            for i, entry in enumerate(entries):
+                entry["checks"] = [
+                    _check_entry(f"fit-{args.target}", fit.residuals[i], 0.0, fit.passes[i])
+                ]
 
     elif args.command == "classify":
         ok = not verdict.theorem_violation

@@ -384,28 +384,40 @@ class TensorField:
 
 def metric_determinant(g: np.ndarray) -> Expr:
     """Symbolic determinant by minor expansion (dimensions here are small)."""
-    n = g.shape[0]
-    if n == 1:
-        return g[0, 0]
-    total = ex.ZERO
-    for j in range(n):
-        minor = np.delete(np.delete(g, 0, axis=0), j, axis=1)
-        term = ex.mul(g[0, j], metric_determinant(minor))
-        total = ex.add(total, term) if j % 2 == 0 else ex.sub(total, term)
-    return simplify(total)
+    every = tuple(range(g.shape[0]))
+    return _minor(g, every, every, {})
+
+
+def _minor(g: np.ndarray, rows: tuple, cols: tuple, memo: dict) -> Expr:
+    """Determinant of g at these rows and columns, expanded along the first
+    row. memo maps the index sets of each minor expanded so far to its node,
+    for one caller: nodes are interned, so a minor met again is that node."""
+    key = (rows, cols)
+    if key not in memo:
+        if len(rows) == 1:
+            memo[key] = g[rows[0], cols[0]]
+        else:
+            total = ex.ZERO
+            for k, col in enumerate(cols):
+                term = ex.mul(g[rows[0], col], _minor(g, rows[1:], cols[:k] + cols[k + 1 :], memo))
+                total = ex.add(total, term) if k % 2 == 0 else ex.sub(total, term)
+            memo[key] = simplify(total)
+    return memo[key]
 
 
 def _inverse_metric(g: np.ndarray) -> np.ndarray:
-    """Symbolic inverse via adjugate / determinant, built for i <= j."""
-    n = g.shape[0]
-    det = metric_determinant(g)
+    """Symbolic inverse via adjugate / determinant, built for i <= j; the
+    determinant and the cofactors share their minors within this call."""
+    every = tuple(range(g.shape[0]))
+    memo: dict = {}
+    det = _minor(g, every, every, memo)
 
     def build(idx):
         i, j = idx
-        cof = metric_determinant(np.delete(np.delete(g, j, axis=0), i, axis=1))
+        cof = _minor(g, every[:j] + every[j + 1 :], every[:i] + every[i + 1 :], memo)
         return simplify(ex.div(ex.neg(cof) if (i + j) % 2 else cof, det))
 
-    return _fill((n, n), build, _symmetric_pair)
+    return _fill((len(every),) * 2, build, _symmetric_pair)
 
 
 def _guard(what: str, index: tuple, e: Expr):

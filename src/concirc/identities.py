@@ -21,25 +21,33 @@ the same order.  Of those triples one per distinct triple of nodes is
 kept, worked out once per bundle (``CurvatureBundle._one_per_node``, which
 says why the per-point maximum is then the full array's bit for bit), and
 only the kept addends' slots are gathered from the field's stored
-distinct rows.  Contractions, where leaving out terms could change the
-rounding, keep their full arrays: the curvature action below.
+distinct rows.  The curvature action, a contraction, is planned by its
+terms instead, as below.
 
 The curvature action R(d_u, d_v) R is evaluated here numerically from the
-already-evaluated curvature arrays, on index pairs: R(X,Y).R is a
+already-evaluated curvature values, on index pairs: R(X,Y).R is a
 symmetric form on 2-forms, so it is computed for u < v, w < x and y < z
 only, every other slot being a mirror or an exact zero.  Walker's cyclic
 sum is then a cyclic transpose of that pair array.  The scale keeps every
 slot of the full contraction: where w = x the action cancels term by term
 but its absolute-value contraction does not, so that diagonal is returned
-alongside.  The action is computed once per point set, over blocks of
-points whose largest array holds at most ``_ACTION_VALUES`` values: every
-step is per point, so the maxima are those of one action over all the
-points, while the pair arrays, points x N^2 n^2 values, stay bounded.  The
-bundle's store keeps only the per-point maxima that Walker and
-semisymmetry report, the residual and scale of each, never the action
-arrays themselves.  The symbolic routes, by the derivation property and by
-the Ricci identity, stay the reference implementation the tests compare
-against, in ``tests/reference.py``.
+alongside.  Which hook products R_13 x R can be non-zero is read off their
+nodes once per bundle (``_ActionPlan``): a product with a ZERO node is +-0,
+so a sparse plan multiplies only the others (2 of 2,304 on the pp-wave)
+and forms each later step at the slots they reach, with the dense arrays'
+addends in their order, so every maximum is the dense route's bit for
+bit.  Where more than ``_DENSE_SHARE`` of the products are kept, the dense
+einsum of ``_curvature_action`` is faster and the plan uses it.  Either
+way the action is computed once per point set, over blocks of points whose
+largest array holds at most ``_ACTION_VALUES`` values: every step is per
+point, so the maxima are those of one action over all the points, while
+the arrays stay bounded.  The bundle's store keeps only the per-point
+maxima that Walker and semisymmetry report, the residual and scale of
+each, never the action arrays themselves; ``recurrence``'s mu-structure
+check reads the arrays block by block through the same plan.  The symbolic
+routes, by the derivation property and by the Ricci identity, stay the
+reference implementation the tests compare against, in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -50,6 +58,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import expressions as ex
 from .geometry import CurvatureBundle, GeometryError
 
 __all__ = [
@@ -65,11 +74,17 @@ __all__ = [
 
 KERNEL_RANK_THRESHOLD = 1e-10
 ZERO_TENSOR_FLOOR = 1e-10
-# values in the largest array of one block of the curvature action, the
-# hooks of points x N n n N values (N = n(n-1)/2 index pairs); every step is
+# values in the largest array of one block of the curvature action: on a
+# dense plan the hooks, points x N n n N values (N = n(n-1)/2 index pairs),
+# on a sparse one the kept products or a later step's slots; every step is
 # per point, so forming it block by block bounds a Walker check's memory
 # whatever the point count
 _ACTION_VALUES = 1 << 14
+# share of the hook products kept above which the dense einsum forms the
+# action: at 200 points the sparse route was the faster up to ~1/3 of them
+# at n = 3 and ~0.17-0.2 at n = 4 and 5 (random masks of every share on
+# random_perturbed_flat(1)); the random charts keep 59-83%
+_DENSE_SHARE = 0.15
 
 
 class HypothesisError(GeometryError):
@@ -135,7 +150,8 @@ def _pairs(n: int) -> tuple:
 
 
 def _curvature_action(r13: np.ndarray, riemann: np.ndarray):
-    """R(d_u, d_v) R on index pairs, with its cancellation scale.
+    """R(d_u, d_v) R on index pairs, with its cancellation scale, by one
+    einsum over every hook product: a dense plan's route.
 
     With pairs P = (i < j) from ``_pairs``, returns (A, A_abs, diag):
     A[p, U, W, Q] = (R(d_u,d_v) R)(d_w,d_x,d_y,d_z) for U = (u,v),
@@ -209,33 +225,175 @@ def _cyclic(arr: np.ndarray, triples: tuple) -> np.ndarray:
     return total
 
 
+def _live(nodes: np.ndarray) -> np.ndarray:
+    """Which of an object array's nodes are not the ZERO node."""
+    return np.fromiter((e is not ex.ZERO for e in nodes.flat), bool, nodes.size).reshape(nodes.shape)
+
+
+def _step(present: np.ndarray, size: int, *addends) -> tuple:
+    """(outputs, row maps) of one step of a sparse action.
+
+    The step's input holds one row per slot of present, sorted flat slots
+    in a space of the given size, then a row of zeros. addends holds one
+    flat slot array per addend of the step, over its output slots. Outputs
+    are the output slots where some addend is present; each map gives its
+    addend's input row at those slots, the zero row where it is absent,
+    and ends with the zero row, so the step's result ends in zeros too.
+    """
+    zero = len(present)
+    row = np.full(size, zero)
+    row[present] = np.arange(zero)
+    maps = [row[slots] for slots in addends]
+    outputs = np.flatnonzero(np.logical_or.reduce([m < zero for m in maps]))
+    return outputs, tuple(np.append(m[outputs], zero) for m in maps)
+
+
+def _maxima(acted, acted_abs, diag, walker_diag, cycle) -> tuple:
+    """Per-point (residual, scale) of Walker, then of semisymmetry, from the
+    action on pair slots; walker_diag is diag plus its U, Q transpose."""
+    # at w = x the cycle's (W, Q, U) term vanishes, scale and all; the
+    # other two are diag and its U, Q transpose
+    walker_scale = np.maximum(
+        _per_point_max(_cyclic(acted_abs, cycle)), _per_point_max(walker_diag)
+    )
+    semi_scale = np.maximum(_per_point_max(acted_abs), _per_point_max(diag))
+    return (_per_point_max(_cyclic(acted, cycle)), walker_scale,
+            _per_point_max(acted), semi_scale)
+
+
+class _ActionPlan:
+    """Which hook products of the curvature action can be non-zero, worked
+    out once per bundle from the nodes of R_13 and R (``_action_parts``).
+
+    Term (U, w, m, x, Q) is the product a[U, w, m] t[m, x, Q] summed by
+    ``_curvature_action``'s einsum. It is kept when both of its nodes,
+    riemann_13[i_U, j_U, w, m] and riemann[m, x, i_Q, j_Q], are not ZERO:
+    any other product is +-0, as tapes refuse non-finite values, and adding
+    it moves no float. ``terms`` counts the kept terms, of ``total``. Where
+    more than _DENSE_SHARE of them are kept, the plan is dense and each
+    block is that einsum. Else it is sparse: the products of the kept terms
+    are summed into the hooks h in m order, as the einsum sums them, and
+    every later step (f = h - h^T on pairs, the action -(f + f^T), its
+    cyclic sum, the w = x diagonal and its transpose) is formed only at the
+    slots some kept term reaches, with the dense arrays' addends in their
+    order (``_step``). A missing addend is an exact zero there, so every
+    value, up to the sign of a zero, and every per-point maximum is the
+    dense route's bit for bit.
+    ``width`` is the number of values per point of a block's largest array.
+    """
+
+    def __init__(self, bundle: CurvatureBundle):
+        self.n = n = bundle.n
+        i, j = _pairs(n)
+        pairs = len(i)
+        a = _live(bundle.riemann_13)[i, j]  # [U, w, m]
+        t = _live(bundle.riemann.components)[..., i, j]  # [m, x, Q]
+        self.terms = int(a.sum(axis=(0, 1)) @ t.sum(axis=(1, 2)))
+        self.total = pairs * n**3 * pairs
+        self.sparse = self.terms <= _DENSE_SHARE * self.total
+        cycle = _cycle((pairs,) * 3, ("pWQU->pUWQ", "pQUW->pUWQ"))
+        if not self.sparse:
+            self.cycle, self.width = cycle, self.total // n
+            return
+
+        def hook_slot(u, w, x, q):
+            return ((u * n + w) * n + x) * pairs + q
+
+        # the kept terms by hook slot (U, w, x, Q), then by m
+        u, w, x, q, m = np.nonzero(a[:, :, None, None, :] & t.transpose(1, 2, 0))
+        self.a = ((i[u] * n + j[u]) * n + w) * n + m  # slots of riemann_13
+        self.t = ((m * n + x) * n + i[q]) * n + j[q]  # slots of riemann
+        hook = hook_slot(u, w, x, q)  # sorted: np.nonzero runs in row-major order
+        starts = np.diff(hook, prepend=-1) > 0
+        first = np.flatnonzero(starts)  # each hook's first term
+        self.hooks, row = hook[first], np.cumsum(starts) - 1
+        # the k-th term of each hook is added in round k
+        rank = np.arange(len(hook)) - first[row]
+        self.rounds = [(row[rank == k], np.flatnonzero(rank == k))
+                       for k in range(int(rank.max(initial=-1)) + 1)]
+
+        hooks = pairs * n * n * pairs
+        u, v, q = np.indices((pairs,) * 3).reshape(3, -1)  # (U, W, Q) slots
+        space = len(u)
+        fs, self.f = _step(self.hooks, hooks,
+                           hook_slot(u, i[v], j[v], q), hook_slot(u, j[v], i[v], q))
+        self.slots, self.acted = _step(fs, space, np.arange(space), (u * pairs + q) * pairs + v)
+        _, self.cycle = _step(self.slots, space, *cycle)
+        u, q, w = np.indices((pairs, pairs, n)).reshape(3, -1)  # (U, Q, w) slots
+        self.diag_slots, (self.diag,) = _step(self.hooks, hooks, hook_slot(u, w, w, q))
+        _, self.walker_diag = _step(self.diag_slots, len(u), np.arange(len(u)),
+                                    (q * pairs + u) * n + w)
+        # the products, then each step's rows; the hooks and the diagonal
+        # have at most as many as the products
+        self.width = max(len(self.a), *(len(step[0]) for step in (
+            self.f, self.acted, self.cycle, self.walker_diag)))
+
+    def _at_slots(self, part) -> tuple:
+        """(acted, acted_abs, diag) of the points of a core block at this
+        plan's slots, (npoints, slots + 1) each, the last column zero."""
+        rows = part.rows
+        prod = (rows[part.layout["riemann_13"][0][self.a]]
+                * rows[part.layout["riemann"][0][self.t]])
+        prod_abs = np.abs(prod)
+        h = np.zeros((len(self.hooks) + 1, rows.shape[1]))
+        h_abs = np.zeros_like(h)
+        for dst, src in self.rounds:
+            h[dst] += prod[src]
+            h_abs[dst] += prod_abs[src]
+        first, second = self.f
+        f, f_abs = h[first] - h[second], h_abs[first] + h_abs[second]
+        first, second = self.acted
+        acted, acted_abs = -(f[first] + f[second]), f_abs[first] + f_abs[second]
+        diag = h_abs[self.diag]
+        return acted.T, acted_abs.T, (diag + diag).T
+
+    def maxima(self, part) -> tuple:
+        """Walker's and semisymmetry's per-point (residual, scale) at the
+        points of a core block (``_maxima``)."""
+        if not self.sparse:
+            acted, acted_abs, diag = _curvature_action(part["riemann_13"], part["riemann"])
+            return _maxima(acted, acted_abs, diag, diag + diag.swapaxes(1, 2), self.cycle)
+        acted, acted_abs, diag = self._at_slots(part)
+        first, second = self.walker_diag
+        return _maxima(acted, acted_abs, diag, diag[:, first] + diag[:, second], self.cycle)
+
+    def arrays(self, part) -> tuple:
+        """``_curvature_action``'s (acted, acted_abs, diag) at the points of
+        a core block; a sparse plan's slots are scattered into zeros."""
+        if not self.sparse:
+            return _curvature_action(part["riemann_13"], part["riemann"])
+        npoints, pairs = part.rows.shape[1], len(_pairs(self.n)[0])
+        shapes = ((pairs,) * 3, (pairs,) * 3, (pairs, pairs, self.n))
+        out = []
+        for values, slots, shape in zip(self._at_slots(part),
+                                        (self.slots, self.slots, self.diag_slots), shapes):
+            full = np.zeros((npoints, math.prod(shape)))
+            full[:, slots] = values[:, :-1]
+            out.append(full.reshape((npoints,) + shape))
+        return tuple(out)
+
+
+def _action_parts(bundle: CurvatureBundle, block, count: int, width: int = 0) -> tuple:
+    """The bundle's action plan, made on first use, and (points, block)
+    pairs that split the count points of a core block so that the
+    action's largest array, or one of width values per point, holds at
+    most _ACTION_VALUES values per block."""
+    plan = bundle._derive("action plan", lambda: _ActionPlan(bundle))
+    size = max(1, _ACTION_VALUES // max(plan.width, width))
+    return plan, [(slice(start, start + size), block.part(start, start + size))
+                  for start in range(0, count, size)]
+
+
 def _action_maxima(bundle: CurvatureBundle, points) -> dict:
     """Per-point (residual, scale) of Walker and of semisymmetry, from one
-    curvature action per point set, kept in the bundle's store. The action
-    is formed over blocks of points whose hooks hold at most _ACTION_VALUES
-    values; each value is a per-point one, so the maxima are those of one
-    action over all points."""
-
-    def maxima(vals, cycle):
-        acted, acted_abs, diag = _curvature_action(vals["riemann_13"], vals["riemann"])
-        # at w = x the cycle's (W, Q, U) term vanishes, scale and all; the
-        # other two are diag and its U, Q transpose
-        walker_scale = np.maximum(
-            _per_point_max(_cyclic(acted_abs, cycle)),
-            _per_point_max(diag + diag.swapaxes(1, 2)),
-        )
-        semi_scale = np.maximum(_per_point_max(acted_abs), _per_point_max(diag))
-        return (_per_point_max(_cyclic(acted, cycle)), walker_scale,
-                _per_point_max(acted), semi_scale)
+    curvature action per point set, kept in the bundle's store. Each value
+    is a per-point one, so the maxima over blocks of points are those of
+    one action over all points."""
 
     def compute():
-        block = bundle.values_at(points)
-        n, pairs = bundle.n, len(_pairs(bundle.n)[0])
-        cycle = _cycle((pairs,) * 3, ("pWQU->pUWQ", "pQUW->pUWQ"))
-        size = max(1, _ACTION_VALUES // (pairs * n * n * pairs))
-        parts = [maxima(block.part(start, start + size), cycle)
-                 for start in range(0, len(points), size)]
-        walker, walker_scale, semi, semi_scale = map(np.concatenate, zip(*parts))
+        plan, parts = _action_parts(bundle, bundle.values_at(points), len(points))
+        maxima = [plan.maxima(part) for _, part in parts]
+        walker, walker_scale, semi, semi_scale = map(np.concatenate, zip(*maxima))
         return {"walker": (walker, walker_scale), "semisymmetry": (semi, semi_scale)}
 
     return bundle._cached(bundle._points(points), "action", compute)
@@ -282,8 +440,8 @@ def check_bianchi_at(
 def check_semisymmetry_at(bundle: CurvatureBundle, points, tol: float = 1e-8) -> IdentityReport:
     """Max component of R(U,V).R over the points; a verdict, not a theorem.
 
-    The action is computed on index pairs by ``_curvature_action``, once per
-    point set with Walker's; the symbolic
+    The action is computed on index pairs through the bundle's action plan
+    (``_ActionPlan``), once per point set with Walker's; the symbolic
     ``curvature_action_from_second_derivative`` of ``tests/reference.py``
     is its reference.
     """

@@ -39,8 +39,10 @@ their values, and read each field through ``CurvatureBundle.field_values``
 at one slot (or combination of slots) per distinct combination of the
 nodes read, worked out once per bundle (``CurvatureBundle._one_per_node``,
 which says why each maximum is then the full array's bit for bit).  The
-projective-to-Einstein chain and the mu-structure display are
-contractions and keep their full arrays.
+projective-to-Einstein chain is a contraction and keeps its full arrays;
+the mu-structure display reads the curvature action through the bundle's
+action plan, block by block, as Walker and semisymmetry do
+(``identities._ActionPlan``).
 
 The second recurrence form is mu = (dr - r lambda) / (n(n-1)); together
 the pair (lambda, mu) turns concircular recurrence into the extended
@@ -65,7 +67,7 @@ from .geometry import (
 from .identities import (
     HypothesisError,
     IdentityReport,
-    _curvature_action,
+    _action_parts,
     _pairs,
     _per_point_max,
     _report,
@@ -111,7 +113,8 @@ class RecurrenceFit:
     excluded points; magnitudes is the per-point max absolute target
     component. passes is residual <= tol at admitted points and False at
     excluded ones; recurrent, every point admitted and passing, is the
-    hypothesis that classify and verify_theorem both decide by.
+    one rule of a fit: classify and verify_theorem decide by it, and the
+    fit command's summary passes exactly when it holds.
     """
 
     target: str
@@ -143,15 +146,11 @@ class RecurrenceFit:
         return self.admitted & (self.residuals <= self.tol)
 
     @property
-    def passed(self) -> bool:
-        return bool(np.any(self.admitted) and np.all(self.passes[self.admitted]))
-
-    @property
     def recurrent(self) -> bool:
         return bool(np.all(self.passes))
 
     def __str__(self) -> str:
-        verdict = "pass" if self.passed else "FAIL"
+        verdict = "pass" if self.recurrent else "FAIL"
         return (
             f"{self.target}-recurrence fit on {self.chart}: max residual "
             f"{self.max_residual:.3e}, {self.excluded_count} excluded [{verdict}]"
@@ -457,7 +456,8 @@ def check_mu_structure(
     Each is normalized by its own cancellation scale; the reported residual
     is the larger of the two (so the scale field is zero).  With mu = 0 the
     second contraction is exactly the semisymmetry check, and like it is
-    compared on index pairs (u < v, w < x, y < z).  nabla mu is the one
+    compared on index pairs (u < v, w < x, y < z), through the same action
+    plan and over blocks of points of the same bound.  nabla mu is the one
     derivative field built for mu; d mu and mu ^ lambda come from values.
     """
     gradmu, dmu = _nabla_values(bundle, mu, points)
@@ -469,15 +469,19 @@ def check_mu_structure(
     res1 = _per_point_max(fv) / (1.0 + _per_point_max(scale1))
 
     vals = bundle.values_at(points)
-    acted, acted_abs, diag = _curvature_action(vals["riemann_13"], vals["riemann"])
     # on index pairs: the 2-form's N values and G's N x N pair matrix
     i, j = _pairs(bundle.n)
     form, gram = fv[:, i, j], vals["gtensor"][:, i, j][..., i, j]
-    rhs = 2.0 * np.einsum("pU,pWQ->pUWQ", form, gram)
-    rhs_abs = 2.0 * np.einsum("pU,pWQ->pUWQ", np.abs(form), np.abs(gram))
-    # where w = x the right-hand side vanishes and the action's scale is diag
-    scale2 = np.maximum(_per_point_max(acted_abs + rhs_abs), _per_point_max(diag))
-    res2 = _per_point_max(acted - rhs) / (1.0 + scale2)
+    res2 = np.empty(len(points))
+    # the right-hand side holds N^3 values per point, as the action does
+    plan, parts = _action_parts(bundle, vals, len(points), len(i) ** 3)
+    for at, part in parts:
+        acted, acted_abs, diag = plan.arrays(part)
+        rhs = 2.0 * np.einsum("pU,pWQ->pUWQ", form[at], gram[at])
+        rhs_abs = 2.0 * np.einsum("pU,pWQ->pUWQ", np.abs(form[at]), np.abs(gram[at]))
+        # where w = x the right-hand side vanishes and the action's scale is diag
+        scale2 = np.maximum(_per_point_max(acted_abs + rhs_abs), _per_point_max(diag))
+        res2[at] = _per_point_max(acted - rhs) / (1.0 + scale2)
     residuals = np.maximum(res1, res2)
     return _report("mu-structure", bundle, points, residuals, np.zeros(len(points)), tol)
 
@@ -634,7 +638,8 @@ def verify_theorem(bundle: CurvatureBundle, points, tol: float = 1e-8) -> Theore
     except HypothesisError as e:
         return TheoremReport(name, True, str(e), None, None, None, None, None)
     if not cfit.recurrent:
-        if cfit.passed:
+        # the residuals of the admitted points, each within tol or not
+        if cfit.max_residual <= tol:
             reason = (
                 f"concircular recurrence fit admits {int(np.sum(cfit.admitted))} "
                 f"of {len(points)} points; hypothesis not met"

@@ -26,6 +26,9 @@ so the tests can compare that route against an independent one:
         recurrence residual over the full component arrays, against the
         package's routes, which read one slot per distinct combination of
         nodes (``CurvatureBundle._one_per_node``)
+    inverse_by_expansion
+        det g and g^-1 with every minor expanded afresh, against
+        ``geometry._inverse_metric``, which expands each minor once
     support
         the flat slots of a field that are not the exact ZERO node, which
         the tests use to name where a field is structurally non-zero
@@ -68,6 +71,7 @@ from concirc.geometry import (
     _antisymmetric_pair,
     _curvature_slot,
     _fill,
+    _symmetric_pair,
     covariant_derivative_at,
 )
 from concirc.recurrence import ZERO_THRESHOLD, _recurrence_form, _target_fields
@@ -83,6 +87,7 @@ __all__ = [
     "bianchi_full",
     "fit_values_full",
     "extended_recurrence_full",
+    "inverse_by_expansion",
     "support",
     "field_at",
     "field_block",
@@ -344,6 +349,29 @@ def extended_recurrence_full(
         muv = bundle.field_values(mu, points)
         diff = diff - np.einsum("pa,pwxyz->pawxyz", muv, vals["gtensor"])
     return _per_point_max(diff) / (1.0 + _per_point_max(rv))
+
+
+def inverse_by_expansion(g: np.ndarray) -> tuple:
+    """(det g, g^-1 as adjugate / det), each determinant a minor expansion
+    along the first row that rebuilds every minor it meets."""
+
+    def det(m):
+        if m.shape[0] == 1:
+            return m[0, 0]
+        total = ex.ZERO
+        for j in range(m.shape[0]):
+            term = ex.mul(m[0, j], det(np.delete(np.delete(m, 0, axis=0), j, axis=1)))
+            total = ex.add(total, term) if j % 2 == 0 else ex.sub(total, term)
+        return simplify(total)
+
+    d = det(g)
+
+    def build(idx):
+        i, j = idx
+        cof = det(np.delete(np.delete(g, j, axis=0), i, axis=1))
+        return simplify(ex.div(ex.neg(cof) if (i + j) % 2 else cof, d))
+
+    return d, _fill(g.shape, build, _symmetric_pair)
 
 
 def support(tf: TensorField) -> np.ndarray:

@@ -181,7 +181,7 @@ def test_criterion_05_theorem_instance_on_ppwave():
     fit = fit_recurrence_form(b, "C", pts, tol=1e-8)
     rep = verify_theorem(b, pts, tol=1e-8)
     ok = (
-        fit.passed
+        fit.recurrent
         and fit.max_residual <= 1e-8
         and not rep.skipped
         and rep.mu_check.max_residual <= 1e-10
@@ -251,11 +251,11 @@ def test_criterion_09_negative_control_and_forbidden_verdict():
     generic = verdict.verdict == "generic"
 
     rfit = fit_recurrence_form(b, "R", pts, tol=1e-8)
-    r_fails = not rfit.passed
+    r_fails = not rfit.recurrent
     big = float(np.mean(rfit.residuals[rfit.admitted] > 1e-3))
     try:
         cfit = fit_recurrence_form(b, "C", pts, tol=1e-8)
-        c_fails = not cfit.passed
+        c_fails = not cfit.recurrent
     except HypothesisError:
         c_fails = True
 

@@ -109,7 +109,7 @@ def test_expected_lambdas_rederived_by_pipeline():
         b = bundle_for(name)
         pts = b.chart.sample_points(42, 10)
         fit = fit_recurrence_form(b, "R", pts, tol=1e-8)
-        assert fit.passed, name
+        assert fit.recurrent, name
         lamv = b.field_values(fit.lam, fit.admitted_points)
         coords = b.chart.coordinates
         want = np.column_stack(
@@ -133,7 +133,7 @@ def test_negative_control_fit_residuals_are_large():
     b = bundle_for("perturbed_flat")
     pts = b.chart.sample_points(42, 20)
     fit = fit_recurrence_form(b, "R", pts, tol=1e-8)
-    assert not fit.passed
+    assert not fit.recurrent
     big = fit.residuals[fit.admitted] > 1e-3
     assert np.mean(big) >= 0.9
 

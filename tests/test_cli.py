@@ -141,6 +141,25 @@ def test_fit_skips_when_hypothesis_empty(capsys):
         assert p["lambda"] is None
 
 
+def test_fit_fails_at_the_points_a_weak_chart_excludes(capsys, tmp_path):
+    # the C-fit admits 3 of 20 points and passes at each; it is not
+    # recurrent, as classify and verify-theorem read it, so each excluded
+    # point is a failed check with a null residual and the run exits 1
+    rc, doc, _ = run_json(capsys, ["fit", "--metric", weak_metric_file(tmp_path), "--target", "C"])
+    assert rc == 1
+    assert doc["classification"] == "generic"
+    assert doc["summary"] == {"all_pass": False, "skipped": 0}
+    admitted = [p["lambda"] is not None for p in doc["points"]]
+    assert sum(admitted) == 3
+    for ok, p in zip(admitted, doc["points"]):
+        (check,) = p["checks"]
+        assert check["name"] == "fit-C" and check["pass"] is ok
+        assert (check["residual"] is None) is not ok
+    assert run(["fit", "--metric", weak_metric_file(tmp_path), "--target", "C", "--text"]) == 1
+    text = capsys.readouterr().out
+    assert text.count("fit-C: residual nan") == 17 and "all_pass=false skipped=0" in text
+
+
 def test_verify_theorem_ppwave(capsys):
     rc, doc, _ = run_json(
         capsys, ["verify-theorem", "--builtin", "ppwave_recurrent", "--samples", "5"]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from concirc.catalog import builtin_names, get_builtin, random_perturbed_flat
+from concirc import identities
 from concirc.geometry import GeometryError, curvature_bundle_at
 from concirc.identities import (
     HypothesisError,
@@ -255,6 +256,93 @@ def test_walker_and_semisymmetry_match_einsum_reference_in_dimension_5():
         assert np.all(np.abs(rep.scales - ref_scales) <= atol), rep.identity
         assert np.all(np.abs(rep.residuals - _max_over_components(total)) <= atol), rep.identity
     assert check_walker_at(b, pts).passed
+
+
+# -- the action's term plan ---------------------------------------------------------
+
+
+def _maxima_written_out(acted, acted_abs, diag):
+    """Walker's and semisymmetry's per-point (residual, scale) from full
+    pair arrays, with the cyclic sum and the diagonal's transpose spelled
+    out as test_check_arrays_match_the_sums_written_out spells them."""
+
+    def cyclic(a):
+        return a + np.einsum("pWQU->pUWQ", a) + np.einsum("pQUW->pUWQ", a)
+
+    walker_scale = np.maximum(
+        _max_over_components(cyclic(acted_abs)),
+        _max_over_components(diag + np.einsum("pQUw->pUQw", diag)),
+    )
+    semi_scale = np.maximum(_max_over_components(acted_abs), _max_over_components(diag))
+    return (_max_over_components(cyclic(acted)), walker_scale,
+            _max_over_components(acted), semi_scale)
+
+
+_PLAN_CHARTS = [(name, None) for name in builtin_names()] + [
+    (seed, dim) for dim in (3, 4, 5) for seed in (0, 1)
+]
+
+
+@pytest.mark.parametrize("route", ["planned", "sparse"])
+@pytest.mark.parametrize("name, dim", _PLAN_CHARTS)
+def test_the_planned_maxima_are_the_dense_actions(monkeypatch, name, dim, route):
+    # the maxima of Walker and semisymmetry, planned and formed block by
+    # block, against one dense _curvature_action over all the points, bit
+    # for bit, and against the n^6 einsum reference to rounding; "sparse"
+    # takes the sparse route whatever the plan's share. The point counts
+    # straddle the dense route's 28-point blocks at dim 4
+    if route == "sparse":
+        monkeypatch.setattr(identities, "_DENSE_SHARE", 1.0)
+    chart = get_builtin(name).chart if dim is None else random_perturbed_flat(name, dim=dim)
+    b = curvature_bundle_at(chart)
+    for count in (1, 6, 28, 29, 70, 200):
+        pts = chart.sample_points(23, count)
+        v = b.values_at(pts)
+        got = identities._action_maxima(b, pts)
+        got = (*got["walker"], *got["semisymmetry"])
+        dense = _maxima_written_out(*_curvature_action(v["riemann_13"], v["riemann"]))
+        for planned, want in zip(got, dense):
+            np.testing.assert_array_equal(planned, want, err_msg=f"{chart.name} {count}")
+        # the reference in chunks of points, to bound its n^6 arrays
+        for start in range(0, count, 25):
+            part = v.part(start, start + 25)
+            acted, acted_abs = _action_arrays_by_einsum(part["riemann_13"], part["riemann"])
+            cycle = ("pwxyzuv->puvwxyz", "pyzuvwx->puvwxyz")
+            reference = (
+                acted + np.einsum(cycle[0], acted) + np.einsum(cycle[1], acted),
+                acted_abs + np.einsum(cycle[0], acted_abs) + np.einsum(cycle[1], acted_abs),
+                acted,
+                acted_abs,
+            )
+            for planned, want in zip(got, reference):
+                want = _max_over_components(want)
+                atol = 1e-12 * (1 + want)
+                assert np.all(np.abs(planned[start : start + 25] - want) <= atol), chart.name
+    assert b._derived["action plan"].sparse or route == "planned"
+
+
+@pytest.mark.parametrize(
+    "name, terms, total, sparse",
+    [
+        ("ppwave_recurrent", 2, 2304, True),
+        ("sphere_3", 12, 243, True),
+        ("perturbed_flat", 144, 243, False),
+        ("minkowski_4", 0, 2304, True),
+        ("flat_euclidean_3", 0, 243, True),
+        ("sphere_2", 2, 8, False),
+    ],
+)
+def test_the_plan_keeps_the_hook_products_of_non_zero_nodes(name, terms, total, sparse):
+    b = curvature_bundle_at(get_builtin(name).chart)
+    pts = b.chart.sample_points(42, 20)
+    walker, semi = check_walker_at(b, pts), check_semisymmetry_at(b, pts)
+    plan = b._derived["action plan"]
+    assert (plan.terms, plan.total, plan.sparse) == (terms, total, sparse)
+    if not terms:
+        # an empty plan: every product is +-0, and so is every maximum
+        for rep in (walker, semi):
+            np.testing.assert_array_equal(rep.residuals, np.zeros(20))
+            np.testing.assert_array_equal(rep.scales, np.zeros(20))
 
 
 def test_identity_report_pass_rule():

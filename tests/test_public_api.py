@@ -29,6 +29,7 @@ REFERENCE_ROUTES = (
     "bianchi_full",
     "fit_values_full",
     "extended_recurrence_full",
+    "inverse_by_expansion",
     "support",
     "field_at",
     "field_block",

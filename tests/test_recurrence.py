@@ -86,7 +86,7 @@ def test_surface_power_riemann_fit():
     b = bundle_for("surface_power")
     pts = b.chart.sample_points(42, 12)
     fit = fit_recurrence_form(b, "R", pts, tol=1e-8)
-    assert fit.passed
+    assert fit.recurrent
     assert fit.excluded_count == 0
     assert fit.max_residual <= 1e-10
 
@@ -107,7 +107,7 @@ def test_ppwave_concircular_fit_gives_du():
     b = bundle_for("ppwave_recurrent")
     pts = b.chart.sample_points(42, 12)
     fit = fit_recurrence_form(b, "C", pts, tol=1e-8)
-    assert fit.passed
+    assert fit.recurrent
     assert fit.excluded_count == 0
     assert fit.max_residual <= 1e-12
     lamv = b.field_values(fit.lam, pts)
@@ -119,7 +119,7 @@ def test_sphere_riemann_fit_gives_zero_lambda():
     b = bundle_for("sphere_3")
     pts = b.chart.sample_points(42, 8)
     fit = fit_recurrence_form(b, "R", pts, tol=1e-9)
-    assert fit.passed
+    assert fit.recurrent
     lamv = b.field_values(fit.lam, pts)
     np.testing.assert_allclose(lamv, 0.0, rtol=0, atol=1e-12)
     assert fit.max_residual <= 1e-12
@@ -154,7 +154,7 @@ def test_hyperbolic_riemann_fit_gives_zero_lambda():
     b = bundle_for("hyperbolic_2")
     pts = b.chart.sample_points(42, 8)
     fit = fit_recurrence_form(b, "R", pts)
-    assert fit.passed
+    assert fit.recurrent
     assert np.max(np.abs(b.field_values(fit.lam, pts))) <= 1e-12
 
 
@@ -210,13 +210,15 @@ def test_fit_passes_per_point():
         tol=1e-8,
     )
     np.testing.assert_array_equal(fit.passes, [True, False, False])
-    assert not fit.passed
+    assert not fit.recurrent
     ok = dataclasses.replace(fit, residuals=np.array([1e-9, 1e-8, np.nan]))
     np.testing.assert_array_equal(ok.passes, [True, True, False])
-    assert ok.passed
+    assert not ok.recurrent  # every admitted point passes, but one is excluded
+    whole = dataclasses.replace(ok, admitted=np.ones(3, dtype=bool), residuals=np.zeros(3))
+    assert whole.recurrent
     none = dataclasses.replace(fit, admitted=np.zeros(3, dtype=bool))
     assert not none.passes.any()
-    assert not none.passed
+    assert not none.recurrent
 
 
 # -- mu ---------------------------------------------------------------------------
@@ -723,9 +725,9 @@ def test_a_point_set_computes_one_curvature_action_and_one_fit_per_node_key(
 ):
     b = curvature_bundle_at(get_builtin(name).chart)
     pts = b.chart.sample_points(42, 8)
-    actions = _counting(monkeypatch, identities, "_curvature_action")
+    actions = _counting(monkeypatch, identities, "_action_parts")
     # check_mu_structure reads the action through this name; nothing here calls it
-    monkeypatch.setattr(recurrence, "_curvature_action", identities._curvature_action)
+    monkeypatch.setattr(recurrence, "_action_parts", identities._action_parts)
     computed = _counting(monkeypatch, recurrence, "_fit_values")
     check_walker_at(b, pts)
     check_semisymmetry_at(b, pts)
@@ -860,7 +862,7 @@ def test_a_c_fit_that_excludes_points_meets_no_hypothesis(seed, epsilon, admits)
     b = curvature_bundle_at(random_perturbed_flat(seed, dim=3, epsilon=epsilon))
     pts = b.chart.sample_points(42, 20)
     fit = fit_recurrence_form(b, "C", pts)
-    assert fit.passed and not fit.recurrent and int(fit.admitted.sum()) == admits
+    assert fit.max_residual <= fit.tol and not fit.recurrent and int(fit.admitted.sum()) == admits
     assert classify(b, pts).verdict == "generic"
     rep = verify_theorem(b, pts)
     assert rep.skipped and rep.passed
