@@ -227,7 +227,8 @@ def _cyclic(arr: np.ndarray, triples: tuple) -> np.ndarray:
 
 def _live(nodes: np.ndarray) -> np.ndarray:
     """Which of an object array's nodes are not the ZERO node."""
-    return np.fromiter((e is not ex.ZERO for e in nodes.flat), bool, nodes.size).reshape(nodes.shape)
+    live = np.fromiter((e is not ex.ZERO for e in nodes.flat), bool, nodes.size)
+    return live.reshape(nodes.shape)
 
 
 def _step(present: np.ndarray, size: int, *addends) -> tuple:
@@ -246,19 +247,6 @@ def _step(present: np.ndarray, size: int, *addends) -> tuple:
     maps = [row[slots] for slots in addends]
     outputs = np.flatnonzero(np.logical_or.reduce([m < zero for m in maps]))
     return outputs, tuple(np.append(m[outputs], zero) for m in maps)
-
-
-def _maxima(acted, acted_abs, diag, walker_diag, cycle) -> tuple:
-    """Per-point (residual, scale) of Walker, then of semisymmetry, from the
-    action on pair slots; walker_diag is diag plus its U, Q transpose."""
-    # at w = x the cycle's (W, Q, U) term vanishes, scale and all; the
-    # other two are diag and its U, Q transpose
-    walker_scale = np.maximum(
-        _per_point_max(_cyclic(acted_abs, cycle)), _per_point_max(walker_diag)
-    )
-    semi_scale = np.maximum(_per_point_max(acted_abs), _per_point_max(diag))
-    return (_per_point_max(_cyclic(acted, cycle)), walker_scale,
-            _per_point_max(acted), semi_scale)
 
 
 class _ActionPlan:
@@ -348,14 +336,23 @@ class _ActionPlan:
         return acted.T, acted_abs.T, (diag + diag).T
 
     def maxima(self, part) -> tuple:
-        """Walker's and semisymmetry's per-point (residual, scale) at the
-        points of a core block (``_maxima``)."""
-        if not self.sparse:
+        """Per-point (residual, scale) of Walker, then of semisymmetry, at
+        the points of a core block."""
+        if self.sparse:
+            acted, acted_abs, diag = self._at_slots(part)
+            first, second = self.walker_diag
+            walker_diag = diag[:, first] + diag[:, second]
+        else:
             acted, acted_abs, diag = _curvature_action(part["riemann_13"], part["riemann"])
-            return _maxima(acted, acted_abs, diag, diag + diag.swapaxes(1, 2), self.cycle)
-        acted, acted_abs, diag = self._at_slots(part)
-        first, second = self.walker_diag
-        return _maxima(acted, acted_abs, diag, diag[:, first] + diag[:, second], self.cycle)
+            walker_diag = diag + diag.swapaxes(1, 2)
+        # at w = x the cycle's (W, Q, U) term vanishes, scale and all; the
+        # other two are diag and its U, Q transpose
+        walker_scale = np.maximum(
+            _per_point_max(_cyclic(acted_abs, self.cycle)), _per_point_max(walker_diag)
+        )
+        semi_scale = np.maximum(_per_point_max(acted_abs), _per_point_max(diag))
+        return (_per_point_max(_cyclic(acted, self.cycle)), walker_scale,
+                _per_point_max(acted), semi_scale)
 
     def arrays(self, part) -> tuple:
         """``_curvature_action``'s (acted, acted_abs, diag) at the points of
