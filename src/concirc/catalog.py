@@ -271,14 +271,6 @@ def load_metric_spec(path) -> MetricChart:
     for i in range(dim):
         for j in range(dim):
             g[i, j] = parse_entry(i, j)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            if g[i, j] is not g[j, i]:
-                raise MetricFileError(
-                    f"{path}: metric is not symmetric: entry [{i}][{j}] = "
-                    f"{ex.to_string(g[i, j])!r} but [{j}][{i}] = "
-                    f"{ex.to_string(g[j, i])!r}"
-                )
 
     domain_doc = doc["domain"]
     _require(isinstance(domain_doc, dict), f"{path}: 'domain' must be an object")

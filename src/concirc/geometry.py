@@ -26,10 +26,13 @@ Index conventions (fixed; all tests are written against them):
 All tensor components are symbolic expressions; numeric work happens by
 evaluating component arrays at sample points and contracting with numpy.
 
-``simplify`` runs where a check or a test needs an exact symbolic zero: the
-metric, its inverse, Gamma, R, Ricci, r, G and C (C vanishes identically in
-dimension 2) and nabla g (metric compatibility, the one exact zero a
-covariant derivative owes). R is built from the metric's
+``simplify`` runs where a check or a test needs an exact symbolic zero, and
+only there: on the metric, its minors and inverse, Gamma, R, Ricci, r and G,
+and nowhere in the derivative layer. Two exact zeros come from identities
+instead. C is built as its definition, unsimplified, and is ZERO in
+dimension 2, where R = (r/2) G (where r is the ZERO node, C is R node for
+node). nabla g is ZERO by the metric compatibility of the Levi-Civita
+connection (``covariant_derivative_at``). R is built from the metric's
 second derivatives and the first-kind symbols
 Gamma_l,ij = (1/2)(d_i g_jl + d_j g_il - d_l g_ij), which have no
 denominator,
@@ -251,8 +254,9 @@ class MetricChart:
             for j in range(i + 1, n):
                 if simplified[i, j] is not simplified[j, i]:
                     raise GeometryError(
-                        f"chart '{self.name}': metric is not symmetric at "
-                        f"[{i}][{j}] vs [{j}][{i}]"
+                        f"chart '{self.name}': metric is not symmetric: entry [{i}][{j}] = "
+                        f"{ex.to_string(simplified[i, j])!r} but [{j}][{i}] = "
+                        f"{ex.to_string(simplified[j, i])!r}"
                     )
         object.__setattr__(self, "metric", simplified)
         missing = [c for c in self.coordinates if c not in self.domain]
@@ -524,9 +528,10 @@ class CurvatureBundle:
     riemann's quadratic part is g^ab Gamma_a,ki Gamma_b,mj, from the
     first-kind symbols Gamma_l,ij (built for i <= j, not kept, and not
     simplified on their own), so it has one det g denominator.
-    Gamma, riemann, ricci, the scalar, gtensor and concircular are
-    simplified; riemann_13 is raised from riemann by g^-1 and left
-    unsimplified. The first Bianchi identity is not used to reduce R; it
+    Gamma, riemann, ricci, the scalar and gtensor are simplified;
+    riemann_13 is raised from riemann by g^-1 and left unsimplified.
+    concircular is its definition R - (r / (n(n-1))) G, unsimplified, and
+    ZERO in dimension 2, where R = (r/2) G. The first Bianchi identity is not used to reduce R; it
     stays a numeric check. Ricci's symmetry, which follows from it, does
     reduce Ricci's build; simplify gives S_jk and S_kj as one node anyway.
     nabla R and nabla C are built on first use, reduced the same way but
@@ -647,10 +652,12 @@ class CurvatureBundle:
         gt = _fill((n,) * 4, build_gtensor, _curvature_slot)
         self.gtensor = TensorField(n, 4, gt, symmetry="riemann-like")
 
+        # C = R - (r / (n(n-1))) G, as defined; in dimension 2, R = (r/2) G,
+        # so C is ZERO there, and where r is the ZERO node C is R
         scale = ex.div(self.scalar_curvature, ex.const(n * (n - 1)))
         conc = _fill(
             (n,) * 4,
-            lambda idx: simplify(ex.sub(riem[idx], ex.mul(scale, gt[idx]))),
+            lambda idx: ex.ZERO if n == 2 else ex.sub(riem[idx], ex.mul(scale, gt[idx])),
             _curvature_slot,
         )
         self.concircular = TensorField(n, 4, conc, symmetry="riemann-like")
@@ -879,8 +886,9 @@ def covariant_derivative_at(bundle: CurvatureBundle, tensor: TensorField) -> Ten
 
     A "riemann-like" input gives a "riemann-like" result built once per orbit
     of its last four slots, any other input a "none" result. Components are
-    kept as built, except for the chart metric's own nodes: metric
-    compatibility makes nabla g an exact zero, so those are simplified.
+    kept as built and never simplified. The chart metric's own nodes are the
+    one exception: the Levi-Civita connection is metric compatible, so
+    nabla g is ZERO in every slot, by that identity and not by simplifying.
     """
     n = bundle.n
     if tensor.dim != n:
@@ -896,13 +904,15 @@ def covariant_derivative_at(bundle: CurvatureBundle, tensor: TensorField) -> Ten
     metric = comp.shape == g.shape and all(map(operator.is_, comp.flat, g.flat))
 
     def build(full):
+        if metric:
+            return ex.ZERO
         a, idx = full[0], full[1:]
         acc = differentiate(comp[idx], coords[a])
         for s in range(rank):
             for m in range(n):
                 swapped = idx[:s] + (m,) + idx[s + 1 :]
                 acc = ex.sub(acc, ex.mul(gamma[m, a, idx[s]], comp[swapped]))
-        return simplify(acc) if metric else acc
+        return acc
 
     out = _fill((n,) * (rank + 1), build, _curvature_slot if reduce else None)
     return TensorField(n, rank + 1, out, symmetry=tensor.symmetry if reduce else "none")

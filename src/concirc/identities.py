@@ -44,7 +44,8 @@ point, so the maxima are those of one action over all the points, while
 the arrays stay bounded.  The bundle's store keeps only the per-point
 maxima that Walker and semisymmetry report, the residual and scale of
 each, never the action arrays themselves; ``recurrence``'s mu-structure
-check reads the arrays block by block through the same plan.  The symbolic
+check forms the dense arrays with ``_curvature_action``, over point blocks
+that ``_action_parts`` sizes for its hooks.  The symbolic
 routes, by the derivation property and by the Ricci identity, stay the
 reference implementation the tests compare against, in
 ``tests/reference.py``.
@@ -353,21 +354,6 @@ class _ActionPlan:
         semi_scale = np.maximum(_per_point_max(acted_abs), _per_point_max(diag))
         return (_per_point_max(_cyclic(acted, self.cycle)), walker_scale,
                 _per_point_max(acted), semi_scale)
-
-    def arrays(self, part) -> tuple:
-        """``_curvature_action``'s (acted, acted_abs, diag) at the points of
-        a core block; a sparse plan's slots are scattered into zeros."""
-        if not self.sparse:
-            return _curvature_action(part["riemann_13"], part["riemann"])
-        npoints, pairs = part.rows.shape[1], len(_pairs(self.n)[0])
-        shapes = ((pairs,) * 3, (pairs,) * 3, (pairs, pairs, self.n))
-        out = []
-        for values, slots, shape in zip(self._at_slots(part),
-                                        (self.slots, self.slots, self.diag_slots), shapes):
-            full = np.zeros((npoints, math.prod(shape)))
-            full[:, slots] = values[:, :-1]
-            out.append(full.reshape((npoints,) + shape))
-        return tuple(out)
 
 
 def _action_parts(bundle: CurvatureBundle, block, count: int, width: int = 0) -> tuple:

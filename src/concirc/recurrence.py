@@ -68,6 +68,7 @@ from .identities import (
     HypothesisError,
     IdentityReport,
     _action_parts,
+    _curvature_action,
     _pairs,
     _per_point_max,
     _report,
@@ -456,8 +457,9 @@ def check_mu_structure(
     Each is normalized by its own cancellation scale; the reported residual
     is the larger of the two (so the scale field is zero).  With mu = 0 the
     second contraction is exactly the semisymmetry check, and like it is
-    compared on index pairs (u < v, w < x, y < z), through the same action
-    plan and over blocks of points of the same bound.  nabla mu is the one
+    compared on index pairs (u < v, w < x, y < z).  The action is the dense
+    ``_curvature_action``, formed over blocks of points that ``_action_parts``
+    sizes for its hooks, so memory stays bounded.  nabla mu is the one
     derivative field built for mu; d mu and mu ^ lambda come from values.
     """
     gradmu, dmu = _nabla_values(bundle, mu, points)
@@ -473,10 +475,10 @@ def check_mu_structure(
     i, j = _pairs(bundle.n)
     form, gram = fv[:, i, j], vals["gtensor"][:, i, j][..., i, j]
     res2 = np.empty(len(points))
-    # the right-hand side holds N^3 values per point, as the action does
-    plan, parts = _action_parts(bundle, vals, len(points), len(i) ** 3)
+    # each block is the dense action, whose hooks hold N n n N values per point
+    _, parts = _action_parts(bundle, vals, len(points), (len(i) * bundle.n) ** 2)
     for at, part in parts:
-        acted, acted_abs, diag = plan.arrays(part)
+        acted, acted_abs, diag = _curvature_action(part["riemann_13"], part["riemann"])
         rhs = 2.0 * np.einsum("pU,pWQ->pUWQ", form[at], gram[at])
         rhs_abs = 2.0 * np.einsum("pU,pWQ->pUWQ", np.abs(form[at]), np.abs(gram[at]))
         # where w = x the right-hand side vanishes and the action's scale is diag

@@ -90,6 +90,8 @@ def test_chart_rejects_asymmetric_metric():
     with pytest.raises(GeometryError) as err:
         _chart("bad", ("x", "y"), [["1", "x"], ["y", "1"]], {"x": (0, 1), "y": (0, 1)})
     assert "symmetric" in str(err.value)
+    # both entries are named, as the metric-file loader reports them
+    assert "entry [0][1] = 'x' but [1][0] = 'y'" in str(err.value)
 
 
 def test_chart_symmetry_check_is_structural():
@@ -358,12 +360,12 @@ def test_reduced_nabla_matches_unreduced_build(chart):
         np.testing.assert_allclose(b.field_values(reduced, pts), ref, rtol=0, atol=1e-12 * scale)
 
 
-@pytest.mark.parametrize("name, expected", [("perturbed_flat", 58), ("minkowski_4", 156)])
+@pytest.mark.parametrize("name, expected", [("perturbed_flat", 52), ("minkowski_4", 135)])
 def test_bundle_simplifies_riemann_once_per_orbit(monkeypatch, name, expected):
     # R is simplified once per orbit (6 at n=3, 21 at n=4), the inverse
     # metric and Ricci once per symmetric pair, and det g and the cofactors
     # once per distinct minor (9 at n=3, 32 at n=4); riemann_13, raised
-    # from R, is not simplified
+    # from R, and C, built as its definition, are not simplified
     chart = get_builtin(name).chart
     calls = []
 
@@ -403,6 +405,51 @@ def test_exact_zero_components_per_builtin(name, riemann, concircular, ricci, sc
     assert (b.scalar_curvature is ex.ZERO) == scalar_zero
 
 
+def _zero_slots(components) -> list:
+    return [c is ex.ZERO for c in components.flat]
+
+
+def _random_charts(dims, seeds=range(8)):
+    return [random_perturbed_flat(seed, dim=dim) for dim in dims for seed in seeds]
+
+
+@pytest.mark.parametrize("dim", [0, 2])
+def test_concircular_is_zero_in_dimension_2(dim):
+    # R = (r/2) G on a surface, so C is ZERO by construction, node for node;
+    # simplify left rounding noise in 4 of 16 slots on seeds 0, 1 and 6
+    # (dim 0: the dim-2 builtins)
+    if dim:
+        charts = _random_charts([dim])
+    else:
+        charts = [get_builtin(name).chart for name in ("hyperbolic_2", "sphere_2", "surface_power")]
+    for chart in charts:
+        assert chart.n == 2
+        b = curvature_bundle_at(chart)
+        assert all(_zero_slots(b.concircular.components)), chart.name
+        assert all(_zero_slots(b.nabla_concircular().components)), chart.name
+
+
+@pytest.mark.parametrize("dim", [0, 3, 4, 5, 6])
+def test_concircular_keeps_the_zero_slots_of_its_simplified_form(dim):
+    # C = R - (r / (n(n-1))) G as built: its ZERO slots are those simplify
+    # would give it (dim 0: the builtins)
+    if dim:
+        charts = _random_charts([dim])
+    else:
+        charts = [get_builtin(name).chart for name in builtin_names()]
+    for chart in charts:
+        comps = curvature_bundle_at(chart).concircular.components
+        simplified = np.vectorize(ex.simplify, otypes=[object])(comps)
+        assert _zero_slots(comps) == _zero_slots(simplified), chart.name
+
+
+@pytest.mark.parametrize("name", ["ppwave_recurrent", "minkowski_4", "flat_euclidean_3"])
+def test_concircular_is_riemann_where_the_scalar_is_zero(name):
+    b = curvature_bundle_at(get_builtin(name).chart)
+    assert b.scalar_curvature is ex.ZERO
+    assert all(map(operator.is_, b.concircular.key, b.riemann.key))
+
+
 def test_nabla_riemann_builds_one_node_per_orbit():
     b = curvature_bundle_at(get_builtin("perturbed_flat").chart)
     comps = b.nabla_riemann().components.ravel()
@@ -412,8 +459,10 @@ def test_nabla_riemann_builds_one_node_per_orbit():
 
 
 def test_nabla_of_curvature_tensors_is_not_simplified(monkeypatch):
-    # nabla R and nabla C are only ever evaluated, so they stay shared DAGs
+    # nabla R and nabla C are only ever evaluated, so they stay shared DAGs;
+    # nabla g is ZERO by metric compatibility, not by simplify
     b = curvature_bundle_at(get_builtin("perturbed_flat").chart)
+    metric = TensorField(b.n, 2, b.chart.metric, symmetry="symmetric-2")
     calls = []
 
     def counting(e):
@@ -421,7 +470,8 @@ def test_nabla_of_curvature_tensors_is_not_simplified(monkeypatch):
         return ex.simplify(e)
 
     monkeypatch.setattr("concirc.geometry.simplify", counting)
-    for build in (b.nabla_riemann, b.nabla_concircular):
+    for build in (b.nabla_riemann, b.nabla_concircular,
+                  lambda: covariant_derivative_at(b, metric)):
         calls.clear()
         build()
         assert calls == []
@@ -431,17 +481,28 @@ def test_nabla_of_curvature_tensors_is_not_simplified(monkeypatch):
 
 
 def test_covariant_derivative_of_metric_vanishes():
-    # structural zero on the diagonal sphere metric
-    b = curvature_bundle_at(sphere2())
-    gfield = TensorField(2, 2, b.chart.metric, symmetry="symmetric-2")
-    ng = covariant_derivative_at(b, gfield)
-    assert all(c is ex.ZERO for c in ng.components.ravel())
-    # numeric zero on a dense metric whose inverse does not fold symbolically
-    b = curvature_bundle_at(dense3())
-    gfield = TensorField(3, 2, b.chart.metric, symmetry="symmetric-2")
-    ng = covariant_derivative_at(b, gfield)
-    pts = b.chart.sample_points(9, 6)
-    np.testing.assert_allclose(b.field_values(ng, pts), 0.0, atol=1e-13)
+    # metric compatibility: ZERO in every slot, on the diagonal sphere metric
+    # and on a dense metric whose inverse does not fold symbolically
+    for chart in (sphere2(), dense3()):
+        b = curvature_bundle_at(chart)
+        gfield = TensorField(b.n, 2, b.chart.metric, symmetry="symmetric-2")
+        ng = covariant_derivative_at(b, gfield)
+        assert ng.components.shape == (b.n,) * 3
+        assert all(_zero_slots(ng.components)), chart.name
+
+
+@pytest.mark.parametrize("dim", [0, 3, 4])
+def test_covariant_derivative_of_the_chart_metric_is_zero(dim):
+    # by metric compatibility: simplify left 18 of 27 slots non-ZERO on
+    # perturbed_flat (dim 0: the builtins)
+    if dim:
+        charts = _random_charts([dim])
+    else:
+        charts = [get_builtin(name).chart for name in builtin_names()]
+    for chart in charts:
+        b = curvature_bundle_at(chart)
+        ng = covariant_derivative_at(b, TensorField(b.n, 2, chart.metric, symmetry="symmetric-2"))
+        assert all(_zero_slots(ng.components)), chart.name
 
 
 def test_covariant_derivative_hand_formula():
