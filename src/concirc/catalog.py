@@ -263,7 +263,7 @@ def load_metric_spec(path) -> MetricChart:
         s = rows[i][j]
         _require(isinstance(s, str), f"{path}: metric[{i}][{j}] must be a string")
         try:
-            return ex.simplify(ex.parse(s, coords))
+            return ex.parse(s, coords)
         except (ex.ParseError, ex.UnknownIdentifierError) as e:
             raise MetricFileError(f"{path}: metric[{i}][{j}]: {e}") from e
 

@@ -531,8 +531,8 @@ class CurvatureBundle:
     Gamma, riemann, ricci, the scalar and gtensor are simplified;
     riemann_13 is raised from riemann by g^-1 and left unsimplified.
     concircular is its definition R - (r / (n(n-1))) G, unsimplified, and
-    ZERO in dimension 2, where R = (r/2) G. The first Bianchi identity is not used to reduce R; it
-    stays a numeric check. Ricci's symmetry, which follows from it, does
+    ZERO in dimension 2, where R = (r/2) G. The first Bianchi identity is
+    not used to reduce R; it stays a numeric check. Ricci's symmetry, which follows from it, does
     reduce Ricci's build; simplify gives S_jk and S_kj as one node anyway.
     nabla R and nabla C are built on first use, reduced the same way but
     left unsimplified, and kept in ``_derived`` ("nabla_riemann",

@@ -409,8 +409,11 @@ def _zero_slots(components) -> list:
     return [c is ex.ZERO for c in components.flat]
 
 
-def _random_charts(dims, seeds=range(8)):
-    return [random_perturbed_flat(seed, dim=dim) for dim in dims for seed in seeds]
+def _charts(dim):
+    """The builtins (dim 0), or random_perturbed_flat seeds 0-7 at dim."""
+    if dim:
+        return [random_perturbed_flat(seed, dim=dim) for seed in range(8)]
+    return [get_builtin(name).chart for name in builtin_names()]
 
 
 @pytest.mark.parametrize("dim", [0, 2])
@@ -418,12 +421,9 @@ def test_concircular_is_zero_in_dimension_2(dim):
     # R = (r/2) G on a surface, so C is ZERO by construction, node for node;
     # simplify left rounding noise in 4 of 16 slots on seeds 0, 1 and 6
     # (dim 0: the dim-2 builtins)
-    if dim:
-        charts = _random_charts([dim])
-    else:
-        charts = [get_builtin(name).chart for name in ("hyperbolic_2", "sphere_2", "surface_power")]
+    charts = [chart for chart in _charts(dim) if chart.n == 2]
+    assert len(charts) == (3 if dim == 0 else 8)
     for chart in charts:
-        assert chart.n == 2
         b = curvature_bundle_at(chart)
         assert all(_zero_slots(b.concircular.components)), chart.name
         assert all(_zero_slots(b.nabla_concircular().components)), chart.name
@@ -433,11 +433,7 @@ def test_concircular_is_zero_in_dimension_2(dim):
 def test_concircular_keeps_the_zero_slots_of_its_simplified_form(dim):
     # C = R - (r / (n(n-1))) G as built: its ZERO slots are those simplify
     # would give it (dim 0: the builtins)
-    if dim:
-        charts = _random_charts([dim])
-    else:
-        charts = [get_builtin(name).chart for name in builtin_names()]
-    for chart in charts:
+    for chart in _charts(dim):
         comps = curvature_bundle_at(chart).concircular.components
         simplified = np.vectorize(ex.simplify, otypes=[object])(comps)
         assert _zero_slots(comps) == _zero_slots(simplified), chart.name
@@ -495,11 +491,7 @@ def test_covariant_derivative_of_metric_vanishes():
 def test_covariant_derivative_of_the_chart_metric_is_zero(dim):
     # by metric compatibility: simplify left 18 of 27 slots non-ZERO on
     # perturbed_flat (dim 0: the builtins)
-    if dim:
-        charts = _random_charts([dim])
-    else:
-        charts = [get_builtin(name).chart for name in builtin_names()]
-    for chart in charts:
+    for chart in _charts(dim):
         b = curvature_bundle_at(chart)
         ng = covariant_derivative_at(b, TensorField(b.n, 2, chart.metric, symmetry="symmetric-2"))
         assert all(_zero_slots(ng.components)), chart.name
