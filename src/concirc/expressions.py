@@ -190,19 +190,23 @@ _INTERN: dict[tuple, Expr] = {}
 
 
 def _node(kind: str, payload, args: tuple) -> Expr:
-    key = (kind, payload, *map(id, args))
+    if payload is None:
+        key = (kind, id(args[0]), id(args[1])) if len(args) == 2 else (kind, id(args[0]))
+    else:  # a Fraction hashes slowly, so a constant is keyed by its two ints
+        key = (kind, payload.numerator, payload.denominator) if kind == _CONST else (kind, payload)
     hit = _INTERN.get(key)
     if hit is None:
         hit = object.__new__(Expr)
         hit.kind = kind
         hit.payload = payload
         hit.args = args
-        if kind == _CONST:
-            pkey = (payload.numerator, payload.denominator)
-        else:
-            pkey = payload if kind == _VAR else ""
         # child keys are the children's own tuples, so a node adds O(1) memory
-        hit._key = (kind, pkey, *(a._key for a in args))
+        if payload is not None:
+            hit._key = (kind, key[1:] if kind == _CONST else payload)
+        elif len(args) == 2:
+            hit._key = (kind, "", args[0]._key, args[1]._key)
+        else:
+            hit._key = (kind, "", args[0]._key)
         hit._str = hit._simplified = hit._diff = None
         _INTERN[key] = hit
     return hit
@@ -715,9 +719,8 @@ def _differentiate_node(e: Expr, name: str) -> Expr:
 # conservative simplification
 # ---------------------------------------------------------------------------
 
-def _sort_key(e: Expr) -> tuple:
-    """Deterministic total order on interned nodes (canonical output order)."""
-    return e._key
+# deterministic total order on interned nodes (canonical output order)
+_sort_key = operator.attrgetter("_key")
 
 
 def simplify(e: Expr) -> Expr:
@@ -727,18 +730,24 @@ def simplify(e: Expr) -> Expr:
     order, repeated factors merge into powers, terms sharing an identical
     denominator combine over it. Every rewrite is pointwise equal to the
     input on the input's domain; nothing depends on sign assumptions.
+
+    Each node is simplified once (the ``_simplified`` slot). The cost is in
+    sums: each term is decomposed once into an integer-carried coefficient
+    and its factors, and a like-term key is built as a node once per term
+    and decomposed again only when its factors would not survive the
+    rebuild (``_reusable``).
     """
     if e._simplified is not None:
         return e._simplified
     k = e.kind
-    if k in (_CONST, _VAR):
-        out = e
-    elif k in FUNCTIONS:
-        out = func(k, simplify(e.args[0]))
-    elif k in (_ADD, _SUB, _NEG):
+    if k in (_ADD, _SUB, _NEG):
         out = _simplify_sum(e)
     elif k in (_MUL, _DIV):
         out = _rebuild_product(*_decompose_term(e, simplify))
+    elif k in (_CONST, _VAR):
+        out = e
+    elif k in FUNCTIONS:
+        out = func(k, simplify(e.args[0]))
     elif k == _POW:
         base = simplify(e.args[0])
         expo = simplify(e.args[1])
@@ -759,83 +768,111 @@ def simplify(e: Expr) -> Expr:
     return out
 
 
-def _same(e: Expr) -> Expr:
-    return e
-
-
 def _decompose_term(
-    t: Expr, operand=_same
+    t: Expr, operand=None
 ) -> tuple[int | Fraction, dict[Expr, int | Fraction]]:
     """Write a non-sum term as coeff * prod(base^expo).
 
     The */ and negation chain is flattened; every other node is passed
-    through operand first, and a result that is itself such a chain is
-    flattened in turn. Pass `simplify` to flatten an unsimplified product.
-    The coefficient and exponents are exact rationals, ints while integral.
+    through operand first, if given, and a result that is itself such a
+    chain is flattened in turn. Pass `simplify` to flatten an unsimplified
+    product. The coefficient is carried as an integer numerator and
+    denominator and is an int when integral, else one Fraction; exponents
+    are exact rationals, ints while integral.
     """
-    coeff = 1
+    num = den = 1
     factors: dict[Expr, int | Fraction] = {}
+    get = factors.get
     stack = [(t, False)]
+    pop, push = stack.pop, stack.append
     while stack:
-        node, invert = stack.pop()
+        node, invert = pop()
         k = node.kind
         if k == _MUL:
-            stack.append((node.args[1], invert))
-            stack.append((node.args[0], invert))
+            push((node.args[1], invert))
+            push((node.args[0], invert))
         elif k == _DIV:
-            stack.append((node.args[1], not invert))
-            stack.append((node.args[0], invert))
+            push((node.args[1], not invert))
+            push((node.args[0], invert))
         elif k == _NEG:
-            coeff = -coeff
-            stack.append((node.args[0], invert))
-        elif (f := operand(node)) is not node:
-            stack.append((f, invert))
+            num = -num
+            push((node.args[0], invert))
+        elif operand is not None and (f := operand(node)) is not node:
+            push((f, invert))
         elif k == _CONST:
             q = node.payload
-            if invert:
-                if q == 0:
-                    factors[node] = factors.get(node, 0) - 1
-                else:
-                    coeff = Fraction(coeff, q)  # int / int is a float
+            if not invert:
+                num *= q.numerator
+                den *= q.denominator
+            elif q:
+                num *= q.denominator
+                den *= q.numerator
             else:
-                coeff *= q
+                factors[node] = get(node, 0) - 1
         elif k == _POW and node.args[1].kind == _CONST:
-            expo = node.args[1].payload
             base = node.args[0]
-            factors[base] = factors.get(base, 0) + (-expo if invert else expo)
+            expo = node.args[1].payload
+            factors[base] = get(base, 0) + (-expo if invert else expo)
         else:
-            factors[node] = factors.get(node, 0) + (-1 if invert else 1)
-    return coeff, factors
+            factors[node] = get(node, 0) + (-1 if invert else 1)
+    if den != 1:
+        num = num // den if num % den == 0 else Fraction(num, den)
+    return num, factors
 
 
 def _rebuild_product(coeff: int | Fraction, factors: dict[Expr, int | Fraction]) -> Expr:
     """Canonical product: sign(coeff) * [coeff] * sorted factors / sorted den."""
     if coeff == 0:
         return ZERO
-    num_parts = []
-    den_parts = []
-    for base in sorted(factors, key=_sort_key):
-        expo = factors[base]
-        if expo == 0:
-            continue
-        if base is ZERO and expo < 0:
-            den_parts.append(ZERO)  # preserve x/0 as a domain error
-            continue
-        (num_parts if expo > 0 else den_parts).append(pow_(base, const(abs(expo))))
     sign = coeff < 0
-    coeff = abs(coeff)
-    num: Expr | None = None
-    if coeff != 1 or not num_parts:
-        num = const(coeff)
-    for p in num_parts:
-        num = p if num is None else mul(num, p)
-    out = num
-    if den_parts:
-        den = den_parts[0]
-        for p in den_parts[1:]:
-            den = mul(den, p)
+    if sign:
+        coeff = -coeff
+    num = None if coeff == 1 else const(coeff)
+    den = None
+    for base in sorted(factors, key=_sort_key) if len(factors) > 1 else factors:
+        expo = factors[base]
+        if expo > 0:
+            p = base if expo == 1 else pow_(base, const(expo))
+            num = p if num is None else mul(num, p)
+        elif expo < 0:
+            # x/0 keeps one ZERO factor, so it stays a domain error
+            p = base if expo == -1 or base is ZERO else pow_(base, const(-expo))
+            den = p if den is None else mul(den, p)
+    out = ONE if num is None else num
+    if den is not None:
         out = _node(_DIV, None, (out, den)) if den is ZERO else div(out, den)
     return neg(out) if sign else out
+
+
+_CHAIN = (_MUL, _DIV, _NEG, _CONST)
+
+
+def _reusable(factors: dict) -> bool:
+    """Whether _decompose_term(_rebuild_product(1, factors)) is (1, factors):
+    no base is a constant or a */neg chain, and no x^q with constant q has
+    exponent +-1, where its piece would be flattened again."""
+    for b, q in factors.items():
+        k = b.kind
+        if k in _CHAIN or (k == _POW and (q == 1 or q == -1) and b.args[1].kind == _CONST):
+            return False
+    return True
+
+
+def _settled(factors: dict) -> bool:
+    """Whether c * factors (c != 0, exponents positive), rebuilt, is its own
+    simplified form and a sum takes it as one term with these factors: they
+    are reusable, each base is simplified and no x^q with constant q has an
+    integral exponent (simplify would merge the powers), and they are not
+    one sum to the first power, which a sum would flatten."""
+    for b, q in factors.items():
+        k = b.kind
+        if b._simplified is not b or k in _CHAIN or (
+            k == _POW and b.args[1].kind == _CONST and q.denominator == 1
+        ):
+            return False
+        if k in (_ADD, _SUB) and q == 1 and len(factors) == 1:
+            return False
+    return bool(factors)
 
 
 def _simplify_sum(e: Expr) -> Expr:
@@ -845,6 +882,7 @@ def _simplify_sum(e: Expr) -> Expr:
     contributes S's terms scaled by c, so linear combinations of sums cancel
     (2*(a + b) - 2*a - 2*b is 0). Products with any other factor are not
     expanded: distributing over c*S*x is full expansion and can swell.
+    Each term is decomposed once; `_sum_of` does the rest.
     """
     raw: list[tuple[int | Fraction, Expr]] = []
     stack = [(e, 1)]
@@ -869,72 +907,86 @@ def _simplify_sum(e: Expr) -> Expr:
         if t.kind == _MUL and t.args[0].kind == _CONST and t.args[1].kind in (_ADD, _SUB):
             stack.append((t.args[1], sign * t.args[0].payload))
             continue
-        raw.append((sign, t))
-    # preserve left-to-right discovery order (stack pops reversed the pushes,
-    # so raw is already in source order)
-
-    # group terms by their (canonical) denominator part
-    groups: dict[Expr, list[tuple[int | Fraction, dict, dict]]] = {}
-    for sign, t in raw:
         c, fs = _decompose_term(t)
-        num = {b: q for b, q in fs.items() if q > 0}
-        den_key = _rebuild_product(1, {b: -q for b, q in fs.items() if q < 0})
-        groups.setdefault(den_key, []).append((sign * c, num, fs))
+        raw.append((c if sign == 1 else sign * c, fs))
+    # raw is in source order: the stack pops reversed the pushes
+    return _sum_of(raw)
+
+
+def _sum_of(terms: list) -> Expr:
+    """The simplified sum of terms given as (coeff, factors), in order.
+
+    Terms are grouped by their canonical denominator. A like-term key, the
+    coefficient-free product, is built once per term and kept with the
+    factors it came from, so a piece with a coefficient other than +-1 is
+    rebuilt from those factors, not from a second decomposition of the key.
+    Numerators over one denominator are summed by this function directly
+    when `_settled`, which gives the node that simplifying their built sum
+    gives. The pieces are ordered by their keys' structural order.
+    """
+    groups: dict[Expr, list[tuple[int | Fraction, dict]]] = {}
+    for c, fs in terms:
+        den = {b: -q for b, q in fs.items() if q < 0}
+        groups.setdefault(_rebuild_product(1, den) if den else ONE, []).append((c, fs))
 
     const_acc = 0
-    collected: dict[Expr, int | Fraction] = {}
+    collected: dict[Expr, list] = {}  # key -> [coefficient, factors it was built from]
 
-    def take(coeff: int | Fraction, factors: dict[Expr, int | Fraction]):
+    def take(coeff: int | Fraction, factors: dict):
         nonlocal const_acc
         if coeff == 0:
             return
         key = _rebuild_product(1, factors)
         if key.kind == _CONST:
             const_acc += coeff * key.payload
+        elif (slot := collected.get(key)) is None:
+            collected[key] = [coeff, factors]
         else:
-            collected[key] = collected.get(key, 0) + coeff
+            slot[0] += coeff
 
     for den_key, entries in groups.items():
-        if den_key is ONE or len(entries) == 1:
-            for c, num, fs in entries:
-                if den_key is ONE or den_key is ZERO:
-                    # 0 has no factors to divide by, so x/0 keeps its own
-                    take(c, fs)
-                    continue
-                # the key's factors flatten a denominator that is a quotient
-                dc, dfs = _decompose_term(den_key)
-                merged = dict(num)
-                for b, q in dfs.items():
-                    merged[b] = merged.get(b, 0) - q
-                take(Fraction(c, dc), merged)
+        if den_key is ONE or (den_key is ZERO and len(entries) == 1):
+            # 0 has no factors to divide by, so x/0 keeps its own
+            for c, fs in entries:
+                take(c, fs)
+            continue
+        if len(entries) == 1:
+            # the key's factors flatten a denominator that is a quotient
+            ((c, fs),) = entries
+            dc, dfs = _decompose_term(den_key)
+            merged = {b: q for b, q in fs.items() if q > 0}
+            for b, q in dfs.items():
+                merged[b] = merged.get(b, 0) - q
+            take(Fraction(c, dc), merged)
             continue
         # several terms over one identical denominator: combine numerators
-        num_sum = ZERO
-        for c, num, _ in entries:
-            num_sum = add(num_sum, _rebuild_product(c, num))
-        num_sum = simplify(num_sum)
+        nums = [(c, {b: q for b, q in fs.items() if q > 0}) for c, fs in entries]
+        if all(_settled(fs) for _, fs in nums):
+            num_sum = _sum_of(nums)
+            num_sum._simplified = num_sum
+        else:
+            num_sum = simplify(esum(_rebuild_product(c, fs) for c, fs in nums))
         combined = simplify(div(num_sum, den_key))
         if combined.kind in (_ADD, _SUB):
             # numerator stayed a sum; keep the fraction as one opaque term
-            collected[combined] = collected.get(combined, 0) + 1
+            take(1, {combined: 1})
         else:
-            c, fs = _decompose_term(combined)
-            take(c, fs)
+            take(*_decompose_term(combined))
 
-    pieces = []
+    acc: Expr | None = None
     for key in sorted(collected, key=_sort_key):
-        coeff = collected[key]
+        coeff, fs = collected[key]
         if coeff == 0:
             continue
         if coeff == 1:
-            pieces.append(key)
+            piece = key
         elif coeff == -1:
-            pieces.append(neg(key))
+            piece = neg(key)
+        elif _reusable(fs):
+            piece = _rebuild_product(coeff, fs)
         else:
             c, fs = _decompose_term(key)
-            pieces.append(_rebuild_product(coeff * c, fs))
-    acc: Expr | None = None
-    for piece in pieces:
+            piece = _rebuild_product(coeff * c, fs)
         if acc is None:
             acc = piece
         elif piece.kind == _NEG:

@@ -424,10 +424,23 @@ def _inverse_metric(g: np.ndarray) -> np.ndarray:
     return _fill((len(every),) * 2, build, _symmetric_pair)
 
 
-def _guard(what: str, index: tuple, e: Expr):
-    count = ex.node_count(e, COMPONENT_NODE_LIMIT)
-    if count > COMPONENT_NODE_LIMIT:
-        raise ResourceLimitError(what, index, count)
+def _guard(what: str, index: tuple, e: Expr, seen: set):
+    """Refuse a component with more than COMPONENT_NODE_LIMIT distinct nodes.
+
+    seen holds the ids of the nodes of the components guarded so far, so
+    one walk counts the union of their DAGs. A component can pass the limit
+    only when that union does, and only then is it counted on its own.
+    """
+    stack = [e]
+    while stack and len(seen) <= COMPONENT_NODE_LIMIT:
+        n = stack.pop()
+        if id(n) not in seen:
+            seen.add(id(n))
+            stack.extend(n.args)
+    if len(seen) > COMPONENT_NODE_LIMIT:
+        count = ex.node_count(e, COMPONENT_NODE_LIMIT)
+        if count > COMPONENT_NODE_LIMIT:
+            raise ResourceLimitError(what, index, count)
 
 
 def _curvature_slot(idx: tuple):
@@ -490,9 +503,13 @@ def _fill(shape: tuple, build, slot=None) -> np.ndarray:
 
 def christoffel_at(chart: MetricChart, inverse: np.ndarray | None = None) -> np.ndarray:
     """Christoffel symbols Gamma^k_ij as an (n, n, n) object array [k, i, j]."""
+    return _christoffel(chart, _inverse_metric(chart.metric) if inverse is None else inverse, set())
+
+
+def _christoffel(chart: MetricChart, ginv: np.ndarray, seen: set) -> np.ndarray:
+    """christoffel_at, guarded by the node ids in seen (_guard)."""
     n = chart.n
     g = chart.metric
-    ginv = _inverse_metric(g) if inverse is None else inverse
     coords = chart.coordinates
 
     # dg[a, i, j] = d_a g_ij
@@ -507,7 +524,7 @@ def christoffel_at(chart: MetricChart, inverse: np.ndarray | None = None) -> np.
             inner = ex.add(dg[i, j, l], ex.sub(dg[j, i, l], dg[l, i, j]))
             acc = ex.add(acc, ex.mul(ginv[k, l], inner))
         out = simplify(ex.mul(half, acc))
-        _guard("christoffel", idx, out)
+        _guard("christoffel", idx, out, seen)
         return out
 
     # symmetric in the lower pair: build i <= j only
@@ -581,7 +598,8 @@ class CurvatureBundle:
         g = chart.metric
 
         self.inverse_metric = _inverse_metric(g)
-        self.christoffel = christoffel_at(chart, self.inverse_metric)
+        seen: set = set()  # ids of the nodes guarded so far: Gamma's, then R's
+        self.christoffel = _christoffel(chart, self.inverse_metric, seen)
         ginv = self.inverse_metric
         half = ex.const(1) / 2
 
@@ -617,7 +635,7 @@ class CurvatureBundle:
                 for b in range(n)
             )
             out = simplify(ex.add(ex.mul(half, second), quad))
-            _guard("riemann", idx, out)
+            _guard("riemann", idx, out, seen)
             return out
 
         riem = _fill((n,) * 4, build_riemann, _curvature_slot)

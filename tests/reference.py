@@ -35,6 +35,13 @@ so the tests can compare that route against an independent one:
     field_at, field_block
         a field's values at one point and at many, by its own unloaded tape
         outside any bundle store, against ``CurvatureBundle.field_values``
+    simplify_by_nodes
+        ``simplify`` as it was written before its term handling carried
+        coefficients as integers and reused decompositions: every like-term
+        key and denominator is rebuilt as a node and decomposed again. It
+        memoises in its own dict, keyed by node id, and never touches
+        ``Expr._simplified``; the tests require the node it returns to be
+        the package's
 
 No CLI path, demo, check or benchmark workload calls them. Tests import them
 as ``from reference import ...``; pytest puts this directory on sys.path.
@@ -44,6 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -57,10 +65,14 @@ from concirc.expressions import (
     _POW,
     _SUB,
     _VAR,
+    FUNCTIONS,
+    ONE,
+    ZERO,
     DomainError,
     Expr,
     ExpressionError,
     _constant,
+    _node,
     _order,
     simplify,
 )
@@ -91,6 +103,7 @@ __all__ = [
     "support",
     "field_at",
     "field_block",
+    "simplify_by_nodes",
 ]
 
 
@@ -394,3 +407,210 @@ def field_block(tf: TensorField, points) -> np.ndarray:
     columns = {c: np.array([float(p[c]) for p in points]) for c in sorted(points[0])}
     rows = ex.evaluate_block(list(tf.components.ravel()), columns)
     return rows.T.reshape((len(points),) + tf.components.shape)
+
+
+# node id -> simplified node; interned nodes live as long as the process
+_BY_NODES: dict[int, Expr] = {}
+
+
+def _structural(e: Expr) -> tuple:
+    return e._key
+
+
+def simplify_by_nodes(e: Expr) -> Expr:
+    """``simplify`` with every key rebuilt as a node (see the module text)."""
+    hit = _BY_NODES.get(id(e))
+    if hit is not None:
+        return hit
+    k = e.kind
+    if k in (_CONST, _VAR):
+        out = e
+    elif k in FUNCTIONS:
+        out = ex.func(k, simplify_by_nodes(e.args[0]))
+    elif k in (_ADD, _SUB, _NEG):
+        out = _sum_by_nodes(e)
+    elif k in (_MUL, _DIV):
+        out = _product_by_nodes(*_term_by_nodes(e, simplify_by_nodes))
+    elif k == _POW:
+        base = simplify_by_nodes(e.args[0])
+        expo = simplify_by_nodes(e.args[1])
+        if (
+            expo.kind == _CONST
+            and expo.payload.denominator == 1
+            and base.kind == _POW
+            and base.args[1].kind == _CONST
+        ):
+            out = ex.pow_(base.args[0], ex.const(base.args[1].payload * expo.payload))
+        else:
+            out = ex.pow_(base, expo)
+    else:
+        raise ExpressionError(f"cannot simplify node kind {k!r}")
+    _BY_NODES[id(e)] = out
+    _BY_NODES[id(out)] = out
+    return out
+
+
+def _term_by_nodes(t: Expr, operand=None) -> tuple:
+    """(coeff, {base: expo}) of a non-sum term, the */neg chain flattened."""
+    coeff = 1
+    factors: dict = {}
+    stack = [(t, False)]
+    while stack:
+        node, invert = stack.pop()
+        k = node.kind
+        if k == _MUL:
+            stack.append((node.args[1], invert))
+            stack.append((node.args[0], invert))
+        elif k == _DIV:
+            stack.append((node.args[1], not invert))
+            stack.append((node.args[0], invert))
+        elif k == _NEG:
+            coeff = -coeff
+            stack.append((node.args[0], invert))
+        elif operand is not None and (f := operand(node)) is not node:
+            stack.append((f, invert))
+        elif k == _CONST:
+            q = node.payload
+            if invert:
+                if q == 0:
+                    factors[node] = factors.get(node, 0) - 1
+                else:
+                    coeff = Fraction(coeff, q)
+            else:
+                coeff *= q
+        elif k == _POW and node.args[1].kind == _CONST:
+            expo = node.args[1].payload
+            base = node.args[0]
+            factors[base] = factors.get(base, 0) + (-expo if invert else expo)
+        else:
+            factors[node] = factors.get(node, 0) + (-1 if invert else 1)
+    return coeff, factors
+
+
+def _product_by_nodes(coeff, factors: dict) -> Expr:
+    """sign(coeff) * [coeff] * sorted factors / sorted den."""
+    if coeff == 0:
+        return ZERO
+    num_parts = []
+    den_parts = []
+    for base in sorted(factors, key=_structural):
+        expo = factors[base]
+        if expo == 0:
+            continue
+        if base is ZERO and expo < 0:
+            den_parts.append(ZERO)
+            continue
+        (num_parts if expo > 0 else den_parts).append(ex.pow_(base, ex.const(abs(expo))))
+    sign = coeff < 0
+    coeff = abs(coeff)
+    num = None
+    if coeff != 1 or not num_parts:
+        num = ex.const(coeff)
+    for p in num_parts:
+        num = p if num is None else ex.mul(num, p)
+    out = num
+    if den_parts:
+        den = den_parts[0]
+        for p in den_parts[1:]:
+            den = ex.mul(den, p)
+        out = _node(_DIV, None, (out, den)) if den is ZERO else ex.div(out, den)
+    return ex.neg(out) if sign else out
+
+
+def _sum_by_nodes(e: Expr) -> Expr:
+    """A +- chain flattened, like terms collected, equal denominators combined."""
+    raw = []
+    stack = [(e, 1)]
+    while stack:
+        node, sign = stack.pop()
+        k = node.kind
+        if k == _ADD:
+            stack.append((node.args[1], sign))
+            stack.append((node.args[0], sign))
+            continue
+        if k == _SUB:
+            stack.append((node.args[1], -sign))
+            stack.append((node.args[0], sign))
+            continue
+        if k == _NEG:
+            stack.append((node.args[0], -sign))
+            continue
+        t = simplify_by_nodes(node)
+        if t.kind in (_ADD, _SUB, _NEG):
+            stack.append((t, sign))
+            continue
+        if t.kind == _MUL and t.args[0].kind == _CONST and t.args[1].kind in (_ADD, _SUB):
+            stack.append((t.args[1], sign * t.args[0].payload))
+            continue
+        raw.append((sign, t))
+
+    groups: dict = {}
+    for sign, t in raw:
+        c, fs = _term_by_nodes(t)
+        num = {b: q for b, q in fs.items() if q > 0}
+        den_key = _product_by_nodes(1, {b: -q for b, q in fs.items() if q < 0})
+        groups.setdefault(den_key, []).append((sign * c, num, fs))
+
+    const_acc = 0
+    collected: dict = {}
+
+    def take(coeff, factors):
+        nonlocal const_acc
+        if coeff == 0:
+            return
+        key = _product_by_nodes(1, factors)
+        if key.kind == _CONST:
+            const_acc += coeff * key.payload
+        else:
+            collected[key] = collected.get(key, 0) + coeff
+
+    for den_key, entries in groups.items():
+        if den_key is ONE or len(entries) == 1:
+            for c, num, fs in entries:
+                if den_key is ONE or den_key is ZERO:
+                    take(c, fs)
+                    continue
+                dc, dfs = _term_by_nodes(den_key)
+                merged = dict(num)
+                for b, q in dfs.items():
+                    merged[b] = merged.get(b, 0) - q
+                take(Fraction(c, dc), merged)
+            continue
+        num_sum = ZERO
+        for c, num, _ in entries:
+            num_sum = ex.add(num_sum, _product_by_nodes(c, num))
+        num_sum = simplify_by_nodes(num_sum)
+        combined = simplify_by_nodes(ex.div(num_sum, den_key))
+        if combined.kind in (_ADD, _SUB):
+            collected[combined] = collected.get(combined, 0) + 1
+        else:
+            c, fs = _term_by_nodes(combined)
+            take(c, fs)
+
+    pieces = []
+    for key in sorted(collected, key=_structural):
+        coeff = collected[key]
+        if coeff == 0:
+            continue
+        if coeff == 1:
+            pieces.append(key)
+        elif coeff == -1:
+            pieces.append(ex.neg(key))
+        else:
+            c, fs = _term_by_nodes(key)
+            pieces.append(_product_by_nodes(coeff * c, fs))
+    acc = None
+    for piece in pieces:
+        if acc is None:
+            acc = piece
+        elif piece.kind == _NEG:
+            acc = ex.sub(acc, piece.args[0])
+        else:
+            acc = ex.add(acc, piece)
+    if acc is None:
+        return ex.const(const_acc)
+    if const_acc > 0:
+        return ex.add(acc, ex.const(const_acc))
+    if const_acc < 0:
+        return ex.sub(acc, ex.const(-const_acc))
+    return acc

@@ -669,6 +669,21 @@ def test_a_component_past_the_node_limit_raises_naming_it(name, what, monkeypatc
     )
 
 
+@pytest.mark.parametrize("name", ["perturbed_flat", "sphere_3"])
+def test_a_bundle_builds_when_only_the_union_of_its_components_passes_the_node_limit(
+    name, monkeypatch
+):
+    chart = get_builtin(name).chart
+    built = curvature_bundle_at(chart)
+    guarded = [*built.christoffel.ravel(), *built.riemann.components.ravel()]
+    limit = max(ex.node_count(e) for e in guarded)
+    assert len(ex._order(guarded)[0]) > limit
+    monkeypatch.setattr(geometry, "COMPONENT_NODE_LIMIT", limit)
+    again = curvature_bundle_at(chart)
+    assert all(a is b for a, b in zip(again.riemann.components.ravel(),
+                                      built.riemann.components.ravel()))
+
+
 def test_values_at_caches_per_point_set():
     b = curvature_bundle_at(sphere2())
     pts = b.chart.sample_points(42, 4)

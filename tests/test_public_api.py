@@ -33,6 +33,7 @@ REFERENCE_ROUTES = (
     "support",
     "field_at",
     "field_block",
+    "simplify_by_nodes",
 )
 
 
