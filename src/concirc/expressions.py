@@ -730,12 +730,8 @@ def simplify(e: Expr) -> Expr:
     order, repeated factors merge into powers, terms sharing an identical
     denominator combine over it. Every rewrite is pointwise equal to the
     input on the input's domain; nothing depends on sign assumptions.
-
-    Each node is simplified once (the ``_simplified`` slot). The cost is in
-    sums: each term is decomposed once into an integer-carried coefficient
-    and its factors, and a like-term key is built as a node once per term
-    and decomposed again only when its factors would not survive the
-    rebuild (``_reusable``).
+    Each node is simplified once (the ``_simplified`` slot); the cost is in
+    the per-term work of sums (``_sum_of``).
     """
     if e._simplified is not None:
         return e._simplified
@@ -776,29 +772,26 @@ def _decompose_term(
     The */ and negation chain is flattened; every other node is passed
     through operand first, if given, and a result that is itself such a
     chain is flattened in turn. Pass `simplify` to flatten an unsimplified
-    product. The coefficient is carried as an integer numerator and
-    denominator and is an int when integral, else one Fraction; exponents
-    are exact rationals, ints while integral.
+    product. The coefficient is carried as integer numerator and denominator,
+    an int when integral, else one Fraction; exponents are exact rationals.
     """
     num = den = 1
     factors: dict[Expr, int | Fraction] = {}
-    get = factors.get
     stack = [(t, False)]
-    pop, push = stack.pop, stack.append
     while stack:
-        node, invert = pop()
+        node, invert = stack.pop()
         k = node.kind
         if k == _MUL:
-            push((node.args[1], invert))
-            push((node.args[0], invert))
+            stack.append((node.args[1], invert))
+            stack.append((node.args[0], invert))
         elif k == _DIV:
-            push((node.args[1], not invert))
-            push((node.args[0], invert))
+            stack.append((node.args[1], not invert))
+            stack.append((node.args[0], invert))
         elif k == _NEG:
             num = -num
-            push((node.args[0], invert))
+            stack.append((node.args[0], invert))
         elif operand is not None and (f := operand(node)) is not node:
-            push((f, invert))
+            stack.append((f, invert))
         elif k == _CONST:
             q = node.payload
             if not invert:
@@ -808,16 +801,14 @@ def _decompose_term(
                 num *= q.denominator
                 den *= q.numerator
             else:
-                factors[node] = get(node, 0) - 1
+                factors[node] = factors.get(node, 0) - 1
         elif k == _POW and node.args[1].kind == _CONST:
             base = node.args[0]
             expo = node.args[1].payload
-            factors[base] = get(base, 0) + (-expo if invert else expo)
+            factors[base] = factors.get(base, 0) + (-expo if invert else expo)
         else:
-            factors[node] = get(node, 0) + (-1 if invert else 1)
-    if den != 1:
-        num = num // den if num % den == 0 else Fraction(num, den)
-    return num, factors
+            factors[node] = factors.get(node, 0) + (-1 if invert else 1)
+    return (num if den == 1 else num // den if num % den == 0 else Fraction(num, den)), factors
 
 
 def _rebuild_product(coeff: int | Fraction, factors: dict[Expr, int | Fraction]) -> Expr:
@@ -844,45 +835,26 @@ def _rebuild_product(coeff: int | Fraction, factors: dict[Expr, int | Fraction])
     return neg(out) if sign else out
 
 
-_CHAIN = (_MUL, _DIV, _NEG, _CONST)
-
-
-def _reusable(factors: dict) -> bool:
-    """Whether _decompose_term(_rebuild_product(1, factors)) is (1, factors):
-    no base is a constant or a */neg chain, and no x^q with constant q has
-    exponent +-1, where its piece would be flattened again."""
-    for b, q in factors.items():
-        k = b.kind
-        if k in _CHAIN or (k == _POW and (q == 1 or q == -1) and b.args[1].kind == _CONST):
-            return False
-    return True
-
-
-def _settled(factors: dict) -> bool:
-    """Whether c * factors (c != 0, exponents positive), rebuilt, is its own
-    simplified form and a sum takes it as one term with these factors: they
-    are reusable, each base is simplified and no x^q with constant q has an
-    integral exponent (simplify would merge the powers), and they are not
-    one sum to the first power, which a sum would flatten."""
-    for b, q in factors.items():
-        k = b.kind
-        if b._simplified is not b or k in _CHAIN or (
-            k == _POW and b.args[1].kind == _CONST and q.denominator == 1
-        ):
-            return False
-        if k in (_ADD, _SUB) and q == 1 and len(factors) == 1:
-            return False
-    return bool(factors)
+def _stable(factors: dict) -> bool:
+    """Whether c * factors, rebuilt, gives c and these factors back when
+    decomposed, and with positive exponents when simplified as a sum's term
+    (bases of simplified terms are simplified): no base is a constant or a
+    */neg chain, no x^q with constant q has an integral exponent, and the
+    factors are not one sum to the first power."""
+    if len(factors) == 1 and all(q == 1 and b.kind in (_ADD, _SUB) for b, q in factors.items()):
+        return False
+    return all(b.kind not in (_MUL, _DIV, _NEG, _CONST) and not (
+        b.kind == _POW and b.args[1].kind == _CONST and q.denominator == 1
+    ) for b, q in factors.items())
 
 
 def _simplify_sum(e: Expr) -> Expr:
-    """Flatten a +- chain; collect like terms; combine equal denominators.
+    """Flatten a +- chain and decompose each term once; `_sum_of` collects.
 
     A term that simplifies to c*S, with c a rational constant and S a sum,
     contributes S's terms scaled by c, so linear combinations of sums cancel
     (2*(a + b) - 2*a - 2*b is 0). Products with any other factor are not
     expanded: distributing over c*S*x is full expansion and can swell.
-    Each term is decomposed once; `_sum_of` does the rest.
     """
     raw: list[tuple[int | Fraction, Expr]] = []
     stack = [(e, 1)]
@@ -914,15 +886,11 @@ def _simplify_sum(e: Expr) -> Expr:
 
 
 def _sum_of(terms: list) -> Expr:
-    """The simplified sum of terms given as (coeff, factors), in order.
-
-    Terms are grouped by their canonical denominator. A like-term key, the
-    coefficient-free product, is built once per term and kept with the
-    factors it came from, so a piece with a coefficient other than +-1 is
-    rebuilt from those factors, not from a second decomposition of the key.
-    Numerators over one denominator are summed by this function directly
-    when `_settled`, which gives the node that simplifying their built sum
-    gives. The pieces are ordered by their keys' structural order.
+    """The simplified sum of terms given as (coeff, factors), in order. Each
+    like-term key, a coefficient-free product, is built once and kept with
+    its factors, which rebuild a piece whose coefficient is not +-1;
+    numerators over one denominator are summed here, not built and then
+    simplified; both while the factors are `_stable`. Pieces go in key order.
     """
     groups: dict[Expr, list[tuple[int | Fraction, dict]]] = {}
     for c, fs in terms:
@@ -945,23 +913,22 @@ def _sum_of(terms: list) -> Expr:
             slot[0] += coeff
 
     for den_key, entries in groups.items():
-        if den_key is ONE or (den_key is ZERO and len(entries) == 1):
-            # 0 has no factors to divide by, so x/0 keeps its own
+        if den_key is ONE or len(entries) == 1:
             for c, fs in entries:
-                take(c, fs)
-            continue
-        if len(entries) == 1:
-            # the key's factors flatten a denominator that is a quotient
-            ((c, fs),) = entries
-            dc, dfs = _decompose_term(den_key)
-            merged = {b: q for b, q in fs.items() if q > 0}
-            for b, q in dfs.items():
-                merged[b] = merged.get(b, 0) - q
-            take(Fraction(c, dc), merged)
+                if den_key is ONE or den_key is ZERO:
+                    # 0 has no factors to divide by, so x/0 keeps its own
+                    take(c, fs)
+                    continue
+                # the key's factors flatten a denominator that is a quotient
+                dc, dfs = _decompose_term(den_key)
+                merged = {b: q for b, q in fs.items() if q > 0}
+                for b, q in dfs.items():
+                    merged[b] = merged.get(b, 0) - q
+                take(Fraction(c, dc), merged)
             continue
         # several terms over one identical denominator: combine numerators
         nums = [(c, {b: q for b, q in fs.items() if q > 0}) for c, fs in entries]
-        if all(_settled(fs) for _, fs in nums):
+        if all(_stable(fs) for _, fs in nums):
             num_sum = _sum_of(nums)
             num_sum._simplified = num_sum
         else:
@@ -982,10 +949,8 @@ def _sum_of(terms: list) -> Expr:
             piece = key
         elif coeff == -1:
             piece = neg(key)
-        elif _reusable(fs):
-            piece = _rebuild_product(coeff, fs)
         else:
-            c, fs = _decompose_term(key)
+            c, fs = (1, fs) if _stable(fs) else _decompose_term(key)
             piece = _rebuild_product(coeff * c, fs)
         if acc is None:
             acc = piece

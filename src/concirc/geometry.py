@@ -425,22 +425,18 @@ def _inverse_metric(g: np.ndarray) -> np.ndarray:
 
 
 def _guard(what: str, index: tuple, e: Expr, seen: set):
-    """Refuse a component with more than COMPONENT_NODE_LIMIT distinct nodes.
-
-    seen holds the ids of the nodes of the components guarded so far, so
-    one walk counts the union of their DAGs. A component can pass the limit
-    only when that union does, and only then is it counted on its own.
-    """
+    """Refuse a component past COMPONENT_NODE_LIMIT distinct nodes. seen, the
+    node ids of the components guarded so far, makes one walk of their union;
+    only when the union passes the limit is a component counted on its own."""
     stack = [e]
     while stack and len(seen) <= COMPONENT_NODE_LIMIT:
         n = stack.pop()
         if id(n) not in seen:
             seen.add(id(n))
             stack.extend(n.args)
-    if len(seen) > COMPONENT_NODE_LIMIT:
-        count = ex.node_count(e, COMPONENT_NODE_LIMIT)
-        if count > COMPONENT_NODE_LIMIT:
-            raise ResourceLimitError(what, index, count)
+    count = ex.node_count(e, COMPONENT_NODE_LIMIT) if len(seen) > COMPONENT_NODE_LIMIT else 0
+    if count > COMPONENT_NODE_LIMIT:
+        raise ResourceLimitError(what, index, count)
 
 
 def _curvature_slot(idx: tuple):
@@ -507,7 +503,6 @@ def christoffel_at(chart: MetricChart, inverse: np.ndarray | None = None) -> np.
 
 
 def _christoffel(chart: MetricChart, ginv: np.ndarray, seen: set) -> np.ndarray:
-    """christoffel_at, guarded by the node ids in seen (_guard)."""
     n = chart.n
     g = chart.metric
     coords = chart.coordinates
