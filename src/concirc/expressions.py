@@ -200,13 +200,10 @@ def _node(kind: str, payload, args: tuple) -> Expr:
         hit.kind = kind
         hit.payload = payload
         hit.args = args
+        pkey = key[1:] if kind == _CONST else payload if kind == _VAR else ""
+        kids = (args[0]._key, args[1]._key) if len(args) == 2 else (args[0]._key,) if args else ()
         # child keys are the children's own tuples, so a node adds O(1) memory
-        if payload is not None:
-            hit._key = (kind, key[1:] if kind == _CONST else payload)
-        elif len(args) == 2:
-            hit._key = (kind, "", args[0]._key, args[1]._key)
-        else:
-            hit._key = (kind, "", args[0]._key)
+        hit._key = (kind, pkey, *kids)
         hit._str = hit._simplified = hit._diff = None
         _INTERN[key] = hit
     return hit
@@ -930,7 +927,7 @@ def _sum_of(terms: list) -> Expr:
         nums = [(c, {b: q for b, q in fs.items() if q > 0}) for c, fs in entries]
         if all(_stable(fs) for _, fs in nums):
             num_sum = _sum_of(nums)
-            num_sum._simplified = num_sum
+            num_sum._simplified = num_sum  # as simplify marks what it returns
         else:
             num_sum = simplify(esum(_rebuild_product(c, fs) for c, fs in nums))
         combined = simplify(div(num_sum, den_key))
@@ -950,8 +947,10 @@ def _sum_of(terms: list) -> Expr:
         elif coeff == -1:
             piece = neg(key)
         else:
-            c, fs = (1, fs) if _stable(fs) else _decompose_term(key)
-            piece = _rebuild_product(coeff * c, fs)
+            if not _stable(fs):  # the key does not give these factors back
+                c, fs = _decompose_term(key)
+                coeff *= c
+            piece = _rebuild_product(coeff, fs)
         if acc is None:
             acc = piece
         elif piece.kind == _NEG:

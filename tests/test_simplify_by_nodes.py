@@ -4,7 +4,9 @@
 handling was made cheaper: every like-term key and denominator rebuilt as a
 node and decomposed again, coefficients as Fractions. Node identity is
 structural equality, so `is` checks that every output is the same tree,
-factor order and coefficient forms included.
+factor order and coefficient forms included. The two routes keep separate
+memos, so this also rests on canonical form not depending on what was
+simplified before (``test_simplify_properties.py`` checks that).
 """
 
 from fractions import Fraction
