@@ -62,13 +62,33 @@ def test_a_sum_over_shared_denominators_is_the_reference_node(quotients):
     assert ex.simplify(e) is simplify_by_nodes(e), ex.to_string(e)
 
 
-def test_a_numerator_that_simplify_rewrites_again_is_the_reference_node():
+def _twice(base, other):
+    """5 t, given as 3 t + 2 t, with t = (b^(1/2) o)^(1/2) (b^(1/2) o)^(1/2) b^(1/2):
+    the sum decomposes t to {b: 1, o: 1}, the key of which has the piece b."""
+    half_other = ex.mul(ex.pow_(base, HALF), other)
+    t = ex.mul(ex.mul(ex.pow_(half_other, HALF), ex.pow_(half_other, HALF)), ex.pow_(base, HALF))
+    return ex.add(ex.mul(3, t), ex.mul(2, t))
+
+
+Z = ex.var("z")
+
+
+@pytest.mark.parametrize("e, printed", [
     # the first numerator's factors are {x^(1/2): 2}: rebuilt, they give
-    # (x^(1/2))^2, which simplifying the numerators' sum turns into x
-    first = ex.mul(3, ex.mul(ex.pow_(ROOT, HALF), ex.pow_(ROOT, Fraction(3, 2))))
-    e = ex.add(ex.div(first, Y), ex.div(ex.mul(5, ex.sin(X)), Y))
+    # (x^(1/2))^2, which simplifying the numerators' sum turns into x, unless
+    # an earlier simplify call returned (x^(1/2))^2 and so marked it simplified
+    (ex.add(ex.div(ex.mul(3, ex.mul(ex.pow_(ROOT, HALF), ex.pow_(ROOT, Fraction(3, 2)))), Y),
+            ex.div(ex.mul(5, ex.sin(X)), Y)), None),
+    # a base that is a */neg chain or a constant: decomposing the key
+    # flattens its piece or takes it into the coefficient
+    (_twice(ex.mul(X, Y), Z), "5*x*y*z"),
+    (_twice(ex.div(X, Y), Z), "5*x*z/y"),
+    (_twice(ex.neg(X), Z), "-(5*x*z)"),
+    (_twice(ex.const(2), ex.add(X, Y)), "10*(x + y)"),
+])
+def test_factors_that_do_not_come_back_from_their_rebuild_give_the_reference_node(e, printed):
     assert ex.simplify(e) is simplify_by_nodes(e)
-    assert ex.to_string(ex.simplify(e)) == "(5*sin(x) + 3*x)/y"
+    assert printed is None or ex.to_string(ex.simplify(e)) == printed
 
 
 def _nodes(bundle):
